@@ -34,13 +34,18 @@ def _parse_grid(text: str):
     """'32:4096' -> dyadic powers; '10,100,1000' -> explicit list."""
     if ":" in text:
         lo, hi = (int(t) for t in text.split(":"))
+        if not 1 <= lo <= hi:
+            raise ValueError(f"grid {text!r} needs 1 <= lo <= hi")
         out = []
         n = lo
         while n <= hi:
             out.append(n)
             n *= 2
         return tuple(out)
-    return tuple(int(t) for t in text.split(","))
+    out = tuple(int(t) for t in text.split(","))
+    if min(out) < 1:
+        raise ValueError(f"grid {text!r} needs positive entries")
+    return out
 
 
 def _parse_xgrid(text: str):
@@ -445,6 +450,8 @@ def _apply_config(argv, ap):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[i + 1]
     cp = configparser.ConfigParser()
     read = cp.read(path)

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +109,34 @@ def test_config_file_supplies_defaults_flags_override(tmp_path, pts_file):
     assert rc == 0
     eff2 = json.loads((out2 / "effective-config.json").read_text())
     assert eff2["delta"] == 0.5
+
+
+def test_config_without_path_exit_2(capsys):
+    assert _run(["cover", "--points", "x.csv", "--delta", "0.3",
+                 "--config"]) == 2
+    assert capsys.readouterr().err == "error: --config needs a path\n"
+
+
+def _limit_memory():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+@pytest.mark.parametrize("ngrid", ["0:100", "64:32", "32,0"])
+def test_bad_ngrid_exit_2(tmp_path, ngrid):
+    # a child process under a memory cap and a timeout, so a grid parser
+    # that loops forever fails the test instead of hanging the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "empwass.cli", "rate",
+         "--sampler", "uniform-cube:1", "--p", "1", "--ngrid", ngrid,
+         "--reps", "2", "--seed", "0", "--out", str(tmp_path)],
+        env=env, preexec_fn=_limit_memory, capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: grid")
 
 
 def test_bound_subcommand_csv(tmp_path):

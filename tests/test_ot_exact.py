@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from empwass import _kernels
 from empwass.measures import DiscreteMeasure
 from empwass.metric_core import FiniteMetricSpace
-from empwass.ot_exact import (OTError, wpp_1d, wpp_1d_arrays,
+from empwass.ot_exact import (MAX_MCF_ATOMS, OTError, wpp_1d, wpp_1d_arrays,
                               wpp_1d_vs_quantile, wpp_mcf, wpp_to_point)
 
 
@@ -54,8 +55,10 @@ def test_wpp_1d_matches_lp_oracle():
             assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
-def test_wpp_mcf_matches_lp_oracle_general_position():
+def test_wpp_mcf_matches_lp_oracle_general_position(assignment_oracle):
     rng = np.random.default_rng(9)
+    rng_counts = np.random.default_rng(10)
+    total = 12
     for _ in range(15):
         m, n = rng.integers(2, 7, size=2)
         pa, pb = rng.normal(size=(m, 2)), rng.normal(size=(n, 2))
@@ -64,6 +67,11 @@ def test_wpp_mcf_matches_lp_oracle_general_position():
         space = FiniteMetricSpace.from_points(pts)
         mu = DiscreteMeasure(space, np.arange(m), wa)
         nu = DiscreteMeasure(space, m + np.arange(n), wb)
+        # rational weights k/total for the replication/assignment oracle
+        ka = 1 + rng_counts.multinomial(total - m, np.full(m, 1.0 / m))
+        kb = 1 + rng_counts.multinomial(total - n, np.full(n, 1.0 / n))
+        mu_k = DiscreteMeasure(space, np.arange(m), ka / total)
+        nu_k = DiscreteMeasure(space, m + np.arange(n), kb / total)
         for p in (1.0, 2.0):
             C = np.linalg.norm(pa[:, None] - pb[None, :], axis=2).ravel() ** p
             Aeq, beq = [], []
@@ -79,6 +87,34 @@ def test_wpp_mcf_matches_lp_oracle_general_position():
                           b_eq=np.concatenate([wa, wb]), method="highs")
             got, _plan = wpp_mcf(mu, nu, p)
             assert got.value == pytest.approx(res.fun, rel=1e-8, abs=1e-12)
+            want = assignment_oracle(C.reshape(m, n), ka, kb)
+            got_k, _plan = wpp_mcf(mu_k, nu_k, p)
+            assert got_k.value == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_wpp_mcf_reports_solver_failure(monkeypatch):
+    rng = np.random.default_rng(6)
+    xa, xb = np.sort(rng.normal(size=4)), np.sort(rng.normal(size=3))
+    mu, nu = _pair(xa, rng.dirichlet(np.ones(4)), xb, rng.dirichlet(np.ones(3)))
+    monkeypatch.setattr(_kernels, "transport_simplex",
+                        lambda a, b, C, tol, max_iter: (np.zeros(C.shape), 1))
+    with pytest.raises(OTError, match="HiGHS"):
+        wpp_mcf(mu, nu, 2.0)
+
+
+def test_wpp_mcf_refuses_oversize_before_costs(monkeypatch):
+    half = MAX_MCF_ATOMS // 2 + 1
+    space = FiniteMetricSpace.from_points(np.zeros((2 * half, 1)))
+    mu = DiscreteMeasure(space, np.arange(half), np.full(half, 1.0 / half))
+    nu = DiscreteMeasure(space, half + np.arange(half),
+                         np.full(half, 1.0 / half))
+
+    def no_costs(*args):
+        raise AssertionError("cost matrix built for an oversize instance")
+
+    monkeypatch.setattr(space, "distance_block", no_costs)
+    with pytest.raises(OTError, match="combined atoms"):
+        wpp_mcf(mu, nu, 1.0)
 
 
 def test_wpp_symmetry_and_identity():
