@@ -37,15 +37,16 @@ def wpp_staircase(xa, ca, xb, cb, p):
 # Greedy covering / packing on Euclidean point arrays
 # ---------------------------------------------------------------------------
 
-def greedy_cover_pts(pts, delta):
+def greedy_cover_pts(pts, delta, stop=None):
     """Centers in index order: each is the lowest-index point not within
-    delta of an earlier center."""
+    delta of an earlier center. With ``stop`` the loop ends once it has
+    placed that many centers."""
     n = pts.shape[0]
     # relative epsilon keeps points at exactly distance delta covered
     d2 = delta * delta * (1.0 + 1e-12)
     covered = np.zeros(n, bool)
     centers = []
-    while not covered.all():
+    while len(centers) != stop and not covered.all():
         idx = int(np.argmin(covered))
         centers.append(idx)
         diff = pts - pts[idx]
@@ -76,12 +77,12 @@ def assign_nearest_pts(pts, centers):
 
 # Matrix variants for explicit-matrix metric spaces.
 
-def greedy_cover_mat(D, delta):
+def greedy_cover_mat(D, delta, stop=None):
     n = D.shape[0]
     delta = delta * (1.0 + 1e-12)
     covered = np.zeros(n, bool)
     centers = []
-    while not covered.all():
+    while len(centers) != stop and not covered.all():
         idx = int(np.argmin(covered))
         centers.append(idx)
         covered |= D[idx] <= delta

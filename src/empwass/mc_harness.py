@@ -40,10 +40,25 @@ class ExperimentSpec:
 
     def __post_init__(self):
         ng = tuple(self.n_grid)
+        if not ng or min(ng) < 1:
+            raise HarnessError("n_grid must be non-empty with every n >= 1")
         if any(b <= a for a, b in zip(ng, ng[1:])):
             raise HarnessError("n_grid must be strictly increasing")
+        if self.replicates < 1:
+            raise HarnessError("replicates must be >= 1")
+        if self.workers < 1:
+            raise HarnessError("workers must be >= 1")
+        if not self.p >= 1:
+            raise HarnessError("p must be >= 1")
         if self.estimator not in ("mcf-two-sample", "1d-quantile", "dyadic"):
             raise HarnessError(f"unknown estimator {self.estimator!r}")
+        seen = {}
+        for x in self.x_grid:
+            key = f"tail_x{x:g}"
+            if key in seen:
+                raise HarnessError(f"x_grid values {seen[key]!r} and {x!r} "
+                                   f"both name the column {key}")
+            seen[key] = x
 
     def to_dict(self) -> dict:
         return {

@@ -58,6 +58,8 @@ class DiscreteMeasure:
         d = {"idx": self.idx.tolist(), "weights": self.weights.tolist()}
         if self.space.kind == "euclidean":
             d["points"] = self.space.points[self.idx].tolist()
+        else:
+            d["space"] = self.space.kind
         return d
 
 
@@ -378,6 +380,10 @@ def measure_to_json(m: DiscreteMeasure) -> str:
 
 def measure_from_json(text: str) -> DiscreteMeasure:
     d = json.loads(text)
+    if "points" not in d:
+        raise MeasureError(
+            f"cannot rebuild a measure on a {d.get('space', 'non-Euclidean')} "
+            "space from JSON: only Euclidean payloads carry their points")
     pts = np.asarray(d["points"])
     space = FiniteMetricSpace.from_points(pts)
     # the stored points are exactly the atoms, so indices re-base to 0..k-1

@@ -34,16 +34,14 @@ class CoveringEstimate:
                 "centers": [int(c) for c in self.centers]}
 
 
-def _cover_counts(space: FiniteMetricSpace, subset: np.ndarray, delta: float):
+def _cover(space: FiniteMetricSpace, subset: np.ndarray, delta: float,
+           stop: Optional[int] = None) -> np.ndarray:
+    """Positions in subset of the greedy delta-cover centers."""
     if space.kind == "euclidean":
-        pts = space.points[subset]
-        cov = _kernels.greedy_cover_pts(pts, float(delta))
-        pack = _kernels.greedy_packing_pts(pts, 2.0 * float(delta))
-    else:
-        D = space.submatrix(subset)
-        cov = _kernels.greedy_cover_mat(D, float(delta))
-        pack = _kernels.greedy_packing_mat(D, 2.0 * float(delta))
-    return cov, pack
+        return _kernels.greedy_cover_pts(space.points[subset], float(delta),
+                                         stop=stop)
+    return _kernels.greedy_cover_mat(space.submatrix(subset), float(delta),
+                                     stop=stop)
 
 
 def greedy_cover(space: FiniteMetricSpace, subset: Sequence[int],
@@ -55,7 +53,11 @@ def greedy_cover(space: FiniteMetricSpace, subset: Sequence[int],
         raise MultiscaleError("subset is empty")
     if delta <= 0:
         raise MultiscaleError("delta must be positive")
-    cov, pack = _cover_counts(space, subset, delta)
+    cov = _cover(space, subset, delta)
+    if space.kind == "euclidean":
+        pack = _kernels.greedy_packing_pts(space.points[subset], 2.0 * delta)
+    else:
+        pack = _kernels.greedy_packing_mat(space.submatrix(subset), 2.0 * delta)
     return CoveringEstimate(float(delta), int(cov.size), int(pack.size),
                             subset[cov])
 
@@ -85,7 +87,9 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
     """One-sided power-law envelope for covering counts.
 
     Least squares on log counts vs log(diam/delta), then the prefactor is
-    inflated minimally so the law dominates every observed count.
+    inflated minimally so the law dominates every observed count. Counts
+    are greedy cover sizes; ``diam_upper`` stands in for the diameter of
+    subset when the caller already has it.
     """
     subset = np.asarray(subset, dtype=np.int64)
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
@@ -96,7 +100,11 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
     Delta = diameter(space, subset) if diam_upper is None else float(diam_upper)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
-    counts = np.array([greedy_cover(space, subset, d).n_upper for d in deltas])
+    if subset.size == 0:
+        raise MultiscaleError("subset is empty")
+    if deltas.min() <= 0:
+        raise MultiscaleError("delta must be positive")
+    counts = np.array([_cover(space, subset, d).size for d in deltas])
     if np.all(counts == 1):
         raise DegenerateFitError("all covering counts equal 1")
     x = np.log(Delta / deltas)
@@ -113,10 +121,12 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
 
 
 def auto_delta_grid(space: FiniteMetricSpace, subset: Sequence[int],
-                    n_scales: int = 6) -> np.ndarray:
-    """Dyadic scales diam/8, diam/16, ... for dimension fitting."""
-    subset = np.asarray(subset, dtype=np.int64)
-    Delta = diameter(space, subset)
+                    n_scales: int = 6,
+                    diam: Optional[float] = None) -> np.ndarray:
+    """Dyadic scales diam/8, diam/16, ... for dimension fitting; ``diam``
+    is the diameter of subset when the caller already has it."""
+    Delta = (diameter(space, np.asarray(subset, dtype=np.int64))
+             if diam is None else float(diam))
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
     n_scales = max(4, n_scales)
@@ -130,55 +140,102 @@ def auto_delta_grid(space: FiniteMetricSpace, subset: Sequence[int],
 @dataclass
 class Cell:
     center: int              # space index of the cell center
-    parent: int               # cell id in the previous level (-1 at level 1)
+    parent: int               # cell id in the previous level (0, the root, at level 1)
     points: np.ndarray        # space indices of member points
+
+
+def _group(values: np.ndarray, labels: np.ndarray,
+           ncells: int) -> List[np.ndarray]:
+    """values split by label into ncells groups, each in input order;
+    labels outside [0, ncells) join no group."""
+    pos = np.flatnonzero((labels >= 0) & (labels < ncells))
+    order = pos[np.argsort(labels[pos], kind="stable")]
+    ends = np.cumsum(np.bincount(labels[pos], minlength=ncells))
+    return np.split(values[order], ends[:-1])
 
 
 @dataclass
 class PartitionTree:
+    """Nested partitions of ``subset``, stored per level k = 1..k_star as
+    ``labels[k-1]`` (cell id of each subset position), ``centers[k-1]``
+    (space index of each cell's center) and ``parents[k-1]`` (cell id of
+    each cell's parent at level k-1; level 0 is the single root cell)."""
+
     space: FiniteMetricSpace
     subset: np.ndarray
     diam: float
     k_star: int
-    levels: List[List[Cell]] = field(default_factory=list)
+    labels: List[np.ndarray] = field(default_factory=list)
+    centers: List[np.ndarray] = field(default_factory=list)
+    parents: List[np.ndarray] = field(default_factory=list)
 
     @property
     def cell_counts(self) -> List[int]:
-        return [len(lv) for lv in self.levels]
+        return [c.size for c in self.centers]
+
+    @property
+    def levels(self) -> List[List[Cell]]:
+        """Cell view of the label arrays."""
+        return [[Cell(int(c), int(p), m) for c, p, m in
+                 zip(cen, par, _group(self.subset, lab, cen.size))]
+                for lab, cen, par in zip(self.labels, self.centers,
+                                         self.parents)]
 
     def level_radius(self, k: int) -> float:
         return 4.0 ** (-k) * self.diam
 
     def verify(self) -> None:
-        """Re-check partition, refinement, diameter, and cardinality."""
-        subset_sorted = np.sort(self.subset)
-        for k, level in enumerate(self.levels, start=1):
-            got = np.sort(np.concatenate([c.points for c in level]))
-            if got.size != subset_sorted.size or np.any(got != subset_sorted):
+        """Re-check partition, refinement, diameter, and cardinality.
+
+        Partition and refinement are array comparisons. A Euclidean cell
+        whose points all lie within r of its center has diameter <= 2r, so
+        that certificate replaces the pairwise diameter for every cell it
+        clears with a relative margin; other cells, and every cell of a
+        non-Euclidean space, get the exact diameter. The cap is checked by
+        a greedy cover that stops as soon as it reaches the level's cell
+        count.
+        """
+        n = self.subset.size
+        prev, nprev = np.zeros(n, np.int64), 1
+        for k, (lab, cen, par) in enumerate(
+                zip(self.labels, self.centers, self.parents), start=1):
+            ncells = cen.size
+            if (lab.shape != (n,) or par.shape != (ncells,) or ncells == 0
+                    or lab.min() < 0 or lab.max() >= ncells
+                    or np.bincount(lab, minlength=ncells).min() == 0):
                 raise MultiscaleError(f"level {k} does not partition the set")
-            for c in level:
-                if diameter(self.space, c.points) > self.level_radius(k) + 1e-12:
-                    raise MultiscaleError(f"cell diameter violated at level {k}")
-                if k > 1:
-                    parent_pts = self.levels[k - 2][c.parent].points
-                    if not np.all(np.isin(c.points, parent_pts)):
-                        raise MultiscaleError(f"refinement violated at level {k}")
+            self._check_diameters(k, lab, cen)
+            if (par.min() < 0 or par.max() >= nprev
+                    or np.any(par[lab] != prev)):
+                raise MultiscaleError(f"refinement violated at level {k}")
             if self.diam == 0.0:
                 cap = 1
             else:
-                cap = greedy_cover(self.space, self.subset,
-                                   4.0 ** (-k - 1) * self.diam).n_upper
-            if len(level) > cap:
+                cap = _cover(self.space, self.subset,
+                             4.0 ** (-k - 1) * self.diam, stop=ncells).size
+            if ncells > cap:
                 raise MultiscaleError(
-                    f"level {k} has {len(level)} cells, cover cap is {cap}")
+                    f"level {k} has {ncells} cells, cover cap is {cap}")
+            prev, nprev = lab, ncells
 
-    def cell_of_point(self, k: int) -> dict:
-        """Map space index -> cell id at level k (1-based)."""
-        out = {}
-        for cid, c in enumerate(self.levels[k - 1]):
-            for pt in c.points:
-                out[int(pt)] = cid
-        return out
+    def _check_diameters(self, k: int, lab: np.ndarray,
+                         cen: np.ndarray) -> None:
+        bound = self.level_radius(k) + 1e-12
+        if self.space.kind == "euclidean":
+            pts = self.space.points
+            diff = pts[self.subset] - pts[cen[lab]]
+            rmax = np.zeros(cen.size)
+            np.maximum.at(rmax, lab, np.einsum("ij,ij->i", diff, diff))
+            # the margin absorbs rounding in both distance computations
+            unsure = np.flatnonzero(2.0 * np.sqrt(rmax) * (1.0 + 1e-9) > bound)
+        else:
+            unsure = np.arange(cen.size)
+        if unsure.size == 0:
+            return
+        members = _group(self.subset, lab, cen.size)
+        for c in unsure:
+            if diameter(self.space, members[c]) > bound:
+                raise MultiscaleError(f"cell diameter violated at level {k}")
 
     def to_dict(self) -> dict:
         return {
@@ -208,7 +265,8 @@ def build_partition_tree(space: FiniteMetricSpace, subset: Sequence[int],
 
     Level-k centers come from a greedy cover at radius 4^{-k}*diam/2
     inside each parent cell; points go to their nearest center within the
-    parent (ties to the lowest center index).
+    parent (ties to the lowest center index). Cells are numbered by
+    parent, then by center order within the parent.
     """
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
@@ -217,30 +275,36 @@ def build_partition_tree(space: FiniteMetricSpace, subset: Sequence[int],
         raise MultiscaleError("k_star must be >= 1")
     Delta = diameter(space, subset)
     tree = PartitionTree(space, subset, Delta, int(k_star))
-    parents = [Cell(int(subset[0]), -1, subset)]
+    prev_lab = np.zeros(subset.size, np.int64)
+    nprev = 1
     for k in range(1, k_star + 1):
         radius = 4.0 ** (-k) * Delta / 2.0
-        level: List[Cell] = []
-        for pid, par in enumerate(parents):
-            pts = par.points
-            if pts.size == 1:
-                level.append(Cell(int(pts[0]), pid, pts))
-                continue
-            if Delta == 0.0:
-                level.append(Cell(par.center, pid, pts))
-                continue
-            if space.kind == "euclidean":
-                local = _kernels.greedy_cover_pts(space.points[pts], radius)
+        lab = np.empty(subset.size, np.int64)
+        cen: List[np.ndarray] = []
+        par: List[np.ndarray] = []
+        ncells = 0
+        for pid, pos in enumerate(_group(np.arange(subset.size), prev_lab,
+                                         nprev)):
+            pts = subset[pos]
+            if pts.size == 1 or Delta == 0.0:
+                # one cell; when Delta == 0 every level is one cell and its
+                # center, like the root's, is the first point of subset
+                centers = pts[:1]
+                local = np.zeros(pts.size, np.int64)
             else:
-                local = _kernels.greedy_cover_mat(space.submatrix(pts), radius)
-            centers = pts[local]
-            lab = _assign(space, pts, centers)
-            for ci in range(centers.size):
-                member = pts[lab == ci]
-                if member.size:
-                    level.append(Cell(int(centers[ci]), pid, member))
-        tree.levels.append(level)
-        parents = level
+                centers = pts[_cover(space, pts, radius)]
+                local = _assign(space, pts, centers)
+                used = np.bincount(local, minlength=centers.size) > 0
+                local = (np.cumsum(used) - 1)[local]
+                centers = centers[used]
+            lab[pos] = ncells + local
+            cen.append(centers)
+            par.append(np.full(centers.size, pid, np.int64))
+            ncells += centers.size
+        tree.labels.append(lab)
+        tree.centers.append(np.concatenate(cen))
+        tree.parents.append(np.concatenate(par))
+        prev_lab, nprev = lab, ncells
     tree.verify()
     return tree
 
@@ -256,20 +320,20 @@ def dyadic_wpp_bound(tree: PartitionTree, mu: DiscreteMeasure,
 
         diam^p * [4^{-k* p} + 4^p * sum_k 4^{-k p} sum_i |mu(Q_i^k)-nu(Q_i^k)|]
     """
-    subset = set(int(i) for i in tree.subset)
+    position = np.full(tree.space.n, -1, np.int64)
+    position[tree.subset] = np.arange(tree.subset.size)
+    at = []
     for m in (mu, nu):
-        if not all(int(i) in subset for i in m.idx):
+        if m.idx.max() >= position.size or position[m.idx].min() < 0:
             raise MultiscaleError("measure support lies outside the tree")
+        at.append(position[m.idx])
     disc_sum = 0.0
     for k in range(1, tree.k_star + 1):
-        cmap = tree.cell_of_point(k)
-        ncells = len(tree.levels[k - 1])
-        ma = np.zeros(ncells)
-        mb = np.zeros(ncells)
-        for i, w in zip(mu.idx, mu.weights):
-            ma[cmap[int(i)]] += w
-        for i, w in zip(nu.idx, nu.weights):
-            mb[cmap[int(i)]] += w
+        lab = tree.labels[k - 1]
+        ncells = tree.centers[k - 1].size
+        # bincount sums each cell's weights in atom order
+        ma = np.bincount(lab[at[0]], weights=mu.weights, minlength=ncells)
+        mb = np.bincount(lab[at[1]], weights=nu.weights, minlength=ncells)
         disc_sum += 4.0 ** (-k * p) * float(np.sum(np.abs(ma - mb)))
     val = 4.0 ** (-tree.k_star * p) + 4.0 ** p * disc_sum
     return tree.diam ** p * val

@@ -139,6 +139,19 @@ def test_bad_ngrid_exit_2(tmp_path, ngrid):
     assert proc.stderr.startswith("error: grid")
 
 
+def test_colliding_tail_columns_exit_2(tmp_path, capsys):
+    # 0.1 and 0.1000001 both format as tail_x0.1 under :g
+    rc = _run(["tail", "--sampler", "uniform-cube:1", "--p", "1",
+               "--estimator", "1d-quantile", "--ngrid", "64:64",
+               "--reps", "1000", "--xgrid", "0.1,0.1000001", "--seed", "0",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "tail_x0.1" in err
+    assert not (tmp_path / "tail.json").exists()
+
+
 def test_bound_subcommand_csv(tmp_path):
     spec = tmp_path / "grid.json"
     spec.write_text(json.dumps({

@@ -25,6 +25,22 @@ def test_spec_validation():
         _spec(estimator="bogus")
 
 
+@pytest.mark.parametrize("bad", [
+    {"n_grid": ()}, {"n_grid": (0, 32)}, {"replicates": 0},
+    {"workers": 0}, {"workers": -2}, {"p": 0.5}],
+    ids=["empty-grid", "n-zero", "replicates-zero", "workers-zero",
+         "workers-negative", "p-below-one"])
+def test_spec_rejects_out_of_range(bad):
+    with pytest.raises(HarnessError):
+        _spec(**bad)
+
+
+def test_spec_rejects_colliding_tail_columns():
+    with pytest.raises(HarnessError, match="tail_x0.1"):
+        _spec(x_grid=(0.1, 0.1000001))
+    assert _spec(x_grid=(0.1, 0.2)).x_grid == (0.1, 0.2)
+
+
 def test_replicate_seed_is_order_free():
     a = replicate_seed(7, 64, 3).random(4)
     b = replicate_seed(7, 64, 3).random(4)

@@ -42,6 +42,13 @@ def test_measure_json_roundtrip(space):
     assert np.allclose(back.space.points.ravel(), space.points[[0, 3]].ravel())
 
 
+def test_measure_from_json_refuses_explicit_matrix():
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mu = DiscreteMeasure(FiniteMetricSpace.from_matrix(D), [0, 1], [0.5, 0.5])
+    with pytest.raises(MeasureError, match="explicit-matrix"):
+        measure_from_json(measure_to_json(mu))
+
+
 def test_sampler_parsing():
     s = sampler_from_string("uniform-cube:3")
     assert s.family == "uniform-cube" and s.d == 3

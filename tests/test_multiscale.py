@@ -1,12 +1,18 @@
+import hashlib
 import itertools
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from empwass.mc_harness import _one_replicate
 from empwass.measures import DiscreteMeasure, sample, sampler_from_string
 from empwass.metric_core import FiniteMetricSpace, diameter
 from empwass.multiscale import (DegenerateFitError, MultiscaleError,
-                                auto_delta_grid, auto_k_star,
+                                PartitionTree, auto_delta_grid, auto_k_star,
                                 build_partition_tree, dyadic_wpp_bound,
                                 fit_dimension, greedy_cover)
 from empwass.ot_exact import wpp_mcf
@@ -172,3 +178,111 @@ def test_cantor_dimension_from_bundled_data():
     fit = fit_dimension(space, idx, auto_delta_grid(space, idx, 6))
     # middle-thirds construction has log 2 / log 3 = 0.6309...
     assert 0.55 <= fit.alpha <= 0.72
+
+
+def _build_unchecked(space, subset, k_star):
+    """The tree build_partition_tree makes, before its own verify runs."""
+    with mock.patch.object(PartitionTree, "verify", lambda self: None):
+        return build_partition_tree(space, subset, k_star)
+
+
+def _verdict(check, tree):
+    try:
+        check(tree)
+    except MultiscaleError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _clouds(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    grid = draw(st.sampled_from([2, 4, 1000]))   # coarse grids repeat points
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    pts = np.random.default_rng(seed).integers(0, grid, (n, d)) / grid
+    space = FiniteMetricSpace.from_points(pts)
+    if draw(st.booleans()):
+        space = FiniteMetricSpace.from_matrix(space.submatrix(np.arange(n)))
+    return space, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_clouds())
+def test_verify_agrees_with_oracle(verify_tree_oracle, cloud):
+    space, k_star = cloud
+    tree = _build_unchecked(space, np.arange(space.n), k_star)
+    assert _verdict(PartitionTree.verify, tree) == \
+        _verdict(verify_tree_oracle, tree)
+
+
+def _square_tree(n=300, k_star=2, seed=15):
+    pts = np.random.default_rng(seed).random((n, 2))
+    return build_partition_tree(FiniteMetricSpace.from_points(pts),
+                                np.arange(n), k_star)
+
+
+def _both_reject(tree, oracle, match):
+    with pytest.raises(ValueError, match=match):
+        tree.verify()
+    with pytest.raises(ValueError):
+        oracle(tree)
+
+
+def test_verify_rejects_point_moved_to_far_cell(verify_tree_oracle):
+    tree = _square_tree()
+    lab, cen = tree.labels[1], tree.centers[1]
+    i = int(np.flatnonzero(np.bincount(lab)[lab] > 1)[0])
+    pts = tree.space.points
+    far = int(np.argmax(np.linalg.norm(pts[cen] - pts[tree.subset[i]], axis=1)))
+    lab[i] = far
+    _both_reject(tree, verify_tree_oracle, "cell diameter violated at level 2")
+    assert _verdict(verify_tree_oracle, tree) == \
+        "cell diameter violated at level 2"
+
+
+def test_verify_rejects_broken_parent_link(verify_tree_oracle):
+    tree = _square_tree()
+    par = tree.parents[1]
+    par[0] = (par[0] + 1) % tree.centers[0].size
+    _both_reject(tree, verify_tree_oracle, "refinement violated at level 2")
+    assert _verdict(verify_tree_oracle, tree) == \
+        "refinement violated at level 2"
+
+
+def test_verify_rejects_empty_cell(verify_tree_oracle):
+    tree = _square_tree()
+    tree.centers[1] = np.append(tree.centers[1], tree.centers[1][0])
+    tree.parents[1] = np.append(tree.parents[1], tree.parents[1][0])
+    _both_reject(tree, verify_tree_oracle, "level 2 does not partition")
+
+
+def test_verify_rejects_missing_cell(verify_tree_oracle):
+    tree = _square_tree()
+    tree.centers[1] = tree.centers[1][:-1]
+    tree.parents[1] = tree.parents[1][:-1]
+    _both_reject(tree, verify_tree_oracle, "level 2 does not partition")
+    assert _verdict(verify_tree_oracle, tree) == \
+        "level 2 does not partition the set"
+
+
+def test_partition_tree_golden():
+    # sha256 of the tree.json payload as produced before the tree was
+    # stored as label arrays
+    pts = np.random.default_rng(2024).random((2000, 2))
+    tree = build_partition_tree(FiniteMetricSpace.from_points(pts),
+                                np.arange(2000), 3)
+    assert tree.cell_counts == [26, 339, 1503]
+    blob = json.dumps(tree.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "6cce22e0fd43d1286a62e9f315438f9d6f36c967b0756b51cf9b2e6dc3a3a1f4"
+
+
+@pytest.mark.xfail(strict=True, raises=MultiscaleError,
+                   reason="per-parent greedy covers can place more level-2 "
+                          "cells (64) than one global greedy cover at the "
+                          "next scale (63), so the cap rejects a valid tree")
+def test_known_cap_defect_uniform_square():
+    sampler = sampler_from_string("uniform-cube:2")
+    _one_replicate((sampler, 1.0, "dyadic", None, 0, 1, 32, 26))
