@@ -7,9 +7,12 @@ re-checked here against a dual certificate.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_array
+from scipy.spatial import cKDTree
 
 
 def backend() -> str:
@@ -37,35 +40,68 @@ def wpp_staircase(xa, ca, xb, cb, p):
 # Greedy covering / packing on Euclidean point arrays
 # ---------------------------------------------------------------------------
 
+# Candidate pairs a block of the cover walk aims at: enough that the fixed
+# cost of a block (one tree query, a dozen numpy calls) is a small share
+# of its pair work, few enough that a block of dense tentatives that
+# mostly cover each other wastes little.
+_BLOCK_PAIRS = 4096
+
+
 def greedy_cover_pts(pts, delta, stop=None):
     """Centers in index order: each is the lowest-index point not within
-    delta of an earlier center. With ``stop`` the loop ends once it has
-    placed that many centers."""
+    delta of an earlier center. With ``stop`` the walk ends once it has
+    placed that many centers.
+
+    "Within" is ``sum((x - c)**2) <= delta**2 * (1 + 1e-12)`` over the
+    coordinates, summed in order. The walk takes the next block of
+    uncovered points in index order as tentative centers, finds their
+    neighbours with one kd-tree ball query at a radius 1e-9 above delta,
+    keeps the pairs that pass the test above, and accepts the tentatives
+    in index order unless an earlier acceptance covered them. Every
+    point before the block is covered and the points between tentatives
+    are too, so these are the centers of the one-at-a-time loop. The next
+    block has twice as many tentatives as the last one gave centers, but
+    no more than would bring about ``_BLOCK_PAIRS`` candidate pairs at the
+    last query's rate per tentative (the first block assumes every point
+    is a neighbour).
+    """
     n = pts.shape[0]
     # relative epsilon keeps points at exactly distance delta covered
     d2 = delta * delta * (1.0 + 1e-12)
-    covered = np.zeros(n, bool)
+    tree = cKDTree(pts)
+    # covered[n] is the sink for candidates that fail the exact test
+    covered = np.zeros(n + 1, bool)
     centers = []
-    while len(centers) != stop and not covered.all():
-        idx = int(np.argmin(covered))
-        centers.append(idx)
-        diff = pts - pts[idx]
-        covered |= np.einsum("ij,ij->i", diff, diff) <= d2
+    cursor, block = 0, max(1, _BLOCK_PAIRS // max(n, 1))
+    while cursor < n and len(centers) != stop:
+        tent = cursor + np.flatnonzero(~covered[cursor:n])[:block]
+        if tent.size == 0:
+            break
+        near = tree.query_ball_point(pts[tent], delta * (1.0 + 1e-9),
+                                      return_sorted=False)
+        sizes = np.fromiter(map(len, near), np.intp, tent.size)
+        nbr = np.fromiter(chain.from_iterable(near), np.intp)
+        diff = pts[nbr] - pts[np.repeat(tent, sizes)]
+        nbr[np.einsum("ij,ij->i", diff, diff) > d2] = n
+        taken, start = 0, 0
+        for t, end in zip(tent.tolist(), np.cumsum(sizes).tolist()):
+            if not covered[t]:
+                centers.append(t)
+                taken += 1
+                covered[nbr[start:end]] = True
+                if len(centers) == stop:
+                    break
+            start = end
+        cursor = int(tent[-1]) + 1
+        block = max(1, min(2 * taken, _BLOCK_PAIRS * tent.size // nbr.size))
     return np.asarray(centers, np.int64)
 
 
 def greedy_packing_pts(pts, sep):
-    """Maximal subset with pairwise distance > sep, lowest indices first."""
-    n = pts.shape[0]
-    s2 = sep * sep * (1.0 + 1e-12)
-    alive = np.ones(n, bool)
-    chosen = []
-    while alive.any():
-        idx = int(np.argmax(alive))
-        chosen.append(idx)
-        diff = pts - pts[idx]
-        alive &= np.einsum("ij,ij->i", diff, diff) > s2
-    return np.asarray(chosen, np.int64)
+    """Maximal subset with pairwise distance > sep, lowest indices first.
+    A point joins unless an earlier member lies within sep, so this is
+    the greedy cover at radius sep."""
+    return greedy_cover_pts(pts, sep)
 
 
 def assign_nearest_pts(pts, centers):
@@ -90,15 +126,9 @@ def greedy_cover_mat(D, delta, stop=None):
 
 
 def greedy_packing_mat(D, sep):
-    n = D.shape[0]
-    sep = sep * (1.0 + 1e-12)
-    alive = np.ones(n, bool)
-    chosen = []
-    while alive.any():
-        idx = int(np.argmax(alive))
-        chosen.append(idx)
-        alive &= D[idx] > sep
-    return np.asarray(chosen, np.int64)
+    """Maximal subset with pairwise distance > sep: the greedy cover at
+    radius sep."""
+    return greedy_cover_mat(D, sep)
 
 
 def assign_nearest_mat(D):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 
 class MetricError(ValueError):
@@ -168,13 +169,45 @@ class FiniteMetricSpace:
         return FiniteMetricSpace.from_callable(self._n, lambda i, j: c * fn(i, j))
 
 
+def _diameter_candidates(pts: np.ndarray) -> np.ndarray:
+    """Positions in pts that can end a longest pair: the smallest and the
+    largest value in 1-D; in 2-D and 3-D the convex hull's vertices and the
+    points Qhull finds coplanar with a facet, which keeps points that
+    rounding places on the hull; every position otherwise (d > 3, at most
+    d + 1 points, or flat input that Qhull rejects)."""
+    n, d = pts.shape
+    if d == 1:
+        return np.array([np.argmin(pts[:, 0]), np.argmax(pts[:, 0])])
+    if d > 3 or n <= d + 1:
+        return np.arange(n)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    # Qhull sees the points centred and scaled by a power of two into
+    # [-1, 1]: far from the origin its tolerance exceeds the spacing of
+    # the coordinates, and near the overflow threshold it crashes.
+    scaled = np.ldexp(pts - mid, -np.frexp(half.max())[1])
+    try:
+        hull = ConvexHull(scaled, qhull_options="Qc")
+    except QhullError:
+        return np.arange(n)
+    return np.union1d(hull.vertices, hull.coplanar[:, 0])
+
+
 def diameter(space: FiniteMetricSpace, subset=None) -> float:
-    """Max pairwise distance; 0 for a singleton."""
+    """Max pairwise distance; 0 for a singleton.
+
+    Both ends of a longest pair of a Euclidean set are extreme points, so
+    the scan runs over ``_diameter_candidates`` only. Each distance comes
+    from ``distance_block`` as in a scan over the whole set, so the result
+    is the same float.
+    """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, np.int64)
     if idx.size == 0:
         raise MetricError("diameter of an empty set")
     if idx.size == 1:
         return 0.0
+    if space.kind == "euclidean":
+        idx = idx[_diameter_candidates(space.points[idx])]
     best = 0.0
     # chunked so that euclidean blocks stay modest
     step = 2048

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,25 @@ def test_cover_and_dim(tmp_path, pts_file):
     assert rc == 0
     payload = json.loads((out2 / "dim.json").read_text())
     assert "alpha" in payload or payload.get("degenerate")
+
+
+def test_dim_output_golden(tmp_path):
+    # sha256 of dim.json as written when diameter scanned every pair and
+    # the greedy cover tested one center at a time against every point
+    square = tmp_path / "square.csv"
+    save_points_csv(square, np.random.default_rng(7).random((2000, 2)))
+    with resources.as_file(resources.files("empwass").joinpath(
+            "data/cantor_third_5000.csv")) as cantor:
+        for name, points, digest in (
+                ("square", square, "a48e8d036acf391de0a667caf281706c"
+                                   "6242b674365518f8bb935a84bc4bc373"),
+                ("cantor", cantor, "8b805fc33481aa53089602aeea1191c8"
+                                   "a74e10c37789ddbc898899ef502f8d7c")):
+            out = tmp_path / name
+            assert _run(["dim", "--points", str(points),
+                         "--out", str(out)]) == 0
+            blob = (out / "dim.json").read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_validate_metric_exit_codes(tmp_path, pts_file):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from empwass import _kernels as K
 
@@ -136,6 +138,46 @@ def test_greedy_cover_matches_definition(rng):
         centers = list(K.greedy_cover_mat(D, r))
         assert centers == _sequential_greedy(mat_within)
         assert mat_within[:, centers].any(axis=1).all()
+
+
+@st.composite
+def _cover_inputs(draw):
+    """Point sets in d = 1..4 and a radius: uniform points, integer points
+    with a radius whose square is an integer (ties exactly at delta), a
+    sorted line (each center covers a run of consecutive indices) and a
+    row-major grid. Sizes reach past one block of the cover walk."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 2500))
+    shape = draw(st.sampled_from(["uniform", "integer", "sorted-line",
+                                  "grid"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "uniform":
+        pts = rng.random((n, d))
+        delta = float(rng.choice([0.01, 0.05, 0.2, 0.6]))
+    elif shape == "integer":
+        pts = rng.integers(0, 6, (n, d)).astype(float)
+        delta = float(np.sqrt(rng.integers(1, 6)))
+    elif shape == "sorted-line":
+        pts = np.sort(rng.random(n))[:, None] * np.ones(d)
+        delta = float(rng.choice([1e-3, 1e-2, 0.1]))
+    else:
+        side = int(np.ceil(n ** (1.0 / d)))
+        axes = np.meshgrid(*[np.arange(side, dtype=float)] * d, indexing="ij")
+        pts = np.stack(axes, axis=-1).reshape(-1, d)[:n]
+        delta = float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
+    return pts, delta
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cover_inputs(), st.data())
+def test_greedy_cover_matches_oracle(greedy_cover_oracle, case, data):
+    pts, delta = case
+    want = greedy_cover_oracle(pts, delta)
+    assert np.array_equal(K.greedy_cover_pts(pts, delta), want)
+    stop = data.draw(st.integers(1, want.size + 1))
+    assert np.array_equal(K.greedy_cover_pts(pts, delta, stop=stop),
+                          greedy_cover_oracle(pts, delta, stop=stop))
 
 
 def test_greedy_packing_matches_definition(rng):

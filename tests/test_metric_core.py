@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from empwass.metric_core import (FiniteMetricSpace, MetricError, diameter,
                                  load_matrix_csv, load_points_csv,
@@ -37,6 +39,51 @@ def test_diameter_subset():
     assert diameter(s) == 10.0
     assert diameter(s, [0, 1]) == 1.0
     assert diameter(s, [2]) == 0.0
+
+
+def _unit_rows(rng, n, d):
+    x = rng.standard_normal((n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@st.composite
+def _diameter_inputs(draw):
+    """Point sets in d = 1..4 that stress the candidate set: exact ties,
+    repeated points, flat sets (Qhull rejects them), nearly flat sets,
+    sets whose every point is on the hull, and a large offset."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["uniform", "grid", "duplicates", "line",
+                                  "plane", "jitter", "sphere", "offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "uniform":
+        pts = rng.random((n, d))
+    elif shape == "grid":
+        pts = rng.integers(0, 4, (n, d)).astype(float)
+    elif shape == "duplicates":
+        pts = rng.random((max(1, n // 4), d))[rng.integers(0, max(1, n // 4), n)]
+    elif shape == "line":
+        pts = rng.random((n, 1)) * rng.standard_normal(d)
+    elif shape == "plane":
+        pts = rng.random((n, 2)) @ rng.standard_normal((2, d))
+    elif shape == "jitter":
+        pts = (rng.random((n, 1)) * rng.standard_normal(d)
+               + 1e-13 * rng.standard_normal((n, d)))
+    elif shape == "sphere":
+        pts = _unit_rows(rng, n, d)
+    else:
+        pts = 1e9 + rng.choice([1e-3, 1.0, 1e3]) * _unit_rows(rng, n, d)
+    return pts, rng.permutation(n)[: int(rng.integers(1, n + 1))]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_diameter_inputs())
+def test_diameter_matches_full_scan(diameter_oracle, case):
+    pts, subset = case
+    space = FiniteMetricSpace.from_points(pts)
+    assert diameter(space) == diameter_oracle(space)
+    assert diameter(space, subset) == diameter_oracle(space, subset)
 
 
 def test_validate_metric_passes_on_euclidean():
