@@ -12,7 +12,8 @@ from .measures import (DiscreteMeasure, EmpiricalMeasure, MeasureError,
                        SyntheticSampler, mix, restrict, sample,
                        sampler_from_string)
 from .ot_exact import (OTError, TransportPlan, WppValue, wpp_1d,
-                       wpp_1d_vs_quantile, wpp_mcf, wpp_to_point)
+                       wpp_1d_vs_quantile, wpp_mcf, wpp_rows_vs_quantile,
+                       wpp_to_point)
 from .multiscale import (CoveringEstimate, DimensionFit, MultiscaleError,
                          PartitionTree, build_partition_tree,
                          dyadic_wpp_bound, fit_dimension, greedy_cover)

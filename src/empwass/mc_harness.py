@@ -17,7 +17,8 @@ from .bound_catalog import as_rate_normalizer, classify_regime
 from .measures import DiscreteMeasure, SyntheticSampler
 from .metric_core import FiniteMetricSpace
 from .multiscale import auto_k_star, build_partition_tree, dyadic_wpp_bound
-from .ot_exact import wpp_1d_arrays, wpp_1d_vs_quantile, wpp_mcf
+from .ot_exact import (check_quantile_monotone, wpp_1d_arrays,
+                       wpp_1d_vs_quantile, wpp_mcf, wpp_rows_vs_quantile)
 
 
 class HarnessError(ValueError):
@@ -52,6 +53,11 @@ class ExperimentSpec:
             raise HarnessError("p must be >= 1")
         if self.estimator not in ("mcf-two-sample", "1d-quantile", "dyadic"):
             raise HarnessError(f"unknown estimator {self.estimator!r}")
+        if self.estimator == "1d-quantile":
+            if self.sampler.quantile(np.asarray([0.5])) is None:
+                raise HarnessError("1d-quantile needs a 1D sampler with a "
+                                   "closed-form quantile")
+            _require_finite_moment(self.sampler, self.p)
         seen = {}
         for x in self.x_grid:
             key = f"tail_x{x:g}"
@@ -75,20 +81,29 @@ def replicate_seed(master: int, n: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master, n, rep]))
 
 
+def _require_finite_moment(sampler: SyntheticSampler, p: float) -> None:
+    """W_p^p to a Pareto(a) reference is infinite unless p < a."""
+    if sampler.family == "pareto-radial" and sampler.a <= p:
+        raise HarnessError(
+            f"pareto-radial with a = {sampler.a:g} has no finite moment of "
+            f"order p = {p:g}: W_p^p to it is infinite (needs a > p)")
+
+
+def _quantile_antideriv(sampler: SyntheticSampler, p: float):
+    """The antiderivative of the quantile when p = 1 and it has a closed
+    form (closed-form integral), else None (Gauss-Legendre panels)."""
+    if p == 1.0 and sampler.quantile_antideriv(np.asarray([0.5])) is not None:
+        return sampler.quantile_antideriv
+    return None
+
+
 def _one_replicate(args) -> float:
+    """One replicate of a two-sample estimator (mcf-two-sample, dyadic)."""
     sampler, p, estimator, m_ref, k_star, master, n, rep = args
+    if estimator == "1d-quantile":
+        raise HarnessError("1d-quantile replicates run as one row block")
     rng = replicate_seed(master, n, rep)
     pts = sampler.draw(n, rng)
-    if estimator == "1d-quantile":
-        qfn = sampler.quantile
-        if sampler.d != 1 or qfn(np.asarray([0.5])) is None:
-            raise HarnessError("1d-quantile needs a 1D sampler with a "
-                               "closed-form quantile")
-        anti = (sampler.quantile_antideriv if p == 1.0
-                and sampler.quantile_antideriv(np.asarray([0.5])) is not None
-                else None)
-        return wpp_1d_vs_quantile(pts[:, 0], qfn, p,
-                                  quantile_antideriv=anti).value
     m = m_ref if m_ref is not None else n
     ref = sampler.draw(m, rng)
     if estimator == "mcf-two-sample":
@@ -111,19 +126,55 @@ def _one_replicate(args) -> float:
     return dyadic_wpp_bound(tree, mu, nu, p)
 
 
+def _run_block(task) -> np.ndarray:
+    """W_p^p of the replicates `reps` of one n. For 1d-quantile every
+    replicate is one sorted row of an (R, n) block evaluated in one call;
+    the two-sample estimators run replicate by replicate."""
+    spec, anti, n, reps = task
+    if spec.estimator == "1d-quantile":
+        rows = [spec.sampler.draw(n, replicate_seed(spec.seed, n, rep))[:, 0]
+                for rep in reps]
+        values, _ = wpp_rows_vs_quantile(np.sort(np.stack(rows), axis=1),
+                                         spec.sampler.quantile, spec.p, anti)
+        return values
+    return np.asarray([
+        _one_replicate((spec.sampler, spec.p, spec.estimator, spec.m_ref,
+                        spec.k_star, spec.seed, n, rep)) for rep in reps])
+
+
+# Sample values per block at most, so a block's memory does not grow
+# with R * n.
+_BLOCK_VALUES = 1 << 17
+
+
 def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
-    """Per-n arrays of W_p^p samples, reproducible for any worker count."""
+    """Per-n arrays of W_p^p samples, reproducible for any worker count.
+
+    Each n's replicates are cut into contiguous blocks of
+    ceil(R / (4 workers)) replicates, at least 8, at most
+    _BLOCK_VALUES / n; one process pool serves every block of the
+    experiment and returns them in order.
+    """
+    anti = None
+    if spec.estimator == "1d-quantile":
+        check_quantile_monotone(spec.sampler.quantile)
+        anti = _quantile_antideriv(spec.sampler, spec.p)
+    R = spec.replicates
+    size = max(8, -(-R // (4 * spec.workers)))
+    tasks = []
+    for n in spec.n_grid:
+        step = max(1, min(size, _BLOCK_VALUES // n))
+        tasks += [(spec, anti, n, range(s, min(s + step, R)))
+                  for s in range(0, R, step)]
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            blocks = list(pool.map(_run_block, tasks))
+    else:
+        blocks = [_run_block(t) for t in tasks]
     out = []
     for n in spec.n_grid:
-        tasks = [(spec.sampler, spec.p, spec.estimator, spec.m_ref,
-                  spec.k_star, spec.seed, n, rep)
-                 for rep in range(spec.replicates)]
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                vals = list(pool.map(_one_replicate, tasks, chunksize=8))
-        else:
-            vals = [_one_replicate(t) for t in tasks]
-        out.append(np.asarray(vals))
+        out.append(np.concatenate([b for t, b in zip(tasks, blocks)
+                                   if t[2] == n]))
     return out
 
 
@@ -319,6 +370,7 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
                       seed: int) -> dict:
     """One trajectory of the normalized statistic a_k * W_p^p(L_k, ref)
     at dyadic checkpoints k; evidence (not proof) of a.s. boundedness."""
+    _require_finite_moment(sampler, p)
     md = sampler.metadata()
     alpha = md.get("alpha")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -335,11 +387,9 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
         if sampler.family == "point-mass":
             w = 0.0
         elif sampler.d == 1 and sampler.quantile(np.asarray([0.5])) is not None:
-            anti = (sampler.quantile_antideriv if p == 1.0 else None)
-            if anti is not None and anti(np.asarray([0.5])) is None:
-                anti = None
-            w = wpp_1d_vs_quantile(pts[:k, 0], sampler.quantile, p,
-                                   quantile_antideriv=anti).value
+            w = wpp_1d_vs_quantile(
+                pts[:k, 0], sampler.quantile, p,
+                quantile_antideriv=_quantile_antideriv(sampler, p)).value
         else:
             raise HarnessError("trajectories need a 1D sampler with a "
                                "closed-form quantile (or point-mass)")

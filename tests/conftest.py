@@ -4,6 +4,7 @@ from scipy.optimize import linear_sum_assignment
 
 from empwass.metric_core import MetricError
 from empwass.multiscale import MultiscaleError, greedy_cover
+from empwass.ot_exact import OTError, WppValue
 
 
 def _replicated_assignment_cost(C, ka, kb):
@@ -102,3 +103,84 @@ def _verify_tree_oracle(tree):
 @pytest.fixture
 def verify_tree_oracle():
     return _verify_tree_oracle
+
+
+_UEPS = 1e-13
+_GL32 = np.polynomial.legendre.leggauss(32)
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _wpp_vs_quantile_oracle(sample_positions, quantile_fn, p, grid=2048,
+                            quantile_antideriv=None):
+    """One replicate at a time: the monotonicity check, the crossing
+    bisection over this sample's cells, then the closed form (p = 1 with
+    an antiderivative) or 32- and 16-node Gauss-Legendre panels."""
+    if p < 1:
+        raise OTError("p must be >= 1")
+    if grid < 1000:
+        raise OTError("grid must be >= 1000")
+    xs = np.sort(np.asarray(sample_positions, dtype=float))
+    n = xs.size
+
+    ugrid = np.linspace(_UEPS, 1.0 - _UEPS, grid)
+    qs = np.asarray(quantile_fn(ugrid), dtype=float)
+    if np.any(np.diff(qs) < -1e-9 * (1.0 + np.max(np.abs(qs[np.isfinite(qs)])))):
+        raise OTError("quantile function samples are not monotone")
+
+    def q(u):
+        return np.asarray(quantile_fn(np.clip(u, _UEPS, 1.0 - _UEPS)),
+                          dtype=float)
+
+    lo = np.arange(n) / n
+    hi = np.arange(1, n + 1) / n
+    qlo = q(lo)
+    qhi = q(hi)
+    crossing = (qlo < xs) & (xs < qhi)
+    us = hi.copy()
+    if np.any(crossing):
+        a = lo[crossing].copy()
+        b = hi[crossing].copy()
+        xc = xs[crossing]
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            below = q(m) < xc
+            a = np.where(below, m, a)
+            b = np.where(below, b, m)
+        us[crossing] = 0.5 * (a + b)
+
+    if p == 1.0 and quantile_antideriv is not None:
+        def Q(u):
+            return np.asarray(quantile_antideriv(np.asarray(u, dtype=float)),
+                              dtype=float)
+
+        sgn = np.where(qhi <= xs, 1.0, -1.0)
+        base = sgn * (xs * (hi - lo) - (Q(hi) - Q(lo)))
+        cross = (xs * (us - lo) - (Q(us) - Q(lo))) \
+            + ((Q(hi) - Q(us)) - xs * (hi - us))
+        total = float(np.sum(np.where(crossing, cross, base)))
+        return WppValue(total, 1.0, "quantile-integral", 0.0)
+
+    def integrate(nodes):
+        gx, gw = nodes
+
+        def panel(a, b, xv):
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            u = mid[:, None] + half[:, None] * gx[None, :]
+            f = np.abs(xv[:, None] - q(u.ravel()).reshape(u.shape)) ** p
+            return float(np.sum(half * (f @ gw)))
+
+        total = panel(lo, np.where(crossing, us, hi), xs)
+        if np.any(crossing):
+            total += panel(us[crossing], hi[crossing], xs[crossing])
+        return total
+
+    v32 = integrate(_GL32)
+    v16 = integrate(_GL16)
+    return WppValue(float(v32), float(p), "quantile-integral",
+                    abs(v32 - v16))
+
+
+@pytest.fixture
+def wpp_vs_quantile_oracle():
+    return _wpp_vs_quantile_oracle

@@ -92,6 +92,47 @@ def test_dim_output_golden(tmp_path):
             assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_tail_output_golden(tmp_path):
+    # sha256 of tail.json and tail.csv as written when every replicate was
+    # evaluated on its own (closed form at p = 1, Gauss-Legendre at p = 2)
+    for p, json_digest, csv_digest in (
+            ("1", "f7c5de3f27bf82bf5c4e6166ace4290c"
+                  "63425fa6cd3034d0adf1a5e0c0594919",
+                  "35f9be2e9fb0565cbe12380a979cbeb9"
+                  "d5e7b9ff9414e70205279f898e6971f9"),
+            ("2", "e3efcf7cb6ff66e7eaf253cd25545a4b"
+                  "ac114660164c0c3c5a84d69a62842e3a",
+                  "25e8aad8f76f2c5774924476915c4d4d"
+                  "1875830d2d7787732a3a71f876e4fdca")):
+        out = tmp_path / f"p{p}"
+        assert _run(["tail", "--sampler", "pareto-radial:3:1",
+                     "--estimator", "1d-quantile", "--xgrid", "1.0",
+                     "--ngrid", "64:128", "--reps", "1000", "--seed", "0",
+                     "--p", p, "--out", str(out)]) == 0
+        for name, digest in (("tail.json", json_digest),
+                             ("tail.csv", csv_digest)):
+            blob = (out / name).read_bytes()
+            assert hashlib.sha256(blob).hexdigest() == digest, (p, name)
+
+
+@pytest.mark.parametrize("a, p", [("0.8", "1"), ("1.5", "2"), ("2", "2")])
+def test_pareto_without_finite_moment_exit_2(tmp_path, capsys, a, p):
+    # W_p^p to pareto-radial with a <= p is infinite: refuse, do not
+    # report a finite mean
+    common = ["--sampler", f"pareto-radial:{a}:1", "--p", p, "--seed", "3"]
+    argvs = (["tail", *common, "--estimator", "1d-quantile",
+              "--ngrid", "64:64", "--reps", "1000", "--xgrid", "1"],
+             ["rate", *common, "--estimator", "1d-quantile",
+              "--ngrid", "32:64", "--reps", "30"],
+             ["asrun", *common, "--nmax", "64"])
+    for argv in argvs:
+        capsys.readouterr()
+        assert _run([*argv, "--out", str(tmp_path / argv[0])]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "infinite" in err
+        assert not (tmp_path / argv[0] / f"{argv[0]}.json").exists()
+
+
 def test_validate_metric_exit_codes(tmp_path, pts_file):
     assert _run(["validate-metric", "--points", pts_file,
                  "--trials", "500", "--out", str(tmp_path / "ok")]) == 0

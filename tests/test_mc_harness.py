@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from empwass.measures import sampler_from_string
-from empwass.mc_harness import (ExperimentSpec, HarnessError, fit_bound_constant,
+from empwass.mc_harness import (ExperimentSpec, HarnessError, _one_replicate,
+                                _run_replicates, fit_bound_constant,
                                 replicate_seed, run_as_trajectory,
                                 run_rate_experiment, run_tail_experiment,
                                 verify_appendix_inequalities, wilson_interval)
@@ -39,6 +41,70 @@ def test_spec_rejects_colliding_tail_columns():
     with pytest.raises(HarnessError, match="tail_x0.1"):
         _spec(x_grid=(0.1, 0.1000001))
     assert _spec(x_grid=(0.1, 0.2)).x_grid == (0.1, 0.2)
+
+
+@pytest.mark.parametrize("a, p", [(0.8, 1.0), (1.5, 2.0), (2.0, 2.0)])
+def test_pareto_without_finite_moment_refused(a, p):
+    # W_p^p to a Pareto(a) reference is infinite for a <= p
+    sampler = sampler_from_string(f"pareto-radial:{a:g}:1")
+    with pytest.raises(HarnessError, match="infinite"):
+        _spec(sampler=sampler, p=p)
+    with pytest.raises(HarnessError, match="infinite"):
+        run_as_trajectory(sampler, p, 64, seed=3)
+    # two samples are always at a finite distance
+    assert _spec(sampler=sampler, p=p, estimator="mcf-two-sample").p == p
+
+
+def test_pareto_with_finite_moment_runs():
+    rep = run_tail_experiment(_spec(sampler=sampler_from_string(
+        "pareto-radial:3:1"), n_grid=(64,), replicates=1000, x_grid=(1.0,)))
+    assert math.isfinite(rep.per_n[0]["mean"]) and rep.per_n[0]["mean"] > 0
+
+
+def test_quantile_estimator_needs_closed_form_quantile():
+    for text in ("uniform-cube:2", "uniform-cantor"):
+        with pytest.raises(HarnessError, match="closed-form quantile"):
+            _spec(sampler=sampler_from_string(text))
+
+
+_ENGINE_CASES = [
+    # (sampler, p, estimator, n_grid, m_ref, k_star)
+    ("pareto-radial:3:1", 1.0, "1d-quantile", (64,), None, 3),
+    ("uniform-sphere:1", 2.0, "1d-quantile", (1, 17), None, 3),
+    ("uniform-cube:2", 1.0, "dyadic", (3,), None, 0),
+    ("uniform-cube:1", 2.0, "mcf-two-sample", (3, 6), 5, 3),
+]
+
+
+@pytest.mark.parametrize("R", [1, 37, 1001])
+def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
+    # blocks, their raggedness and the pool change nothing: every value is
+    # the one replicate's own, in replicate order, for any worker count
+    for text, p, est, ngrid, m_ref, k_star in _ENGINE_CASES:
+        sampler = sampler_from_string(text)
+        spec = _spec(sampler=sampler, p=p, estimator=est, n_grid=ngrid,
+                     replicates=R, seed=19, m_ref=m_ref, k_star=k_star)
+        anti = (sampler.quantile_antideriv if p == 1.0
+                and sampler.quantile_antideriv(np.asarray([0.5])) is not None
+                else None)
+        want = []
+        for n in ngrid:
+            if est == "1d-quantile":
+                want.append([wpp_vs_quantile_oracle(
+                    sampler.draw(n, replicate_seed(19, n, rep))[:, 0],
+                    sampler.quantile, p, quantile_antideriv=anti).value
+                    for rep in range(R)])
+            else:
+                want.append([_one_replicate((sampler, p, est, m_ref, k_star,
+                                             19, n, rep))
+                             for rep in range(R)])
+        want = [np.asarray(w, dtype=float) for w in want]
+        for workers in (1, 2, 3):
+            got = _run_replicates(dataclasses.replace(spec, workers=workers))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), \
+                    (text, R, workers)
 
 
 def test_replicate_seed_is_order_free():

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from empwass import _kernels
 from empwass.measures import DiscreteMeasure
 from empwass.metric_core import FiniteMetricSpace
+from empwass.measures import sampler_from_string
 from empwass.ot_exact import (MAX_MCF_ATOMS, OTError, wpp_1d, wpp_1d_arrays,
-                              wpp_1d_vs_quantile, wpp_mcf, wpp_to_point)
+                              wpp_1d_vs_quantile, wpp_mcf,
+                              wpp_rows_vs_quantile, wpp_to_point)
 
 
 def _measure(xs, ws):
@@ -181,7 +185,6 @@ def test_transport_plan_marginals_validate():
 def test_wpp_1d_vs_quantile_uniform_reference():
     # W_1(empirical {1/4, 3/4} vs uniform[0,1]) has closed-form value 1/8
     # via |F_n(x) - x| piecewise integration (hand derivation)
-    from empwass.measures import sampler_from_string
     s = sampler_from_string("uniform-cube:1")
     got = wpp_1d_vs_quantile(np.array([0.25, 0.75]), s.quantile, 1.0,
                              grid=2048, quantile_antideriv=s.quantile_antideriv)
@@ -194,6 +197,69 @@ def test_wpp_1d_vs_quantile_uniform_reference():
     got2 = wpp_1d_vs_quantile(np.array([0.25, 0.75]), s.quantile, 2.0,
                               grid=2048)
     assert got2.value == pytest.approx(want, rel=1e-5)
+
+
+_QUANTILE_FAMILIES = ("uniform-cube:1", "pareto-radial:3", "pareto-radial:2.5",
+                      "exp-radial:1:1", "exp-radial:0.5:2", "uniform-sphere:1",
+                      "point-mass:1")
+
+
+@st.composite
+def _quantile_rows(draw):
+    """A family, p < a, and R sorted rows of n draws, some with duplicated
+    values and values outside the family's support."""
+    sampler = sampler_from_string(draw(st.sampled_from(_QUANTILE_FAMILIES)))
+    p = draw(st.sampled_from([p for p in (1.0, 1.5, 2.0)
+                              if sampler.family != "pareto-radial"
+                              or p < sampler.a]))
+    n = draw(st.integers(1, 300))
+    R = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = np.stack([sampler.draw(n, rng)[:, 0] for _ in range(R)])
+    if draw(st.booleans()):      # duplicates
+        k = rng.integers(0, n, size=(R, n // 2))
+        xs[:, : n // 2] = np.take_along_axis(xs, k, axis=1)
+    if draw(st.booleans()):      # outside the support
+        out = rng.random((R, n)) < 0.3
+        xs[out] = rng.choice([-3.0, -0.5, 0.3, 0.7, 1.5, 4.0], size=out.sum())
+    anti = sampler.quantile_antideriv
+    if p != 1.0 or anti(np.asarray([0.5])) is None or draw(st.booleans()):
+        anti = None
+    return sampler, p, np.sort(xs, axis=1), anti
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_quantile_rows())
+def test_rows_vs_quantile_match_oracle(wpp_vs_quantile_oracle, case):
+    # each row of the block equals a one-replicate evaluation bit for bit
+    sampler, p, xs, anti = case
+    values, errors = wpp_rows_vs_quantile(xs, sampler.quantile, p, anti)
+    assert values.shape == errors.shape == (xs.shape[0],)
+    for row, v, e in zip(xs, values, errors):
+        want = wpp_vs_quantile_oracle(row, sampler.quantile, p,
+                                      quantile_antideriv=anti)
+        assert (_bits(v), _bits(e)) == (_bits(want.value), _bits(want.error))
+        got = wpp_1d_vs_quantile(row[::-1], sampler.quantile, p,
+                                 quantile_antideriv=anti)
+        assert got == want
+        assert (_bits(got.value), _bits(got.error)) == (_bits(v), _bits(e))
+
+
+def test_rows_vs_quantile_rejects_bad_input():
+    q = sampler_from_string("uniform-cube:1").quantile
+    with pytest.raises(OTError, match="sorted"):
+        wpp_rows_vs_quantile(np.array([[0.2, 0.1]]), q, 1.0)
+    with pytest.raises(OTError, match=r"\(R, n\)"):
+        wpp_rows_vs_quantile(np.array([0.1, 0.2]), q, 1.0)
+    with pytest.raises(OTError, match="p must be"):
+        wpp_rows_vs_quantile(np.array([[0.1, 0.2]]), q, 0.5)
+    with pytest.raises(OTError, match="not monotone"):
+        wpp_1d_vs_quantile(np.array([0.1]), lambda u: -u, 1.0)
 
 
 def test_wpp_to_point():
