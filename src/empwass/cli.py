@@ -21,7 +21,7 @@ from . import bound_catalog as bc
 from . import mc_harness as mc
 from .decomposition import mixture_bound, ring_decompose, verify_reconstruction
 from .measures import DiscreteMeasure, sampler_from_string
-from .metric_core import (FiniteMetricSpace, diameter, load_matrix_csv,
+from .metric_core import (FiniteMetricSpace, load_matrix_csv,
                           load_points_csv, validate_metric)
 from .multiscale import (DegenerateFitError, auto_delta_grid,
                          build_partition_tree, fit_dimension, greedy_cover)
@@ -126,14 +126,12 @@ def _cmd_cover(args) -> int:
 def _cmd_dim(args) -> int:
     space = load_points_csv(args.points)
     subset = np.arange(space.n)
-    diam = None
     if args.delta_grid == "auto":
-        diam = diameter(space, subset)
-        deltas = auto_delta_grid(space, subset, args.scales, diam=diam)
+        deltas = auto_delta_grid(space, subset, args.scales)
     else:
         deltas = np.asarray(_parse_xgrid(args.delta_grid))
     try:
-        fit = fit_dimension(space, subset, deltas, diam_upper=diam)
+        fit = fit_dimension(space, subset, deltas)
     except DegenerateFitError as exc:
         _echo_config(args, args.out)
         _write_json(args.out, "dim.json", {"degenerate": True,

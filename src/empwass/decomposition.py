@@ -46,11 +46,13 @@ class RingDecomposition:
         }
 
 
-def ring_index(dist: float) -> int:
-    """Ring id: 1 for the ball of radius 2, else i with 2^{i-1} < d <= 2^i."""
-    if dist <= 2.0:
-        return 1
-    return int(np.ceil(np.log2(dist) - 1e-12))
+def ring_index(dist):
+    """Ring id: 1 for the ball of radius 2, else i with 2^{i-1} < d <= 2^i;
+    an int for a scalar distance, an int64 array for an array."""
+    d = np.asarray(dist, dtype=float)
+    rid = np.where(d <= 2.0, 1,
+                   np.ceil(np.log2(np.maximum(d, 2.0)) - 1e-12)).astype(np.int64)
+    return int(rid) if rid.ndim == 0 else rid
 
 
 def ring_decompose(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure,
@@ -69,12 +71,14 @@ def ring_decompose(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure,
 
     atoms = np.union1d(mu_a.idx, mu_b.idx)
     d = space.distance_block(np.asarray([x0]), atoms)[0]
-    rid = np.array([ring_index(float(t)) for t in d])
+    if not np.all(np.isfinite(d)):
+        raise MeasureError("distances to x0 overflow")
+    rid = ring_index(d)
 
     rings: List[Ring] = []
     pos_parts_a = []   # (excess weight, conditional) for the first measure
     pos_parts_b = []
-    for i in sorted(set(int(r) for r in rid)):
+    for i in map(int, np.unique(rid)):
         members = atoms[rid == i]
         cond_a, a = restrict(mu_a, members)
         cond_b, b = restrict(mu_b, members)

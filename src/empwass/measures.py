@@ -45,8 +45,9 @@ class DiscreteMeasure:
         return self.idx.size
 
     def mass_on(self, subset) -> float:
-        subset = set(int(i) for i in np.asarray(subset).ravel())
-        return float(sum(w for i, w in zip(self.idx, self.weights) if int(i) in subset))
+        w = self.weights[np.isin(self.idx, np.asarray(subset, np.int64))]
+        # a running sum in atom order, not numpy's pairwise one
+        return float(np.cumsum(np.append(0.0, w))[-1])
 
     def weight_vector(self) -> np.ndarray:
         """Weights spread over all points of the space."""
@@ -96,14 +97,12 @@ def mix(components) -> DiscreteMeasure:
     for _, m in components:
         if m.space is not space:
             raise MeasureError("mixture components live on different spaces")
-    acc: dict[int, float] = {}
-    for lam, m in components:
-        if lam == 0.0:
-            continue
-        for i, w in zip(m.idx, m.weights):
-            acc[int(i)] = acc.get(int(i), 0.0) + lam * w
-    idx = np.array(sorted(acc), dtype=np.int64)
-    w = np.array([acc[int(i)] for i in idx])
+    used = [(lam, m) for lam, m in components if lam != 0.0]
+    idx, at = np.unique(np.concatenate([m.idx for _, m in used]),
+                        return_inverse=True)
+    # add.at sums each atom's terms in component order
+    w = np.zeros(idx.size)
+    np.add.at(w, at, np.concatenate([lam * m.weights for lam, m in used]))
     return DiscreteMeasure(space, idx, w / w.sum())
 
 
@@ -112,8 +111,7 @@ def restrict(mu: DiscreteMeasure, subset):
 
     Returns (None, 0.0) when the subset carries no mass.
     """
-    sset = set(int(i) for i in np.asarray(subset, dtype=np.int64).ravel())
-    keep = np.array([int(i) in sset for i in mu.idx])
+    keep = np.isin(mu.idx, np.asarray(subset, dtype=np.int64))
     mass = float(mu.weights[keep].sum())
     if mass <= 0.0:
         return None, 0.0

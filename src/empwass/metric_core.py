@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 
 class MetricError(ValueError):
@@ -169,46 +168,42 @@ class FiniteMetricSpace:
         return FiniteMetricSpace.from_callable(self._n, lambda i, j: c * fn(i, j))
 
 
-def _diameter_candidates(pts: np.ndarray) -> np.ndarray:
-    """Positions in pts that can end a longest pair: the smallest and the
-    largest value in 1-D; in 2-D and 3-D the convex hull's vertices and the
-    points Qhull finds coplanar with a facet, which keeps points that
-    rounding places on the hull; every position otherwise (d > 3, at most
-    d + 1 points, or flat input that Qhull rejects)."""
-    n, d = pts.shape
-    if d == 1:
-        return np.array([np.argmin(pts[:, 0]), np.argmax(pts[:, 0])])
-    if d > 3 or n <= d + 1:
-        return np.arange(n)
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    # Qhull sees the points centred and scaled by a power of two into
-    # [-1, 1]: far from the origin its tolerance exceeds the spacing of
-    # the coordinates, and near the overflow threshold it crashes.
-    scaled = np.ldexp(pts - mid, -np.frexp(half.max())[1])
-    try:
-        hull = ConvexHull(scaled, qhull_options="Qc")
-    except QhullError:
-        return np.arange(n)
-    return np.union1d(hull.vertices, hull.coplanar[:, 0])
-
-
 def diameter(space: FiniteMetricSpace, subset=None) -> float:
     """Max pairwise distance; 0 for a singleton.
 
-    Both ends of a longest pair of a Euclidean set are extreme points, so
-    the scan runs over ``_diameter_candidates`` only. Each distance comes
-    from ``distance_block`` as in a scan over the whole set, so the result
-    is the same float.
+    A Euclidean set is pruned first. With r_i the distance from point i to
+    the centre of the bounding box, d(i, j) <= r_i + max r, so a point
+    whose r_i + max r falls below a known pair distance L cannot end a
+    longest pair. L is the largest entry in the row of the point farthest
+    from the point of largest r. The survivors are scanned once per
+    distinct row, as equal coordinates give equal entries. Every distance
+    comes from ``distance_block``, as in a scan over the whole set, so the
+    result is the same float. Other spaces scan every pair.
     """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, np.int64)
     if idx.size == 0:
         raise MetricError("diameter of an empty set")
     if idx.size == 1:
         return 0.0
-    if space.kind == "euclidean":
-        idx = idx[_diameter_candidates(space.points[idx])]
     best = 0.0
+    if space.kind == "euclidean":
+        pts = space.points[idx]
+        diff = pts - (0.5 * pts.min(axis=0) + 0.5 * pts.max(axis=0))
+        r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        far = idx[np.argmax(space.distance_block(idx[[np.argmax(r)]], idx))]
+        best = float(space.distance_block([far], idx).max())
+        # An entry or a norm is within a factor (d + 3)·2^-53 of its exact
+        # value, which the relative 1e-9 covers for d < 10^6; where squares
+        # are subnormal it is also off by up to sqrt(d)·2^-537, which 1e-150
+        # covers. A norm of inf keeps every point; an L of inf with finite
+        # norms keeps none, and inf is then the answer already.
+        keep = np.flatnonzero(r + r.max() >= best * (1.0 - 1e-9) - 1e-150)
+        keep = keep[np.lexsort(pts[keep].T)]
+        rows = pts[keep]
+        # sorted, so a row unequal to the one before starts a distinct row
+        new = np.ones(keep.size, bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        idx = idx[keep[new]]
     # chunked so that euclidean blocks stay modest
     step = 2048
     for s in range(0, idx.size, step):

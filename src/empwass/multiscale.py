@@ -82,28 +82,26 @@ class DimensionFit:
 
 
 def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
-                  deltas: Sequence[float],
-                  diam_upper: Optional[float] = None) -> DimensionFit:
+                  deltas: Sequence[float]) -> DimensionFit:
     """One-sided power-law envelope for covering counts.
 
     Least squares on log counts vs log(diam/delta), then the prefactor is
     inflated minimally so the law dominates every observed count. Counts
-    are greedy cover sizes; ``diam_upper`` stands in for the diameter of
-    subset when the caller already has it.
+    are greedy cover sizes.
     """
     subset = np.asarray(subset, dtype=np.int64)
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size < 4:
         raise MultiscaleError("need at least 4 scales")
-    if deltas.max() / deltas.min() < 10.0 - 1e-9:
-        raise MultiscaleError("scales must span at least one decade")
-    Delta = diameter(space, subset) if diam_upper is None else float(diam_upper)
-    if Delta <= 0:
-        raise DegenerateFitError("point set has zero diameter")
-    if subset.size == 0:
-        raise MultiscaleError("subset is empty")
     if deltas.min() <= 0:
         raise MultiscaleError("delta must be positive")
+    if deltas.max() / deltas.min() < 10.0 - 1e-9:
+        raise MultiscaleError("scales must span at least one decade")
+    if subset.size == 0:
+        raise MultiscaleError("subset is empty")
+    Delta = diameter(space, subset)
+    if Delta <= 0:
+        raise DegenerateFitError("point set has zero diameter")
     counts = np.array([_cover(space, subset, d).size for d in deltas])
     if np.all(counts == 1):
         raise DegenerateFitError("all covering counts equal 1")
@@ -121,12 +119,9 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
 
 
 def auto_delta_grid(space: FiniteMetricSpace, subset: Sequence[int],
-                    n_scales: int = 6,
-                    diam: Optional[float] = None) -> np.ndarray:
-    """Dyadic scales diam/8, diam/16, ... for dimension fitting; ``diam``
-    is the diameter of subset when the caller already has it."""
-    Delta = (diameter(space, np.asarray(subset, dtype=np.int64))
-             if diam is None else float(diam))
+                    n_scales: int = 6) -> np.ndarray:
+    """Dyadic scales diam/8, diam/16, ... for dimension fitting."""
+    Delta = diameter(space, np.asarray(subset, dtype=np.int64))
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
     n_scales = max(4, n_scales)

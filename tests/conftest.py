@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from empwass.measures import DiscreteMeasure
 from empwass.metric_core import MetricError
 from empwass.multiscale import MultiscaleError, greedy_cover
 from empwass.ot_exact import OTError, WppValue
@@ -184,3 +187,47 @@ def _wpp_vs_quantile_oracle(sample_positions, quantile_fn, p, grid=2048,
 @pytest.fixture
 def wpp_vs_quantile_oracle():
     return _wpp_vs_quantile_oracle
+
+
+def _mix_loop(components):
+    """mix() as a dict loop: each atom's terms summed in component order,
+    components with weight 0 skipped, atoms sorted, then normalised."""
+    space = components[0][1].space
+    acc = {}
+    for lam, m in components:
+        if lam == 0.0:
+            continue
+        for i, w in zip(m.idx, m.weights):
+            acc[int(i)] = acc.get(int(i), 0.0) + lam * w
+    idx = np.array(sorted(acc), dtype=np.int64)
+    w = np.array([acc[int(i)] for i in idx])
+    return DiscreteMeasure(space, idx, w / w.sum())
+
+
+def _restrict_loop(mu, subset):
+    """restrict() with a Python set for membership."""
+    sset = set(int(i) for i in np.asarray(subset, dtype=np.int64).ravel())
+    keep = np.array([int(i) in sset for i in mu.idx])
+    mass = float(mu.weights[keep].sum())
+    if mass <= 0.0:
+        return None, 0.0
+    return DiscreteMeasure(mu.space, mu.idx[keep],
+                           mu.weights[keep] / mass), mass
+
+
+def _mass_on_loop(mu, subset):
+    """DiscreteMeasure.mass_on as Python's sum over a set filter."""
+    sset = set(int(i) for i in np.asarray(subset).ravel())
+    return float(sum(w for i, w in zip(mu.idx, mu.weights) if int(i) in sset))
+
+
+def _ring_ids_loop(dists):
+    """Ring id of each distance, one scalar log2 at a time."""
+    return np.array([1 if t <= 2.0 else int(np.ceil(np.log2(t) - 1e-12))
+                     for t in map(float, dists)], dtype=np.int64)
+
+
+@pytest.fixture
+def measure_loop_oracles():
+    return SimpleNamespace(mix=_mix_loop, restrict=_restrict_loop,
+                           mass_on=_mass_on_loop, ring_ids=_ring_ids_loop)

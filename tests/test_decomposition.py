@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from empwass.decomposition import (mixture_bound, ring_decompose, ring_index,
                                    verify_mixture_convexity,
                                    verify_reconstruction)
-from empwass.measures import DiscreteMeasure
+from empwass.measures import DiscreteMeasure, MeasureError, mix, restrict
 from empwass.metric_core import FiniteMetricSpace
 from empwass.ot_exact import wpp_mcf
 
@@ -53,6 +55,14 @@ def test_ring_decompose_equal_measures_no_excess():
     verify_reconstruction(dec)
 
 
+def test_ring_decompose_refuses_overflowing_distance():
+    # 1e308 - (-1e308) overflows, which has no ring
+    space, mu, nu = _pair_1d([1e308], [1.0], [0.0], [1.0], x0=-1e308)
+    with np.errstate(over="ignore"), \
+            pytest.raises(MeasureError, match="overflow"):
+        ring_decompose(mu, nu, x0=0)
+
+
 def test_mixture_bound_dominates_exact():
     rng = np.random.default_rng(21)
     for p in (1.0, 2.0):
@@ -97,3 +107,101 @@ def test_mixture_convexity_inequality():
         out = verify_mixture_convexity(mus, nus, lams, p)
         assert out["lhs"] <= out["rhs"] + 1e-10
         assert out["gap"] >= -1e-10
+
+
+def _random_measure(rng, space, atoms):
+    idx = rng.choice(atoms, size=int(rng.integers(1, atoms.size + 1)),
+                     replace=False)
+    return DiscreteMeasure(space, idx, rng.dirichlet(np.full(idx.size, 0.5)))
+
+
+@st.composite
+def _ring_pairs(draw):
+    """Two measures around x0 = 0 whose atoms spread over several dyadic
+    rings; in 1-D some sit exactly on ring boundaries 2, 4, 8, 16."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        radius = 2.0 ** rng.uniform(-2.0, 6.0, n)
+    else:
+        radius = rng.choice([0.5, 2.0, 3.0, 4.0, 8.0, 16.0], n)
+    if d == 1:
+        way = rng.choice([-1.0, 1.0], (n, 1))
+    else:
+        way = rng.standard_normal((n, 2))
+        way /= np.linalg.norm(way, axis=1, keepdims=True)
+    space = FiniteMetricSpace.from_points(
+        np.vstack([np.zeros((1, d)), radius[:, None] * way]))
+    atoms = np.arange(space.n)
+    return (_random_measure(rng, space, atoms),
+            _random_measure(rng, space, atoms),
+            draw(st.sampled_from([1.0, 2.0])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ring_pairs())
+def test_ring_bound_dominates_exact_and_reconstructs(case):
+    mu, nu, p = case
+    dec = ring_decompose(mu, nu, x0=0)
+    verify_reconstruction(dec)
+    exact = wpp_mcf(mu, nu, p)[0].value
+    assert mixture_bound(dec, p).total >= exact - 1e-9 * max(1.0, exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+       st.sampled_from([1.0, 2.0]))
+def test_mixture_convexity_on_random_mixtures(seed, k, p):
+    rng = np.random.default_rng(seed)
+    space = FiniteMetricSpace.from_points(rng.random((12, 2)))
+    atoms = np.arange(space.n)
+    lams = rng.dirichlet(np.ones(k))
+    lams[rng.random(k) < 0.3] = 0.0
+    if lams.sum() == 0.0:
+        lams[0] = 1.0
+    lams /= lams.sum()
+    out = verify_mixture_convexity(
+        [_random_measure(rng, space, atoms) for _ in range(k)],
+        [_random_measure(rng, space, atoms) for _ in range(k)], lams, p)
+    assert out["gap"] >= -1e-9
+
+
+def _same_measure(a, b):
+    return (np.array_equal(a.idx, b.idx)
+            and a.weights.tobytes() == b.weights.tobytes())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_index_arrays_match_dict_loops(measure_loop_oracles, seed, k):
+    """mix, restrict, mass_on and the ring ids agree bit for bit with the
+    per-atom dict and set loops they replaced."""
+    oracle = measure_loop_oracles
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    space = FiniteMetricSpace.from_points(rng.random((n, 1)))
+    atoms = np.arange(n)
+    mus = [_random_measure(rng, space, atoms) for _ in range(k)]
+    lams = rng.dirichlet(np.full(k, 0.5))
+    lams[rng.random(k) < 0.3] = 0.0
+    if lams.sum() == 0.0:
+        lams[0] = 1.0
+    lams /= lams.sum()
+    components = list(zip(lams, mus))
+    assert _same_measure(mix(components), oracle.mix(components))
+    subset = rng.choice(n + 3, size=int(rng.integers(0, n + 4)), replace=False)
+    for mu in mus:
+        got, want = restrict(mu, subset), oracle.restrict(mu, subset)
+        assert got[1] == want[1]
+        assert (got[0] is None and want[0] is None) or \
+            _same_measure(got[0], want[0])
+        assert mu.mass_on(subset) == oracle.mass_on(mu, subset)
+    edges = 2.0 ** np.arange(1, 12)
+    dists = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, np.inf),
+                            edges * (1.0 + 1e-12), edges * (1.0 - 1e-12),
+                            2.0 ** rng.uniform(-3.0, 12.0, 50)])
+    assert np.array_equal(ring_index(dists), oracle.ring_ids(dists))
+    assert [ring_index(t) for t in dists] == list(oracle.ring_ids(dists))

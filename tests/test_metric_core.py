@@ -48,13 +48,18 @@ def _unit_rows(rng, n, d):
 
 @st.composite
 def _diameter_inputs(draw):
-    """Point sets in d = 1..4 that stress the candidate set: exact ties,
-    repeated points, flat sets (Qhull rejects them), nearly flat sets,
-    sets whose every point is on the hull, and a large offset."""
-    d = draw(st.integers(1, 4))
+    """Point sets in d = 1..6 that stress the prune: exact ties, repeated
+    points, a point mass, points on {0, 1}^d, flat and nearly flat sets,
+    sets whose every point is extreme, a large offset, and scales where
+    coordinates are subnormal (x 1e-310), where their squares are (x
+    2^-537, so the rounding of each entry is coarse), and where squares
+    overflow (x 1e300)."""
+    d = draw(st.integers(1, 6))
     n = draw(st.integers(1, 300))
     shape = draw(st.sampled_from(["uniform", "grid", "duplicates", "line",
-                                  "plane", "jitter", "sphere", "offset"]))
+                                  "plane", "jitter", "sphere", "offset",
+                                  "point-mass", "binary", "subnormal",
+                                  "subnormal-squares", "huge"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if shape == "uniform":
         pts = rng.random((n, d))
@@ -71,8 +76,18 @@ def _diameter_inputs(draw):
                + 1e-13 * rng.standard_normal((n, d)))
     elif shape == "sphere":
         pts = _unit_rows(rng, n, d)
-    else:
+    elif shape == "offset":
         pts = 1e9 + rng.choice([1e-3, 1.0, 1e3]) * _unit_rows(rng, n, d)
+    elif shape == "point-mass":
+        pts = np.full((n, d), rng.standard_normal())
+    elif shape == "binary":
+        pts = rng.integers(0, 2, (n, d)).astype(float)
+    elif shape == "subnormal":
+        pts = 1e-310 * rng.random((n, d))
+    elif shape == "subnormal-squares":
+        pts = 2.0 ** -537 * rng.random((n, d))
+    else:
+        pts = 1e300 * rng.standard_normal((n, d))
     return pts, rng.permutation(n)[: int(rng.integers(1, n + 1))]
 
 
@@ -82,8 +97,31 @@ def _diameter_inputs(draw):
 def test_diameter_matches_full_scan(diameter_oracle, case):
     pts, subset = case
     space = FiniteMetricSpace.from_points(pts)
-    assert diameter(space) == diameter_oracle(space)
-    assert diameter(space, subset) == diameter_oracle(space, subset)
+    with np.errstate(over="ignore"):
+        assert diameter(space) == diameter_oracle(space)
+        assert diameter(space, subset) == diameter_oracle(space, subset)
+
+
+@pytest.mark.parametrize("shape", ["collinear-2d", "cube-6d", "binary-1d"])
+def test_diameter_reads_few_entries(monkeypatch, shape):
+    """The prune reads two rows of n entries plus a small block; a full
+    scan of these 10,000-point sets would read 10^8."""
+    n = 10_000
+    rng = np.random.default_rng(5)
+    pts = {"collinear-2d": rng.random((n, 1)) * [[1.0, -2.0]] + [[3.0, 1.0]],
+           "cube-6d": rng.random((n, 6)),
+           "binary-1d": rng.integers(0, 2, (n, 1)).astype(float)}[shape]
+    read = []
+    block = FiniteMetricSpace.distance_block
+
+    def counted(self, rows, cols):
+        out = block(self, rows, cols)
+        read.append(out.size)
+        return out
+
+    monkeypatch.setattr(FiniteMetricSpace, "distance_block", counted)
+    diameter(FiniteMetricSpace.from_points(pts))
+    assert sum(read) <= 3 * n
 
 
 def test_validate_metric_passes_on_euclidean():

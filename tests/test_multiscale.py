@@ -89,6 +89,9 @@ def test_fit_dimension_argument_validation():
         fit_dimension(space, idx, [0.1, 0.05, 0.02])  # too few scales
     with pytest.raises(MultiscaleError):
         fit_dimension(space, idx, [0.1, 0.09, 0.08, 0.07])  # < 1 decade
+    for grid in ([-1, -0.5, -0.2, -0.01], [0.5, 0.2, 0.1, -0.01]):
+        with pytest.raises(MultiscaleError, match="delta must be positive"):
+            fit_dimension(space, idx, grid)
     degenerate = FiniteMetricSpace.from_points(np.zeros((5, 1)))
     with pytest.raises(DegenerateFitError):
         fit_dimension(degenerate, np.arange(5), [0.8, 0.4, 0.2, 0.05])
@@ -286,3 +289,27 @@ def test_partition_tree_golden():
 def test_known_cap_defect_uniform_square():
     sampler = sampler_from_string("uniform-cube:2")
     _one_replicate((sampler, 1.0, "dyadic", None, 0, 1, 32, 26))
+
+
+@st.composite
+def _trees_and_measures(draw):
+    space, k_star = draw(_clouds())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    measures = []
+    for _ in range(2):
+        idx = rng.permutation(space.n)[: int(rng.integers(1, space.n + 1))]
+        measures.append(DiscreteMeasure(space, idx,
+                                        rng.dirichlet(np.full(idx.size, 0.5))))
+    return space, k_star, measures, draw(st.sampled_from([1.0, 1.5, 2.0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees_and_measures())
+def test_dyadic_bound_dominates_exact_on_random_trees(case):
+    """The bound needs nested partitions with cell diameters 4^-k diam,
+    not the cover cap, so trees are taken as built: the cap defect pinned
+    by test_known_cap_defect_uniform_square stays out of this property."""
+    space, k_star, (mu, nu), p = case
+    tree = _build_unchecked(space, np.arange(space.n), k_star)
+    exact = wpp_mcf(mu, nu, p)[0].value
+    assert dyadic_wpp_bound(tree, mu, nu, p) >= exact - 1e-9
