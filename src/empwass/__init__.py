@@ -6,8 +6,8 @@ experiments confronting the two.
 __version__ = "0.1.0"
 
 from ._kernels import backend
-from .metric_core import (BoundedRegion, FiniteMetricSpace, MetricError,
-                          ValidationReport, diameter, validate_metric)
+from .metric_core import (FiniteMetricSpace, MetricError, ValidationReport,
+                          diameter, validate_metric)
 from .measures import (DiscreteMeasure, EmpiricalMeasure, MeasureError,
                        SyntheticSampler, mix, restrict, sample,
                        sampler_from_string)

@@ -100,7 +100,9 @@ def greedy_cover_pts(pts, delta, stop=None):
 def greedy_packing_pts(pts, sep):
     """Maximal subset with pairwise distance > sep, lowest indices first.
     A point joins unless an earlier member lies within sep, so this is
-    the greedy cover at radius sep."""
+    the greedy cover at radius sep. The package calls the cover directly;
+    this name stays because the benchmark's micro timings and span tracer
+    look it up."""
     return greedy_cover_pts(pts, sep)
 
 
@@ -122,13 +124,9 @@ def greedy_cover_mat(D, delta, stop=None):
         idx = int(np.argmin(covered))
         centers.append(idx)
         covered |= D[idx] <= delta
+        # a diagonal entry above delta (not a metric) must not stall the loop
+        covered[idx] = True
     return np.asarray(centers, np.int64)
-
-
-def greedy_packing_mat(D, sep):
-    """Maximal subset with pairwise distance > sep: the greedy cover at
-    radius sep."""
-    return greedy_cover_mat(D, sep)
 
 
 def assign_nearest_mat(D):
@@ -163,12 +161,17 @@ def transport_simplex(a, b, C, tol, max_iter):
     # At HiGHS's default dual feasibility tolerance (1e-7) it stops on
     # bases with reduced costs near -7e-8 in about 1 of 3,000 random 2-D
     # instances, and the certificate below rejects them; 1e-10 is the
-    # tightest value HiGHS accepts and cleared every such case.
+    # tightest value HiGHS accepts and cleared every such case. At the
+    # default primal tolerance (1e-7), weights spread over several decades
+    # gave plans whose marginals were off by up to 1e-7 (137 of 500) or
+    # "infeasible" (4 of 500); at 1e-10 the worst residual was 9e-11, and
+    # uniform or Dirichlet(1) weights gave the same plans as at 1e-7.
     res = linprog(C.ravel(), A_eq=_marginal_constraints(m, n),
                   b_eq=np.concatenate((a, b)), bounds=(0, None),
                   method="highs-ds",
                   options={"maxiter": max_iter,
-                           "dual_feasibility_tolerance": 1e-10})
+                           "dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         return np.zeros((m, n)), 1
     X = res.x.reshape(m, n)

@@ -143,8 +143,43 @@ def main_term_bound(x: float, n: int, p: float, alpha: float, i_val: float,
 
 
 # ---------------------------------------------------------------------------
-# Fuk-Nagaev bounds for heavy-tailed inputs
+# Heavy-tail bullets: Fuk-Nagaev bounds and moderate/large deviations
 # ---------------------------------------------------------------------------
+
+def _bullet(regime: str, alpha: float, p: float, r: Optional[float],
+            weak_rp: Optional[float], i2pp: float, iap: float):
+    """The bullet of the heavy-tail case analysis that applies, or a
+    not-applicable BoundResult naming why none does.
+
+    With r=None (integral-only): "iap" when alpha > 2p and only
+    I_{alpha,p} is finite, else "i2pp". With a weak moment of order rp:
+    "high" (r > 2), "mid" (alpha > 2p and alpha/(alpha-p) < r < 2) or
+    "low" (1 < r below 2, or below alpha/(alpha-p) when alpha > 2p).
+    """
+    gt = regime == "alpha_gt_2p"
+    if r is None:
+        if gt and not math.isfinite(i2pp):
+            if not math.isfinite(iap):
+                return _na("both tail integrals are infinite")
+            return "iap"
+        if not math.isfinite(i2pp):
+            return _na("I_{2p,p} is infinite and no weak moment was supplied")
+        return "i2pp"
+    if weak_rp is None or not math.isfinite(weak_rp):
+        return _na(f"weak moment of order {r}p is not finite")
+    if r > 2.0:
+        return "high"
+    if not gt:
+        if 1.0 < r < 2.0:
+            return "low"
+        return _na(f"r = {r} matches no bullet in this regime")
+    thresh = alpha / (alpha - p)
+    if thresh < r < 2.0:
+        return "mid"
+    if 1.0 < r < thresh:
+        return "low"
+    return _na(f"r = {r} matches no bullet (threshold {thresh:.6g}, 2)")
+
 
 def fuk_nagaev_bound(x: float, n: int, p: float, alpha: float,
                      r: Optional[float] = None, q: Optional[float] = None,
@@ -162,61 +197,33 @@ def fuk_nagaev_bound(x: float, n: int, p: float, alpha: float,
     if x <= 0:
         raise BoundError("x must be positive")
     regime = classify_regime(alpha, p)
-    exp_i = iap if regime == "alpha_gt_2p" else i2pp
-
-    if r is None:
-        if regime == "alpha_gt_2p" and not math.isfinite(i2pp):
-            # pure-polynomial bullet from I_{alpha,p}
-            if not math.isfinite(iap):
-                return _na("both tail integrals are infinite")
-            ex = alpha / (alpha - p)
-            return _done({"poly_iap":
-                          Cpoly * iap ** ex / (x ** ex * n ** (p / (alpha - p)))})
-        if not math.isfinite(i2pp):
-            return _na("I_{2p,p} is infinite and no weak moment was supplied")
-        poly = Cpoly * i2pp ** 2 / (x ** 2 * n)
-        if regime == "alpha_lt_2p":
-            return _done({"poly_i2pp": poly})
-        v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
-        if math.isnan(v):
-            return _na("exponential-term integral is infinite")
-        return _done({"exponential": v, "poly_i2pp": poly})
-
-    if weak_rp is None or not math.isfinite(weak_rp):
-        return _na(f"weak moment of order {r}p is not finite")
-    poly_weak = Cpoly * weak_rp / (x ** r * n ** (r - 1.0))
-
-    if r > 2.0:
+    bullet = _bullet(regime, alpha, p, r, weak_rp, i2pp, iap)
+    if isinstance(bullet, BoundResult):
+        return bullet
+    if bullet == "iap":
+        ex = alpha / (alpha - p)
+        return _done({"poly_iap":
+                      Cpoly * iap ** ex / (x ** ex * n ** (p / (alpha - p)))})
+    if bullet == "i2pp":
+        poly = {"poly_i2pp": Cpoly * i2pp ** 2 / (x ** 2 * n)}
+    else:
+        poly = {"poly_weak": Cpoly * weak_rp / (x ** r * n ** (r - 1.0))}
+    if bullet == "low" or (bullet == "i2pp" and regime == "alpha_lt_2p"):
+        return _done(poly)
+    if bullet == "high":
         if q is None or q <= r:
             return _na("the r > 2 bullet needs q > r")
         if not math.isfinite(i2pp):
             return _na("I_{2p,p} must be finite for the r > 2 bullet")
-        v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
-        if math.isnan(v):
-            return _na("exponential-term integral is infinite")
-        return _done({"exponential": v,
-                      "poly_i2pp_q": Cpoly * i2pp ** q / (x ** q * n ** (q / 2.0)),
-                      "poly_weak": poly_weak})
+        poly = {"poly_i2pp_q": Cpoly * i2pp ** q / (x ** q * n ** (q / 2.0)),
+                **poly}
+    exp_i = iap if regime == "alpha_gt_2p" else i2pp
+    v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
+    if math.isnan(v):
+        return _na("I_{alpha,p} is infinite" if bullet == "mid"
+                   else "exponential-term integral is infinite")
+    return _done({"exponential": v, **poly})
 
-    if regime == "alpha_gt_2p":
-        thresh = alpha / (alpha - p)
-        if thresh < r < 2.0:
-            v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
-            if math.isnan(v):
-                return _na("I_{alpha,p} is infinite")
-            return _done({"exponential": v, "poly_weak": poly_weak})
-        if 1.0 < r < thresh:
-            return _done({"poly_weak": poly_weak})
-        return _na(f"r = {r} matches no bullet (threshold {thresh:.6g}, 2)")
-
-    if 1.0 < r < 2.0:
-        return _done({"poly_weak": poly_weak})
-    return _na(f"r = {r} matches no bullet in this regime")
-
-
-# ---------------------------------------------------------------------------
-# Moderate / large deviation constants
-# ---------------------------------------------------------------------------
 
 def moderate_deviation_bound(x: float, n: int, rho: float, p: float,
                              alpha: float, r: Optional[float] = None,
@@ -230,50 +237,26 @@ def moderate_deviation_bound(x: float, n: int, rho: float, p: float,
     if not (0 < rho <= 1):
         return _na("rho must lie in (0, 1]")
     regime = classify_regime(alpha, p)
-    gt = regime == "alpha_gt_2p"
-    lo_open = (alpha - p) / alpha if gt else 0.5
-
-    if r is None:
-        if gt and not math.isfinite(i2pp):
-            if not math.isfinite(iap):
-                return _na("both tail integrals are infinite")
-            if rho < lo_open - 1e-15:
-                return _na(f"rho must lie in [{lo_open:.6g}, 1]")
-            ex = alpha / (alpha - p)
-            return _done({"limit": Cpoly * iap ** ex / x ** ex},
-                         asymptotic=False)
-        if not math.isfinite(i2pp):
-            return _na("I_{2p,p} is infinite and no weak moment was supplied")
-        if rho <= lo_open:
-            return _na(f"rho must lie in ({lo_open:.6g}, 1]")
-        return _done({"limit": Cpoly * i2pp ** 2 / x ** 2}, asymptotic=True)
-
-    if weak_rp is None or not math.isfinite(weak_rp):
-        return _na(f"weak moment of order {r}p is not finite")
-    poly = Cpoly * weak_rp / x ** r
-
-    if r > 2.0:
-        if rho <= lo_open:
-            return _na(f"rho must lie in ({lo_open:.6g}, 1]")
-        return _done({"limit": poly}, asymptotic=True)
-
-    if gt:
-        thresh = alpha / (alpha - p)
-        if thresh < r < 2.0:
-            if rho <= lo_open:
-                return _na(f"rho must lie in ({lo_open:.6g}, 1]")
-            return _done({"limit": poly}, asymptotic=True)
-        if 1.0 < r < thresh:
-            if rho < 1.0 / r - 1e-15:
-                return _na(f"rho must lie in [{1.0 / r:.6g}, 1]")
-            return _done({"limit": poly}, asymptotic=False)
-        return _na(f"r = {r} matches no bullet")
-
-    if 1.0 < r < 2.0:
-        if rho < 1.0 / r - 1e-15:
-            return _na(f"rho must lie in [{1.0 / r:.6g}, 1]")
-        return _done({"limit": poly}, asymptotic=False)
-    return _na(f"r = {r} matches no bullet in this regime")
+    bullet = _bullet(regime, alpha, p, r, weak_rp, i2pp, iap)
+    if isinstance(bullet, BoundResult):
+        return bullet
+    # "iap" and "low" hold on a closed rho range and are exact limits;
+    # the others hold on an open one and are limsup-type
+    exact = bullet in ("iap", "low")
+    lo = 1.0 / r if bullet == "low" else (
+        (alpha - p) / alpha if regime == "alpha_gt_2p" else 0.5)
+    if exact and rho < lo - 1e-15:
+        return _na(f"rho must lie in [{lo:.6g}, 1]")
+    if not exact and rho <= lo:
+        return _na(f"rho must lie in ({lo:.6g}, 1]")
+    if bullet == "iap":
+        ex = alpha / (alpha - p)
+        limit = Cpoly * iap ** ex / x ** ex
+    elif bullet == "i2pp":
+        limit = Cpoly * i2pp ** 2 / x ** 2
+    else:
+        limit = Cpoly * weak_rp / x ** r
+    return _done({"limit": limit}, asymptotic=not exact)
 
 
 # ---------------------------------------------------------------------------

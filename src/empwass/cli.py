@@ -20,9 +20,8 @@ from . import __version__
 from . import bound_catalog as bc
 from . import mc_harness as mc
 from .decomposition import mixture_bound, ring_decompose, verify_reconstruction
-from .measures import DiscreteMeasure, sampler_from_string
-from .metric_core import (FiniteMetricSpace, load_matrix_csv,
-                          load_points_csv, validate_metric)
+from .measures import sampler_from_string, uniform_pair
+from .metric_core import load_matrix_csv, load_points_csv, validate_metric
 from .multiscale import (DegenerateFitError, auto_delta_grid,
                          build_partition_tree, fit_dimension, greedy_cover)
 from .ot_exact import wpp_1d, wpp_mcf
@@ -53,122 +52,92 @@ def _parse_xgrid(text: str):
 
 
 def _echo_config(args, outdir: str) -> None:
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k != "func" and v is not None}
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "effective-config.json"), "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True, default=str)
-        f.write("\n")
+    _write_json(outdir, "effective-config.json",
+                {k: v for k, v in vars(args).items()
+                 if k != "func" and v is not None})
 
 
-def _write_json(outdir: str, name: str, payload) -> str:
-    path = os.path.join(outdir, name)
-    with open(path, "w") as f:
+def _write_json(outdir: str, name: str, payload) -> None:
+    with open(os.path.join(outdir, name), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
-    return path
 
 
-def _write_csv(outdir: str, name: str, rows) -> str:
-    path = os.path.join(outdir, name)
+def _write_csv(outdir: str, name: str, rows) -> None:
     keys = sorted({k for r in rows for k in r})
-    with open(path, "w", newline="") as f:
+    with open(os.path.join(outdir, name), "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=keys)
         w.writeheader()
         for r in rows:
             w.writerow({k: repr(r[k]) if isinstance(r[k], float) else r[k]
                         for k in r})
-    return path
 
 
 def _joint_measures(path_a: str, path_b: str):
-    pa = load_points_csv(path_a).points
-    pb = load_points_csv(path_b).points
-    if pa.shape[1] != pb.shape[1]:
-        raise ValueError("point files have different dimensions")
-    space = FiniteMetricSpace.from_points(np.vstack([pa, pb]))
-    na, nb = pa.shape[0], pb.shape[0]
-    mu = DiscreteMeasure(space, np.arange(na), np.full(na, 1.0 / na))
-    nu = DiscreteMeasure(space, np.arange(na, na + nb), np.full(nb, 1.0 / nb))
-    return space, mu, nu
+    return uniform_pair(load_points_csv(path_a).points,
+                        load_points_csv(path_b).points)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (return exit codes)
+# subcommand handlers: each returns (exit code, {file name: payload},
+# summary line); main writes the files and prints the line
 # ---------------------------------------------------------------------------
 
-def _cmd_wpp(args) -> int:
+def _cmd_wpp(args):
     space, mu, nu = _joint_measures(args.a, args.b)
-    if space.dim == 1 and args.method in ("auto", "1d"):
-        v = wpp_1d(mu, nu, args.p)
-        plan = None
+    if args.method == "1d" or (args.method == "auto" and space.dim == 1):
+        v, plan = wpp_1d(mu, nu, args.p), None
     else:
         v, plan = wpp_mcf(mu, nu, args.p)
-    _echo_config(args, args.out)
-    _write_json(args.out, "wpp.json", v.to_dict())
+    files = {"wpp.json": v.to_dict()}
     if plan is not None and args.plan:
-        rows = [{"i": i, "j": j, "mass": m, "cost": c}
-                for i, j, m, c in plan.to_rows(mu, nu, args.p)]
-        _write_csv(args.out, "plan.csv", rows)
-    print(v.value)
-    return 0
+        files["plan.csv"] = [{"i": i, "j": j, "mass": m, "cost": c}
+                             for i, j, m, c in plan.to_rows(mu, nu, args.p)]
+    return 0, files, str(v.value)
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args):
     space = load_points_csv(args.points)
-    est = greedy_cover(space, np.arange(space.n), args.delta)
-    _echo_config(args, args.out)
-    _write_json(args.out, "cover.json", est.to_dict())
-    print(json.dumps(est.to_dict()))
-    return 0
+    est = greedy_cover(space, np.arange(space.n), args.delta).to_dict()
+    return 0, {"cover.json": est}, json.dumps(est)
 
 
-def _cmd_dim(args) -> int:
+def _cmd_dim(args):
     space = load_points_csv(args.points)
     subset = np.arange(space.n)
-    if args.delta_grid == "auto":
-        deltas = auto_delta_grid(space, subset, args.scales)
-    else:
-        deltas = np.asarray(_parse_xgrid(args.delta_grid))
     try:
-        fit = fit_dimension(space, subset, deltas)
+        if args.delta_grid == "auto":
+            deltas = auto_delta_grid(space, subset, args.scales)
+        else:
+            deltas = np.asarray(_parse_xgrid(args.delta_grid))
+        fit = fit_dimension(space, subset, deltas).to_dict()
     except DegenerateFitError as exc:
-        _echo_config(args, args.out)
-        _write_json(args.out, "dim.json", {"degenerate": True,
-                                           "reason": str(exc)})
-        print(json.dumps({"degenerate": True, "reason": str(exc)}))
-        return 0
-    _echo_config(args, args.out)
-    _write_json(args.out, "dim.json", fit.to_dict())
-    print(json.dumps(fit.to_dict()))
-    return 0
+        fit = {"degenerate": True, "reason": str(exc)}
+    return 0, {"dim.json": fit}, json.dumps(fit)
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args):
     space = load_points_csv(args.points)
     tree = build_partition_tree(space, np.arange(space.n), args.kstar)
-    _echo_config(args, args.out)
-    _write_json(args.out, "tree.json", tree.to_dict())
-    print(json.dumps({"k_star": tree.k_star,
-                      "cell_counts": tree.cell_counts}))
-    return 0
+    return 0, {"tree.json": tree.to_dict()}, json.dumps(
+        {"k_star": tree.k_star, "cell_counts": tree.cell_counts})
 
 
-def _cmd_rings(args) -> int:
+def _cmd_rings(args):
     space, mu, nu = _joint_measures(args.a, args.b)
     dec = ring_decompose(mu, nu, args.x0)
     verify_reconstruction(dec)
     mb = mixture_bound(dec, args.p)
     v, _ = wpp_mcf(mu, nu, args.p)
+    dominates = mb.total >= v.value - 1e-12
     payload = {"decomposition": dec.to_dict(), "bound": mb.to_dict(),
-               "exact": v.value, "dominates": mb.total >= v.value - 1e-12}
-    _echo_config(args, args.out)
-    _write_json(args.out, "rings.json", payload)
-    print(json.dumps({"bound": mb.total, "exact": v.value}))
-    return 0 if payload["dominates"] else 1
+               "exact": v.value, "dominates": dominates}
+    return (0 if dominates else 1, {"rings.json": payload},
+            json.dumps({"bound": mb.total, "exact": v.value}))
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     with open(args.grid) as f:
         spec = json.load(f)
     params = spec.get("params", {})
@@ -181,10 +150,7 @@ def _cmd_bound(args) -> int:
             except (bc.BoundError, KeyError) as exc:
                 row["error"] = str(exc)
             rows.append(row)
-    _echo_config(args, args.out)
-    _write_csv(args.out, "bounds.csv", rows)
-    print(f"wrote {len(rows)} rows")
-    return 0
+    return 0, {"bounds.csv": rows}, f"wrote {len(rows)} rows"
 
 
 def _eval_formula(formula: str, x: float, n: int, params: dict) -> dict:
@@ -245,27 +211,20 @@ def _spec_from_args(args, need_x: bool = False) -> mc.ExperimentSpec:
     )
 
 
-def _cmd_rate(args) -> int:
-    spec = _spec_from_args(args)
-    rep = mc.run_rate_experiment(spec)
-    _echo_config(args, args.out)
-    _write_json(args.out, "rate.json", rep.to_dict())
-    _write_csv(args.out, "rate.csv", rep.csv_rows())
-    print(json.dumps({"slope": rep.slope, "degenerate": rep.degenerate}))
-    return 0
+def _cmd_rate(args):
+    rep = mc.run_rate_experiment(_spec_from_args(args))
+    return 0, {"rate.json": rep.to_dict(), "rate.csv": rep.per_n}, json.dumps(
+        {"slope": rep.slope, "degenerate": rep.degenerate})
 
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args):
     spec = _spec_from_args(args, need_x=True)
     rep = mc.run_tail_experiment(spec)
-    _echo_config(args, args.out)
-    _write_json(args.out, "tail.json", rep.to_dict())
-    _write_csv(args.out, "tail.csv", rep.csv_rows())
-    print(f"wrote tails for n in {list(spec.n_grid)}")
-    return 0
+    return (0, {"tail.json": rep.to_dict(), "tail.csv": rep.per_n},
+            f"wrote tails for n in {list(spec.n_grid)}")
 
 
-def _cmd_fitc(args) -> int:
+def _cmd_fitc(args):
     spec = _spec_from_args(args, need_x=True)
     rep = mc.run_tail_experiment(spec)
     md = spec.sampler.metadata()
@@ -278,60 +237,48 @@ def _cmd_fitc(args) -> int:
     def bound(x, n, C):
         return bc.hoeffding_bound(x, n, p, alpha, Delta, C)
 
-    fit = mc.fit_bound_constant(rep, bound)
-    _echo_config(args, args.out)
-    _write_json(args.out, "fitc.json", fit.to_dict())
-    print(json.dumps(fit.to_dict()))
-    return 0 if fit.ok else 1
+    fit = mc.fit_bound_constant(rep, bound).to_dict()
+    return 0 if fit["ok"] else 1, {"fitc.json": fit}, json.dumps(fit)
 
 
-def _cmd_asrun(args) -> int:
+def _cmd_asrun(args):
     sampler = sampler_from_string(args.sampler)
     rec = mc.run_as_trajectory(sampler, args.p, args.nmax, args.seed)
-    _echo_config(args, args.out)
-    _write_json(args.out, "asrun.json", rec)
-    _write_csv(args.out, "asrun.csv", rec["rows"])
-    print(json.dumps({"max_normalized": rec["max_normalized"]}))
-    return 0
+    return 0, {"asrun.json": rec, "asrun.csv": rec["rows"]}, json.dumps(
+        {"max_normalized": rec["max_normalized"]})
 
 
-def _cmd_verify_appendix(args) -> int:
+def _cmd_verify_appendix(args):
     rep = mc.verify_appendix_inequalities(
         args.dist, args.r, _parse_grid(args.ngrid), args.reps, args.seed,
         a=args.a)
-    _echo_config(args, args.out)
-    _write_json(args.out, "appendix.json", rep)
     ok = all(row.get("burkholder_ok", True) and row.get("vbe_ok", True)
              for row in rep["rows"])
-    print(json.dumps({"ok": ok, "maximal_fitted_L": rep["maximal_fitted_L"]}))
-    return 0 if ok else 1
+    return 0 if ok else 1, {"appendix.json": rep}, json.dumps(
+        {"ok": ok, "maximal_fitted_L": rep["maximal_fitted_L"]})
 
 
-def _cmd_validate_metric(args) -> int:
+def _cmd_validate_metric(args):
     if args.matrix:
         space = load_matrix_csv(args.matrix)
     elif args.points:
         space = load_points_csv(args.points)
     else:
         raise ValueError("provide --points or --matrix")
-    report = validate_metric(space, trials=args.trials, seed=args.seed or 0)
-    _echo_config(args, args.out)
-    _write_json(args.out, "validate.json", report.to_dict())
-    print(json.dumps(report.to_dict()))
-    return 0 if report.passed else 1
+    report = validate_metric(space, trials=args.trials,
+                             seed=args.seed).to_dict()
+    return (0 if report["passed"] else 1, {"validate.json": report},
+            json.dumps(report))
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, seed_required: bool):
+def _add_common(sp):
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--config", default=None,
                     help="config file; flags override its values")
-    sp.add_argument("--seed", type=int, required=seed_required,
-                    default=None if seed_required else 0)
-    sp.add_argument("--workers", type=int, default=1)
 
 
 def _add_experiment(sp):
@@ -343,6 +290,8 @@ def _add_experiment(sp):
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--mref", type=int, default=None)
     sp.add_argument("--kstar", type=int, default=3)
+    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,26 +308,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--method", default="auto", choices=["auto", "1d", "mcf"])
     sp.add_argument("--plan", action="store_true")
-    _add_common(sp, False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_wpp)
 
     sp = sub.add_parser("cover", help="greedy covering estimate")
     sp.add_argument("--points", required=True)
     sp.add_argument("--delta", type=float, required=True)
-    _add_common(sp, False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_cover)
 
     sp = sub.add_parser("dim", help="covering-dimension envelope fit")
     sp.add_argument("--points", required=True)
     sp.add_argument("--delta-grid", default="auto")
     sp.add_argument("--scales", type=int, default=6)
-    _add_common(sp, False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_dim)
 
     sp = sub.add_parser("tree", help="refined partition tree")
     sp.add_argument("--points", required=True)
     sp.add_argument("--kstar", type=int, required=True)
-    _add_common(sp, False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_tree)
 
     sp = sub.add_parser("rings", help="ring decomposition and mixture bound")
@@ -386,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", required=True)
     sp.add_argument("--x0", type=int, default=0)
     sp.add_argument("--p", type=float, required=True)
-    _add_common(sp, False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_rings)
 
     sp = sub.add_parser("bound", help="evaluate a bound formula on a grid")
@@ -395,18 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "moderate", "bernstein", "as-normalizer"])
     sp.add_argument("--grid", required=True,
                     help="JSON file {x_grid, n_grid, params}")
-    _add_common(sp, False)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_bound)
 
     sp = sub.add_parser("rate", help="convergence-rate experiment")
     _add_experiment(sp)
-    _add_common(sp, True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_rate)
 
     sp = sub.add_parser("tail", help="tail-probability experiment")
     _add_experiment(sp)
     sp.add_argument("--xgrid", required=True)
-    _add_common(sp, True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_tail)
 
     sp = sub.add_parser("fitc", help="fit the minimal valid bound constant")
@@ -414,14 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xgrid", required=True)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--delta", type=float, default=None)
-    _add_common(sp, True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_fitc)
 
     sp = sub.add_parser("asrun", help="almost-sure trajectory check")
     sp.add_argument("--sampler", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--nmax", type=int, required=True)
-    _add_common(sp, True)
+    sp.add_argument("--seed", type=int, required=True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_asrun)
 
     sp = sub.add_parser("verify-appendix",
@@ -432,14 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=4.0)
     sp.add_argument("--ngrid", required=True)
     sp.add_argument("--reps", type=int, required=True)
-    _add_common(sp, True)
+    sp.add_argument("--seed", type=int, required=True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_verify_appendix)
 
     sp = sub.add_parser("validate-metric", help="check metric axioms")
     sp.add_argument("--points", default=None)
     sp.add_argument("--matrix", default=None)
     sp.add_argument("--trials", type=int, default=10000)
-    _add_common(sp, False)
+    sp.add_argument("--seed", type=int, default=0)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_validate_metric)
 
     return ap
@@ -482,10 +434,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code, files, summary = args.func(args)
+        _echo_config(args, args.out)
+        for name, payload in files.items():
+            write = _write_csv if name.endswith(".csv") else _write_json
+            write(args.out, name, payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,8 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from .bound_catalog import as_rate_normalizer, classify_regime
-from .measures import DiscreteMeasure, SyntheticSampler
-from .metric_core import FiniteMetricSpace
+from .measures import SyntheticSampler, uniform_pair
 from .multiscale import auto_k_star, build_partition_tree, dyadic_wpp_bound
 from .ot_exact import (check_quantile_monotone, wpp_1d_arrays,
                        wpp_1d_vs_quantile, wpp_mcf, wpp_rows_vs_quantile)
@@ -106,23 +105,17 @@ def _one_replicate(args) -> float:
     pts = sampler.draw(n, rng)
     m = m_ref if m_ref is not None else n
     ref = sampler.draw(m, rng)
+    if estimator == "mcf-two-sample" and sampler.d == 1:
+        return wpp_1d_arrays(pts[:, 0], np.full(n, 1.0 / n),
+                             ref[:, 0], np.full(m, 1.0 / m), p)
+    space, mu, nu = uniform_pair(pts, ref)
     if estimator == "mcf-two-sample":
-        if sampler.d == 1:
-            return wpp_1d_arrays(pts[:, 0], np.full(n, 1.0 / n),
-                                 ref[:, 0], np.full(m, 1.0 / m), p)
-        space = FiniteMetricSpace.from_points(np.vstack([pts, ref]))
-        mu = DiscreteMeasure(space, np.arange(n), np.full(n, 1.0 / n))
-        nu = DiscreteMeasure(space, np.arange(n, n + m), np.full(m, 1.0 / m))
-        v, _ = wpp_mcf(mu, nu, p)
-        return v.value
+        return wpp_mcf(mu, nu, p)[0].value
     # dyadic upper bound between sample and reference sample
-    space = FiniteMetricSpace.from_points(np.vstack([pts, ref]))
     if not k_star:   # 0 or None: depth grows with n
         alpha = sampler.metadata().get("alpha") or 2.0 * p
         k_star = auto_k_star(n, alpha)
     tree = build_partition_tree(space, np.arange(n + m), k_star)
-    mu = DiscreteMeasure(space, np.arange(n), np.full(n, 1.0 / n))
-    nu = DiscreteMeasure(space, np.arange(n, n + m), np.full(m, 1.0 / m))
     return dyadic_wpp_bound(tree, mu, nu, p)
 
 
@@ -204,9 +197,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def csv_rows(self) -> List[dict]:
-        return self.per_n
 
 
 def _stats_row(n: int, vals: np.ndarray, x_grid: Sequence[float]) -> dict:

@@ -84,6 +84,18 @@ class EmpiricalMeasure(DiscreteMeasure):
         return d
 
 
+def uniform_pair(pa: np.ndarray, pb: np.ndarray):
+    """(space, mu, nu): the Euclidean space on the rows of pa then pb, and
+    the uniform measures on pa's rows and on pb's rows."""
+    if pa.shape[1] != pb.shape[1]:
+        raise MeasureError("point sets have different dimensions")
+    space = FiniteMetricSpace.from_points(np.vstack([pa, pb]))
+    na, nb = pa.shape[0], pb.shape[0]
+    mu = DiscreteMeasure(space, np.arange(na), np.full(na, 1.0 / na))
+    nu = DiscreteMeasure(space, np.arange(na, na + nb), np.full(nb, 1.0 / nb))
+    return space, mu, nu
+
+
 def mix(components) -> DiscreteMeasure:
     """Mixture sum(lam_i * mu_i) of measures on one common space."""
     if not components:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,18 +37,6 @@ class ValidationReport:
                 "detail": self.violation[2],
             },
         }
-
-
-@dataclass(frozen=True)
-class BoundedRegion:
-    """A diameter bound and a reference point for a point set."""
-
-    diameter: float
-    x0: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.diameter) or self.diameter <= 0:
-            raise MetricError("region diameter must be positive and finite")
 
 
 class FiniteMetricSpace:
@@ -233,7 +221,6 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     if D is not None:
         pairs = n * n
         if np.any(np.isnan(D)):
-            bad = np.argwhere(np.isnan(D))[0]
             raise MetricError("distance matrix contains NaN entries")
         di = np.diag(D)
         if np.any(di != 0):

@@ -54,10 +54,8 @@ def greedy_cover(space: FiniteMetricSpace, subset: Sequence[int],
     if delta <= 0:
         raise MultiscaleError("delta must be positive")
     cov = _cover(space, subset, delta)
-    if space.kind == "euclidean":
-        pack = _kernels.greedy_packing_pts(space.points[subset], 2.0 * delta)
-    else:
-        pack = _kernels.greedy_packing_mat(space.submatrix(subset), 2.0 * delta)
+    # a maximal 2*delta-separated set is the greedy cover at 2*delta
+    pack = _cover(space, subset, 2.0 * delta)
     return CoveringEstimate(float(delta), int(cov.size), int(pack.size),
                             subset[cov])
 

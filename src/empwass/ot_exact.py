@@ -71,29 +71,15 @@ class TransportPlan:
 # 1D closed form
 # ---------------------------------------------------------------------------
 
-def _positions_1d(m: DiscreteMeasure) -> np.ndarray:
-    sp = m.space
-    if sp.kind != "euclidean" or sp.dim != 1:
-        raise OTError("measure is not supported on the line")
-    return sp.points[m.idx, 0]
-
-
-def _staircase(m: DiscreteMeasure):
-    x = _positions_1d(m)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cs = np.cumsum(m.weights[order])
-    cs[-1] = 1.0
-    return xs, cs
-
-
 def wpp_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WppValue:
     """Exact quantile-coupling W_p^p for measures on the line."""
     if p < 1:
         raise OTError("p must be >= 1")
-    xa, ca = _staircase(mu)
-    xb, cb = _staircase(nu)
-    v = float(_kernels.wpp_staircase(xa, ca, xb, cb, float(p)))
+    for m in (mu, nu):
+        if m.space.kind != "euclidean" or m.space.dim != 1:
+            raise OTError("measure is not supported on the line")
+    v = wpp_1d_arrays(mu.space.points[mu.idx, 0], mu.weights,
+                      nu.space.points[nu.idx, 0], nu.weights, p)
     return WppValue(v, float(p), "closed-form-1d")
 
 
@@ -303,6 +289,10 @@ def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     if status != 0:
         raise OTError("HiGHS transport solve failed or its optimum failed "
                       "the dual certificate")
+    if (X.min() < -1e-9 or np.max(np.abs(X.sum(axis=1) - wa)) > 1e-9
+            or np.max(np.abs(X.sum(axis=0) - b)) > 1e-9):
+        raise OTError("HiGHS transport plan is negative or misses the "
+                      "marginals")
     ii, jj = np.nonzero(X > 1e-16)
     cost = float(np.sum(X * C))
     plan = TransportPlan(pos_a[ii], pos_b[jj], X[ii, jj], cost)

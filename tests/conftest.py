@@ -1,9 +1,13 @@
+import math
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from empwass.bound_catalog import (BoundError, BoundResult, _done, _main_exp,
+                                   _na, classify_regime)
 from empwass.measures import DiscreteMeasure
 from empwass.metric_core import MetricError
 from empwass.multiscale import MultiscaleError, greedy_cover
@@ -231,3 +235,137 @@ def _ring_ids_loop(dists):
 def measure_loop_oracles():
     return SimpleNamespace(mix=_mix_loop, restrict=_restrict_loop,
                            mass_on=_mass_on_loop, ring_ids=_ring_ids_loop)
+
+
+# The heavy-tail bounds as written before one bullet selector served
+# both: each walks the whole case analysis itself.
+
+def _fuk_nagaev_oracle(x: float, n: int, p: float, alpha: float,
+                       r: Optional[float] = None, q: Optional[float] = None,
+                       weak_rp: Optional[float] = None,
+                       i2pp: float = math.inf, iap: float = math.inf,
+                       cap: float = math.inf, C: float = 1.0,
+                       Cpoly: float = 1.0) -> BoundResult:
+    """Mixed exponential + polynomial tail bound for P(W_p^p > x).
+
+    Dispatch follows the case analysis on (regime, r, finiteness of the
+    tail integrals). Pass r=None to request the integral-only bullet.
+    weak_rp is the rp-th weak moment already raised to the power rp.
+    Terms are reported separately; the value is their sum.
+    """
+    if x <= 0:
+        raise BoundError("x must be positive")
+    regime = classify_regime(alpha, p)
+    exp_i = iap if regime == "alpha_gt_2p" else i2pp
+
+    if r is None:
+        if regime == "alpha_gt_2p" and not math.isfinite(i2pp):
+            # pure-polynomial bullet from I_{alpha,p}
+            if not math.isfinite(iap):
+                return _na("both tail integrals are infinite")
+            ex = alpha / (alpha - p)
+            return _done({"poly_iap":
+                          Cpoly * iap ** ex / (x ** ex * n ** (p / (alpha - p)))})
+        if not math.isfinite(i2pp):
+            return _na("I_{2p,p} is infinite and no weak moment was supplied")
+        poly = Cpoly * i2pp ** 2 / (x ** 2 * n)
+        if regime == "alpha_lt_2p":
+            return _done({"poly_i2pp": poly})
+        v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
+        if math.isnan(v):
+            return _na("exponential-term integral is infinite")
+        return _done({"exponential": v, "poly_i2pp": poly})
+
+    if weak_rp is None or not math.isfinite(weak_rp):
+        return _na(f"weak moment of order {r}p is not finite")
+    poly_weak = Cpoly * weak_rp / (x ** r * n ** (r - 1.0))
+
+    if r > 2.0:
+        if q is None or q <= r:
+            return _na("the r > 2 bullet needs q > r")
+        if not math.isfinite(i2pp):
+            return _na("I_{2p,p} must be finite for the r > 2 bullet")
+        v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
+        if math.isnan(v):
+            return _na("exponential-term integral is infinite")
+        return _done({"exponential": v,
+                      "poly_i2pp_q": Cpoly * i2pp ** q / (x ** q * n ** (q / 2.0)),
+                      "poly_weak": poly_weak})
+
+    if regime == "alpha_gt_2p":
+        thresh = alpha / (alpha - p)
+        if thresh < r < 2.0:
+            v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
+            if math.isnan(v):
+                return _na("I_{alpha,p} is infinite")
+            return _done({"exponential": v, "poly_weak": poly_weak})
+        if 1.0 < r < thresh:
+            return _done({"poly_weak": poly_weak})
+        return _na(f"r = {r} matches no bullet (threshold {thresh:.6g}, 2)")
+
+    if 1.0 < r < 2.0:
+        return _done({"poly_weak": poly_weak})
+    return _na(f"r = {r} matches no bullet in this regime")
+
+
+def _moderate_deviation_oracle(x: float, n: int, rho: float, p: float,
+                               alpha: float, r: Optional[float] = None,
+                               weak_rp: Optional[float] = None,
+                               i2pp: float = math.inf, iap: float = math.inf,
+                               Cpoly: float = 1.0) -> BoundResult:
+    """Bound on n^{s*rho - 1} P(W_p^p > x / n^{1-rho}) for the bullet's
+    exponent s; limsup-type bullets are flagged asymptotic."""
+    if x <= 0:
+        raise BoundError("x must be positive")
+    if not (0 < rho <= 1):
+        return _na("rho must lie in (0, 1]")
+    regime = classify_regime(alpha, p)
+    gt = regime == "alpha_gt_2p"
+    lo_open = (alpha - p) / alpha if gt else 0.5
+
+    if r is None:
+        if gt and not math.isfinite(i2pp):
+            if not math.isfinite(iap):
+                return _na("both tail integrals are infinite")
+            if rho < lo_open - 1e-15:
+                return _na(f"rho must lie in [{lo_open:.6g}, 1]")
+            ex = alpha / (alpha - p)
+            return _done({"limit": Cpoly * iap ** ex / x ** ex},
+                         asymptotic=False)
+        if not math.isfinite(i2pp):
+            return _na("I_{2p,p} is infinite and no weak moment was supplied")
+        if rho <= lo_open:
+            return _na(f"rho must lie in ({lo_open:.6g}, 1]")
+        return _done({"limit": Cpoly * i2pp ** 2 / x ** 2}, asymptotic=True)
+
+    if weak_rp is None or not math.isfinite(weak_rp):
+        return _na(f"weak moment of order {r}p is not finite")
+    poly = Cpoly * weak_rp / x ** r
+
+    if r > 2.0:
+        if rho <= lo_open:
+            return _na(f"rho must lie in ({lo_open:.6g}, 1]")
+        return _done({"limit": poly}, asymptotic=True)
+
+    if gt:
+        thresh = alpha / (alpha - p)
+        if thresh < r < 2.0:
+            if rho <= lo_open:
+                return _na(f"rho must lie in ({lo_open:.6g}, 1]")
+            return _done({"limit": poly}, asymptotic=True)
+        if 1.0 < r < thresh:
+            if rho < 1.0 / r - 1e-15:
+                return _na(f"rho must lie in [{1.0 / r:.6g}, 1]")
+            return _done({"limit": poly}, asymptotic=False)
+        return _na(f"r = {r} matches no bullet")
+
+    if 1.0 < r < 2.0:
+        if rho < 1.0 / r - 1e-15:
+            return _na(f"rho must lie in [{1.0 / r:.6g}, 1]")
+        return _done({"limit": poly}, asymptotic=False)
+    return _na(f"r = {r} matches no bullet in this regime")
+
+
+@pytest.fixture
+def bullet_bound_oracles():
+    return _fuk_nagaev_oracle, _moderate_deviation_oracle

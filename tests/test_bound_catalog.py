@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +139,52 @@ def test_moderate_deviation_rho_ranges():
     # rho out of (0, 1]
     assert not moderate_deviation_bound(1.0, 100, 1.5, 1.0, 1.0,
                                         i2pp=2.0).applicable
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except BoundError as exc:
+        return ("raises", str(exc))
+
+
+def test_bullet_bounds_match_oracles(bullet_bound_oracles):
+    # every input of a grid that reaches each bullet, each way of matching
+    # none, both rho range shapes and the x <= 0 and rho checks
+    fn_oracle, md_oracle = bullet_bound_oracles
+    inf = math.inf
+    xs, ns, ps = (0.0, 0.05, 1.0, 7.0), (1, 50), (1.0, 2.0)
+    alphas = (0.5, 2.0, 3.0, 4.0, 9.0)
+    rs = (None, 0.5, 1.2, 1.5, 1.9, 2.0, 3.0)
+    weaks, i2pps, iaps = (None, 0.8, inf), (0.9, inf), (1.3, inf)
+    shapes, suffixed = set(), 0
+    for x, n, p, alpha, r, weak_rp, i2pp, iap in itertools.product(
+            xs, ns, ps, alphas, rs, weaks, i2pps, iaps):
+        common = dict(r=r, weak_rp=weak_rp, i2pp=i2pp, iap=iap)
+        for q, cap in itertools.product((None, 2.5, 4.0), (0.5, inf)):
+            want = _outcome(fn_oracle, x, n, p, alpha, q=q, cap=cap,
+                            **common)
+            got = _outcome(fuk_nagaev_bound, x, n, p, alpha, q=q, cap=cap,
+                           **common)
+            assert repr(got) == repr(want), (x, n, p, alpha, q, cap, common)
+            if isinstance(got, dict) and got["applicable"]:
+                shapes.add(tuple(got["terms"]))
+        for rho in (0.0, 0.3, 0.5, 0.6, 0.8, 1.0, 1.2):
+            want = _outcome(md_oracle, x, n, rho, p, alpha, **common)
+            if isinstance(want, dict) \
+                    and want["reason"] == f"r = {r} matches no bullet":
+                # the one change: the reason names the thresholds, as the
+                # Fuk-Nagaev bound's does
+                want["reason"] += f" (threshold {alpha / (alpha - p):.6g}, 2)"
+                suffixed += 1
+            got = _outcome(moderate_deviation_bound, x, n, rho, p, alpha,
+                           **common)
+            assert repr(got) == repr(want), (x, n, rho, p, alpha, common)
+    assert suffixed > 0
+    assert shapes == {("poly_iap",), ("poly_i2pp",),
+                      ("exponential", "poly_i2pp"),
+                      ("exponential", "poly_i2pp_q", "poly_weak"),
+                      ("exponential", "poly_weak"), ("poly_weak",)}
 
 
 def test_bernstein_bound_cases():

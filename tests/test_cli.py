@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from empwass.cli import main
+from empwass.cli import build_parser, main
 from empwass.metric_core import save_points_csv
 
 
@@ -71,6 +71,27 @@ def test_cover_and_dim(tmp_path, pts_file):
     assert rc == 0
     payload = json.loads((out2 / "dim.json").read_text())
     assert "alpha" in payload or payload.get("degenerate")
+
+
+def test_wpp_method_1d_refuses_points_off_the_line(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    save_points_csv(cloud, np.random.default_rng(1).random((6, 3)))
+    rc = _run(["wpp", "--a", str(cloud), "--b", str(cloud), "--p", "1",
+               "--method", "1d", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: measure is not supported on the line\n"
+    assert not (tmp_path / "o" / "wpp.json").exists()
+
+
+@pytest.mark.parametrize("grid", [[], ["--delta-grid", "0.1,0.01,0.001,1"]])
+def test_dim_zero_diameter_is_degenerate(tmp_path, grid):
+    same = tmp_path / "same.csv"
+    save_points_csv(same, np.full((3, 2), 0.5))
+    out = tmp_path / "o"
+    assert _run(["dim", "--points", str(same), *grid, "--out", str(out)]) == 0
+    assert json.loads((out / "dim.json").read_text()) == {
+        "degenerate": True, "reason": "point set has zero diameter"}
 
 
 def test_dim_output_golden(tmp_path):
@@ -173,6 +194,39 @@ def test_config_file_supplies_defaults_flags_override(tmp_path, pts_file):
     assert eff2["delta"] == 0.5
 
 
+# the required flags of each subcommand; the files are never opened
+_MINIMAL_ARGV = {
+    "wpp": ["--a", "a.csv", "--b", "b.csv", "--p", "1"],
+    "cover": ["--points", "x.csv", "--delta", "0.3"],
+    "dim": ["--points", "x.csv"],
+    "tree": ["--points", "x.csv", "--kstar", "1"],
+    "rings": ["--a", "a.csv", "--b", "b.csv", "--p", "1"],
+    "bound": ["--formula", "moment", "--grid", "g.json"],
+    "asrun": ["--sampler", "uniform-cube:1", "--p", "1", "--nmax", "8",
+              "--seed", "0"],
+    "verify-appendix": ["--dist", "uniform", "--r", "2", "--ngrid", "8:8",
+                        "--reps", "10", "--seed", "0"],
+    "validate-metric": ["--points", "x.csv"],
+}
+
+
+@pytest.mark.parametrize("cmd, flag", [
+    *((c, "--workers") for c in _MINIMAL_ARGV),
+    *((c, "--seed") for c in ("wpp", "cover", "dim", "tree", "rings",
+                              "bound"))])
+def test_removed_flags_exit_2(tmp_path, capsys, cmd, flag):
+    # a subcommand offers only the flags it reads, so these are refused
+    # on the command line and from a --config file
+    argv = [cmd, *_MINIMAL_ARGV[cmd]]
+    build_parser().parse_args(argv)
+    assert _run([*argv, flag, "1"]) == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[{cmd}]\n{flag[2:]} = 1\n")
+    assert _run([*argv, "--config", str(cfg)]) == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_config_without_path_exit_2(capsys):
     assert _run(["cover", "--points", "x.csv", "--delta", "0.3",
                  "--config"]) == 2
@@ -238,3 +292,145 @@ def test_rings_subcommand(tmp_path):
     payload = json.loads((out / "rings.json").read_text())
     assert payload["dominates"]
     assert payload["bound"]["total"] >= payload["exact"]
+
+
+_BOUND_PARAMS = {
+    # alpha > 2p, alpha/(alpha - p) < r < 2: exponential plus weak moment
+    "mid": {"p": 1.0, "alpha": 3.0, "r": 1.8, "q": 3.0, "weak_rp": 2.0,
+            "i2pp": 1.5, "iap": 2.0, "cap": 10.0, "rho": 0.8, "kappa": 2.0,
+            "i_val": 1.0, "Delta": 1.0},
+    # r > 2
+    "high": {"p": 1.0, "alpha": 1.5, "r": 2.5, "q": 3.0, "weak_rp": 0.7,
+             "i2pp": 1.2, "rho": 0.9, "kappa": 0.5, "eps": 0.2,
+             "i_val": 2.0, "Delta": 2.0},
+    # 1 < r < 2, alpha < 2p
+    "low": {"p": 1.0, "alpha": 1.0, "r": 1.5, "weak_rp": 1.0, "rho": 0.8},
+    # integral-only bullets: I_{2p,p} with alpha < 2p, I_{alpha,p} alone
+    "i2pp": {"p": 1.0, "alpha": 1.0, "i2pp": 1.5, "rho": 0.7},
+    "iap": {"p": 1.0, "alpha": 3.0, "iap": 2.0, "rho": 0.9},
+}
+
+
+def _golden_runs(tmp_path):
+    """(case, argv, output files) for the outputs pinned by sha256."""
+    rng = np.random.default_rng(3)
+    a2, b2 = tmp_path / "a2.csv", tmp_path / "b2.csv"
+    save_points_csv(a2, rng.random((14, 2)))
+    save_points_csv(b2, rng.random((9, 2)))
+    a2, b2 = str(a2), str(b2)
+    runs = [
+        ("cover", ["cover", "--points", a2, "--delta", "0.3"],
+         ("cover.json",)),
+        ("rings", ["rings", "--a", a2, "--b", b2, "--p", "1"],
+         ("rings.json",)),
+        ("wpp-2d", ["wpp", "--a", a2, "--b", b2, "--p", "2", "--plan"],
+         ("wpp.json", "plan.csv")),
+        ("asrun", ["asrun", "--sampler", "uniform-cube:1", "--p", "1",
+                   "--nmax", "256", "--seed", "0"],
+         ("asrun.json", "asrun.csv")),
+        ("appendix", ["verify-appendix", "--dist", "pareto", "--r", "2",
+                      "--ngrid", "8:32", "--reps", "200", "--seed", "0"],
+         ("appendix.json",)),
+        ("validate", ["validate-metric", "--points", a2, "--trials", "200"],
+         ("validate.json",)),
+    ]
+    formulas = ("moment", "hoeffding", "main-term", "fuk-nagaev", "moderate",
+                "bernstein", "as-normalizer")
+    for name, params in _BOUND_PARAMS.items():
+        grid = tmp_path / f"grid-{name}.json"
+        grid.write_text(json.dumps({"params": params, "n_grid": [3, 10, 100],
+                                    "x_grid": [0.05, 0.5, 2.0]}))
+        for formula in (formulas if name in ("mid", "high")
+                        else ("fuk-nagaev", "moderate")):
+            runs.append((f"bound-{formula}-{name}",
+                         ["bound", "--formula", formula, "--grid", str(grid)],
+                         ("bounds.csv",)))
+    return runs
+
+
+# sha256 of each output file, recorded before the subcommands shared one
+# output writer
+_GOLDEN = {
+    "cover": (
+        "bf8f78cb3c177bfeaf52ce77393ae46f28a4cf0ec6e2df9a1732b0863ff8e067",),
+    "rings": (
+        "a2f26239e1cf4049e9c20a46878ffc934d78ec71102729d5baa911d02233ce5b",),
+    "wpp-2d": (
+        "e319206711fd465664d332331a9dfbbe3ecb6587c8d12a4da2e8497e3c145478",
+        "0020099233fe6f9a7bc0112b4fb6ac011a32ef243eddbfa97ec87d06d561d025"),
+    "asrun": (
+        "b87bab333fe5551d0e7df7b330114f3e1384a4d895c28af4c66d0940b7eaf1d0",
+        "d2867f95cb66b016426db27ac46ad35011f4b4074525776411b5cd4545b1a1a7"),
+    "appendix": (
+        "bd5e3a08cab10eaf9d6a71e999cb890b86487dbb669ed8530ab8bdd4c88274c1",),
+    "validate": (
+        "454a7b5a45123b158f52f58ab29444f3ddb5a5e01fb541bad8507f814d2b23c3",),
+    "bound-moment-mid": (
+        "22520799867396088b84af0dd9790f43f6e3272de173b59ea93d55f35a4034e3",),
+    "bound-hoeffding-mid": (
+        "9b6712e1fac993fe92616c6f007f9926cd9e032674e72ebe3e38374fabd01841",),
+    "bound-main-term-mid": (
+        "955b2c040e6eb3001a30878caedfd463fdc061a7b105b12ed1007397b111442f",),
+    "bound-fuk-nagaev-mid": (
+        "9574bc6392664a1c6f789ac74efab05dfec851eec804758adf31834246319a70",),
+    "bound-moderate-mid": (
+        "4f5c347e341de54efd3306850dddd46694a9723c7dc28f9f6cf324bdb8f10c1b",),
+    "bound-bernstein-mid": (
+        "037a60503dca2725cc47cfed6decaa014fdb136e51a16ef17e9246ae0f0017af",),
+    "bound-as-normalizer-mid": (
+        "0d5deb9607aa2519c4bdcf9cc2ebe55b6785b13cd4fc2c319821d8ae21d45b3c",),
+    "bound-moment-high": (
+        "48291e2026eeb70d72de703435c1f94f74c3fbc7192460bb241afe214c7d80f7",),
+    "bound-hoeffding-high": (
+        "61afd18cea84304568398f8a1ff792e33d1d917ad1ee9317bd7cda59c76c760e",),
+    "bound-main-term-high": (
+        "de8d7530aa9cab6a580b4f9f7a3233a5febab1956f5ec76cbbbcb925a72fce43",),
+    "bound-fuk-nagaev-high": (
+        "33262a95e8d9b7274849ad0aeca46d69751ad6f92614e3d971ac185a3d4c0d61",),
+    "bound-moderate-high": (
+        "9bec44529fd00f2db99ee23b937e4346f4770e44d6a66ca8bb4a6b49df605485",),
+    "bound-bernstein-high": (
+        "36bc776268089a7e054e8ffff1db9f72b910926d39f08843604a62c40660f315",),
+    "bound-as-normalizer-high": (
+        "164a6cc3c86063befb07d4904c7861beacbb5b8b88503faed83b91abdc43a468",),
+    "bound-fuk-nagaev-low": (
+        "0218e2ad7780c001f3d02ffa635fe69efb6b2b5f486ec0cb1214fda49779c8e9",),
+    "bound-moderate-low": (
+        "7e57207e089c24795593bef769f591f462503d2a758c8752a2abb7362a1d6527",),
+    "bound-fuk-nagaev-i2pp": (
+        "c8e9ad3f4e1b22a2f2576a174f6d3e48eb1e3aa95e0c21ebfbdf42fc445bf768",),
+    "bound-moderate-i2pp": (
+        "aeed083f89c739ff36b8b66e09ba8b2026b27ddaa39e07c72cc5c6cbaae2a578",),
+    "bound-fuk-nagaev-iap": (
+        "2873f78ec923ec2e44f7e2f468f7fdfe45bff6fc9bec1ae592950cda3b052ba9",),
+    "bound-moderate-iap": (
+        "cbdabaabdce68e57481e80f3705ef93ec094ed8b5ad09da737f45d89a4163838",),
+}
+
+
+def test_outputs_golden(tmp_path):
+    runs = _golden_runs(tmp_path)
+    assert sorted(case for case, _, _ in runs) == sorted(_GOLDEN)
+    for case, argv, files in runs:
+        out = tmp_path / case
+        assert _run([*argv, "--out", str(out)]) == 0, case
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in files)
+        assert got == _GOLDEN[case], case
+
+
+def test_wpp_1d_value_golden(tmp_path):
+    # the staircase divides by the final cumulative weight, so the value
+    # may move in its last bit against the one recorded here
+    rng = np.random.default_rng(5)
+    a, b = tmp_path / "a1.csv", tmp_path / "b1.csv"
+    save_points_csv(a, rng.random((7, 1)))
+    save_points_csv(b, rng.random((5, 1)))
+    for p, want in (("1", 0.17782838023601394), ("2", 0.03966045477158202),
+                    ("2.5", 0.019419290119769332)):
+        out = tmp_path / p
+        assert _run(["wpp", "--a", str(a), "--b", str(b), "--p", p,
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "wpp.json").read_text())
+        assert payload["method"] == "closed-form-1d"
+        assert payload["value"] == pytest.approx(want, rel=1e-12, abs=0)

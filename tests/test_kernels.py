@@ -108,6 +108,23 @@ def test_transport_rejects_uncertified_optimum(rng, monkeypatch):
     assert status == 1
 
 
+def test_transport_meets_marginals_with_tiny_weight():
+    # rows 2 and 3 have the same costs and row 3 a weight of 8.5e-8: at
+    # HiGHS's default primal tolerance (1e-7) its mass went to row 2, so
+    # the plan missed a row sum by 8.5e-8 at the optimal cost
+    a = np.array([0.251759719268362, 0.466593111792081, 0.24402420171510655,
+                  8.45048412230074e-08, 0.03762288271960932])
+    b = np.array([0.17195252943743927, 0.0016191027521908737,
+                  0.82642836781037])
+    C = np.array([[0.0, 2.5, 0.0], [2.5, 0.0, 2.5], [0.0, 2.5, 0.0],
+                  [0.0, 2.5, 0.0], [0.5, 2.0, 0.5]])
+    X, status = K.transport_simplex(a, b, C, 1e-12, 4000 * 16)
+    assert status == 0
+    assert X.min() >= -1e-9
+    assert np.abs(X.sum(axis=1) - a).max() <= 1e-9
+    assert np.abs(X.sum(axis=0) - b).max() <= 1e-9
+
+
 def test_greedy_cover_matches_definition(rng):
     for trial in range(20):
         n = int(rng.integers(5, 120))
@@ -196,7 +213,7 @@ def test_greedy_packing_matches_definition(rng):
         D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
         r = float(rng.integers(1, 4)) if trial % 2 else sep
         for chosen, close in ((K.greedy_packing_pts(pts, sep), d2 <= s2),
-                              (K.greedy_packing_mat(D, r), D <= r)):
+                              (K.greedy_cover_mat(D, r), D <= r)):
             chosen = list(chosen)
             sub = close[np.ix_(chosen, chosen)]
             # pairwise separated: only the diagonal is within sep

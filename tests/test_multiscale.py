@@ -1,6 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -63,6 +68,29 @@ def test_greedy_cover_singleton_and_errors():
         greedy_cover(space, [], 0.1)
     with pytest.raises(MultiscaleError):
         greedy_cover(space, [0], 0.0)
+
+
+def _limit_memory():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+def test_cover_ends_when_a_center_misses_itself():
+    # D[1, 1] = 5 > delta: the center must still count as covered, or the
+    # loop picks it forever; a child process under a memory cap and a
+    # timeout, so a regression fails instead of hanging the suite
+    code = ("from empwass.metric_core import FiniteMetricSpace\n"
+            "from empwass.multiscale import greedy_cover\n"
+            "space = FiniteMetricSpace.from_matrix([[0, 1], [1, 5]])\n"
+            "print(greedy_cover(space, [0, 1], 0.5).to_dict())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          preexec_fn=_limit_memory, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(
+        {"delta": 0.5, "n_upper": 2, "n_lower": 1, "centers": [0, 1]})
 
 
 def test_fit_dimension_line_and_square():

@@ -106,6 +106,32 @@ def test_wpp_mcf_reports_solver_failure(monkeypatch):
         wpp_mcf(mu, nu, 2.0)
 
 
+@pytest.mark.parametrize("defect", ["rows", "cols", "negative"])
+def test_wpp_mcf_checks_plan_marginals(monkeypatch, defect):
+    # HiGHS reports success, but the plan it returns is no transport plan
+    rng = np.random.default_rng(8)
+    xa, xb = np.sort(rng.normal(size=4)), np.sort(rng.normal(size=3))
+    mu, nu = _pair(xa, rng.dirichlet(np.ones(4)), xb, rng.dirichlet(np.ones(3)))
+    solve = _kernels.transport_simplex
+
+    def bad_plan(a, b, C, tol, max_iter):
+        X, status = solve(a, b, C, tol, max_iter)
+        if defect == "rows":
+            X = np.outer(np.full(a.size, 1.0 / a.size), b)
+        elif defect == "cols":
+            X = np.outer(a, np.full(b.size, 1.0 / b.size))
+        else:   # a cycle keeps both marginals and drives X[0, 0] below 0
+            t = X[0, 0] + 1e-6
+            X = X.copy()
+            X[[0, 1], [0, 1]] -= t
+            X[[0, 1], [1, 0]] += t
+        return X, status
+
+    monkeypatch.setattr(_kernels, "transport_simplex", bad_plan)
+    with pytest.raises(OTError, match="marginals"):
+        wpp_mcf(mu, nu, 2.0)
+
+
 def test_wpp_mcf_refuses_oversize_before_costs(monkeypatch):
     half = MAX_MCF_ATOMS // 2 + 1
     space = FiniteMetricSpace.from_points(np.zeros((2 * half, 1)))
