@@ -3,6 +3,10 @@
 The transportation LP is solved by HiGHS's dual revised simplex
 (``scipy.optimize.linprog(method="highs-ds")``) and its optimum is
 re-checked here against a dual certificate.
+
+Each scipy submodule is imported inside the kernel that calls it: loading
+``scipy.optimize`` alone takes most of a second, and a subcommand that
+never solves an LP or builds a kd-tree should not pay for it.
 """
 
 from __future__ import annotations
@@ -10,9 +14,6 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
-from scipy.spatial import cKDTree
 
 
 def backend() -> str:
@@ -65,6 +66,8 @@ def greedy_cover_pts(pts, delta, stop=None):
     last query's rate per tentative (the first block assumes every point
     is a neighbour).
     """
+    from scipy.spatial import cKDTree
+
     n = pts.shape[0]
     # relative epsilon keeps points at exactly distance delta covered
     d2 = delta * delta * (1.0 + 1e-12)
@@ -141,6 +144,8 @@ def assign_nearest_mat(D):
 def _marginal_constraints(m, n):
     """CSR (m+n) x (m*n) matrix mapping a row-major plan to its row sums
     followed by its column sums."""
+    from scipy.sparse import csr_array
+
     cells = np.arange(m * n)
     indices = np.concatenate((cells, cells.reshape(m, n).T.ravel()))
     indptr = np.concatenate((np.arange(m + 1) * n,
@@ -157,6 +162,8 @@ def transport_simplex(a, b, C, tol, max_iter):
     C - u - v is >= -tol; status 1 on any HiGHS failure (including the
     max_iter cap) or a failed certificate.
     """
+    from scipy.optimize import linprog
+
     m, n = C.shape
     # At HiGHS's default dual feasibility tolerance (1e-7) it stops on
     # bases with reduced costs near -7e-8 in about 1 of 3,000 random 2-D

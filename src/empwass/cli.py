@@ -149,6 +149,8 @@ def _cmd_bound(args):
                 row.update(_eval_formula(args.formula, x, int(n), params))
             except (bc.BoundError, KeyError) as exc:
                 row["error"] = str(exc)
+            except OverflowError as exc:   # a float power past 1.8e308
+                row["error"] = f"float overflow: {exc}"
             rows.append(row)
     return 0, {"bounds.csv": rows}, f"wrote {len(rows)} rows"
 

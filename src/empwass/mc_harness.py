@@ -4,14 +4,13 @@ almost-sure checks, and verification of the partial-sum inequalities."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .bound_catalog import as_rate_normalizer, classify_regime
 from .measures import SyntheticSampler, uniform_pair
@@ -139,6 +138,13 @@ def _run_block(task) -> np.ndarray:
 # with R * n.
 _BLOCK_VALUES = 1 << 17
 
+# The scipy modules each estimator's replicates load. The kernels import
+# them on first use; a pool's parent imports them before it forks, so the
+# workers inherit them instead of each importing them again.
+_ESTIMATOR_SCIPY = {"dyadic": ("scipy.spatial",),
+                    "mcf-two-sample": ("scipy.optimize", "scipy.sparse"),
+                    "1d-quantile": ()}
+
 
 def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
     """Per-n arrays of W_p^p samples, reproducible for any worker count.
@@ -146,7 +152,8 @@ def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
     Each n's replicates are cut into contiguous blocks of
     ceil(R / (4 workers)) replicates, at least 8, at most
     _BLOCK_VALUES / n; one process pool serves every block of the
-    experiment and returns them in order.
+    experiment and returns them in order. Before the pool forks, the
+    parent imports the scipy modules of the spec's estimator.
     """
     anti = None
     if spec.estimator == "1d-quantile":
@@ -160,6 +167,9 @@ def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
         tasks += [(spec, anti, n, range(s, min(s + step, R)))
                   for s in range(0, R, step)]
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        for name in _ESTIMATOR_SCIPY[spec.estimator]:
+            importlib.import_module(name)
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
@@ -359,7 +369,9 @@ def fit_bound_constant(report: ExperimentReport,
 def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
                       seed: int) -> dict:
     """One trajectory of the normalized statistic a_k * W_p^p(L_k, ref)
-    at dyadic checkpoints k; evidence (not proof) of a.s. boundedness."""
+    at dyadic checkpoints k; evidence (not proof) of a.s. boundedness.
+    ``max_normalized`` is None when the sampler has no alpha, so no row
+    was normalized."""
     _require_finite_moment(sampler, p)
     md = sampler.metadata()
     alpha = md.get("alpha")
@@ -388,7 +400,7 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
                      "normalized": norm * w if alpha else float("nan")})
     normed = [r["normalized"] for r in rows if not math.isnan(r["normalized"])]
     return {"sampler": md, "p": p, "seed": seed, "rows": rows,
-            "max_normalized": max(normed) if normed else 0.0}
+            "max_normalized": max(normed) if normed else None}
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +421,7 @@ def _xi_norm(dist: str, a: float, r: float) -> float:
         def f(u):
             return abs(u ** (-1.0 / a) - mean) ** r
 
+        from scipy import integrate
         val, _ = integrate.quad(f, 0.0, 1.0, limit=200)
         return val ** (1.0 / r)
     raise HarnessError(f"unknown distribution {dist!r}")

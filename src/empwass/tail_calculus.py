@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .measures import DiscreteMeasure, MeasureError, SyntheticSampler
 
@@ -134,6 +133,7 @@ class TailProfile:
         top = self.max_dist()
         if math.isinf(top):  # exp-radial: cut where H^exponent is negligible
             top = (745.0 / (s.lam * exponent)) ** (1.0 / s.kappa) * s.scale
+        from scipy import integrate
         val, err = integrate.quad(f, 0.0, top, limit=400)
         return float(val), float(err)
 

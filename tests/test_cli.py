@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -279,6 +280,84 @@ def test_bound_subcommand_csv(tmp_path):
     assert rc == 0
     lines = (out / "bounds.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + 4 rows
+
+
+@pytest.mark.parametrize("formula", ["fuk-nagaev", "moderate"])
+def test_bound_overflow_is_a_row_error(tmp_path, formula):
+    # r = 3 at x = 1e200: x ** r overflows a float
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({
+        "params": {"p": 1, "r": 3, "q": 4, "alpha": 1, "weak_rp": 1,
+                   "i2pp": 1, "iap": 1, "rho": 0.8},
+        "n_grid": [10], "x_grid": [1.0, 1e200]}))
+    out = tmp_path / "b"
+    assert _run(["bound", "--formula", formula, "--grid", str(spec),
+                 "--out", str(out)]) == 0
+    with open(out / "bounds.csv", newline="") as f:
+        ok, big = csv.DictReader(f)
+    assert ok["error"] == "" and ok["applicable"] == "True"
+    assert big["error"].startswith("float overflow")
+
+
+def test_asrun_without_alpha_reports_null(tmp_path, capsys):
+    out = tmp_path / "as"
+    assert _run(["asrun", "--sampler", "pareto-radial:3:1", "--p", "1",
+                 "--nmax", "256", "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"max_normalized": None}
+    assert json.loads((out / "asrun.json").read_text())[
+        "max_normalized"] is None
+
+
+# Run in a fresh interpreter: which scipy solver modules are loaded after
+# importing the CLI, after a 1-D tail run, and when a rate run's pool of
+# workers is built (recorded by wrapping ProcessPoolExecutor.__init__).
+_IMPORT_PROBE = """
+import json, sys
+from concurrent.futures import process
+
+SOLVERS = ("scipy.optimize", "scipy.sparse", "scipy.spatial",
+           "scipy.integrate")
+seen = {}
+
+def loaded():
+    return sorted(m for m in SOLVERS if m in sys.modules)
+
+init = process.ProcessPoolExecutor.__init__
+def probe(self, *args, **kwargs):
+    seen["pool"] = loaded()
+    init(self, *args, **kwargs)
+process.ProcessPoolExecutor.__init__ = probe
+
+from empwass.cli import main
+seen["import"] = loaded()
+out = sys.argv[1]
+assert main(["tail", "--sampler", "uniform-cube:1", "--p", "1",
+             "--estimator", "1d-quantile", "--ngrid", "16:32",
+             "--reps", "1000", "--xgrid", "0.1", "--seed", "0",
+             "--workers", "1", "--out", out + "/tail"]) == 0
+seen["tail"] = loaded()
+assert "pool" not in seen
+assert main(["rate", "--sampler", "uniform-cube:2", "--p", "1",
+             "--estimator", "mcf-two-sample", "--ngrid", "8:32",
+             "--reps", "30", "--seed", "0", "--workers", "2",
+             "--out", out + "/rate"]) == 0
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["tail"] == []
+    # the parent imports the estimator's solver before the pool forks
+    assert "scipy.optimize" in seen["pool"]
+    assert "scipy.sparse" in seen["pool"]
 
 
 def test_rings_subcommand(tmp_path):

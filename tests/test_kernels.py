@@ -97,9 +97,12 @@ def test_transport_iteration_cap_reports_failure(rng):
 
 def test_transport_rejects_uncertified_optimum(rng, monkeypatch):
     # HiGHS reports "optimal" for the reversed costs; that plan and its
-    # duals cannot pass the reduced-cost certificate for C itself
-    solve = K.linprog
-    monkeypatch.setattr(K, "linprog",
+    # duals cannot pass the reduced-cost certificate for C itself.
+    # transport_simplex imports linprog from scipy.optimize at each call,
+    # so the patch goes there.
+    import scipy.optimize
+    solve = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
                         lambda c, **kw: solve(c.max() - c, **kw))
     m = 6
     a = np.full(m, 1.0 / m)

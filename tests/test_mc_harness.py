@@ -226,6 +226,15 @@ def test_as_trajectory_bounded_and_deterministic():
     assert out1["max_normalized"] < 10.0
 
 
+def test_as_trajectory_without_alpha_has_no_max():
+    # pareto-radial carries no covering dimension, so no row is normalized
+    # and there is no maximum to report
+    out = run_as_trajectory(sampler_from_string("pareto-radial:3:1"), 1.0,
+                            256, seed=0)
+    assert all(math.isnan(r["normalized"]) for r in out["rows"])
+    assert out["max_normalized"] is None
+
+
 def test_verify_appendix_rademacher_r2_is_tight():
     out = verify_appendix_inequalities("rademacher", 2.0, (64, 128, 256),
                                        R=1500, seed=9)
