@@ -15,8 +15,6 @@ from typing import Dict, Optional
 
 E2 = math.e ** 2
 
-REGIMES = ("alpha_lt_2p", "alpha_eq_2p", "alpha_gt_2p")
-
 
 class BoundError(ValueError):
     pass

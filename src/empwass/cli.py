@@ -51,13 +51,6 @@ def _parse_xgrid(text: str):
     return tuple(float(t) for t in text.split(","))
 
 
-def _echo_config(args, outdir: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    _write_json(outdir, "effective-config.json",
-                {k: v for k, v in vars(args).items()
-                 if k != "func" and v is not None})
-
-
 def _write_json(outdir: str, name: str, payload) -> None:
     with open(os.path.join(outdir, name), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True, default=str)
@@ -437,7 +430,10 @@ def main(argv=None) -> int:
         return 2
     try:
         code, files, summary = args.func(args)
-        _echo_config(args, args.out)
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(args.out, "effective-config.json",
+                    {k: v for k, v in vars(args).items()
+                     if k != "func" and v is not None})
         for name, payload in files.items():
             write = _write_csv if name.endswith(".csv") else _write_json
             write(args.out, name, payload)

@@ -4,10 +4,9 @@ almost-sure checks, and verification of the partial-sum inequalities."""
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,8 +14,8 @@ import numpy as np
 from .bound_catalog import as_rate_normalizer, classify_regime
 from .measures import SyntheticSampler, uniform_pair
 from .multiscale import auto_k_star, build_partition_tree, dyadic_wpp_bound
-from .ot_exact import (check_quantile_monotone, wpp_1d_arrays,
-                       wpp_1d_vs_quantile, wpp_mcf, wpp_rows_vs_quantile)
+from .ot_exact import (check_quantile_monotone, wpp_1d_arrays, wpp_mcf,
+                       wpp_rows_vs_quantile)
 
 
 class HarnessError(ValueError):
@@ -56,6 +55,7 @@ class ExperimentSpec:
                 raise HarnessError("1d-quantile needs a 1D sampler with a "
                                    "closed-form quantile")
             _require_finite_moment(self.sampler, self.p)
+            check_quantile_monotone(self.sampler.quantile)
         seen = {}
         for x in self.x_grid:
             key = f"tail_x{x:g}"
@@ -95,22 +95,24 @@ def _quantile_antideriv(sampler: SyntheticSampler, p: float):
     return None
 
 
-def _one_replicate(args) -> float:
-    """One replicate of a two-sample estimator (mcf-two-sample, dyadic)."""
-    sampler, p, estimator, m_ref, k_star, master, n, rep = args
-    if estimator == "1d-quantile":
+def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
+    """Replicate `rep` of size n of a two-sample estimator (mcf-two-sample,
+    dyadic)."""
+    if spec.estimator == "1d-quantile":
         raise HarnessError("1d-quantile replicates run as one row block")
-    rng = replicate_seed(master, n, rep)
+    sampler, p = spec.sampler, spec.p
+    rng = replicate_seed(spec.seed, n, rep)
     pts = sampler.draw(n, rng)
-    m = m_ref if m_ref is not None else n
+    m = spec.m_ref if spec.m_ref is not None else n
     ref = sampler.draw(m, rng)
-    if estimator == "mcf-two-sample" and sampler.d == 1:
+    if spec.estimator == "mcf-two-sample" and sampler.d == 1:
         return wpp_1d_arrays(pts[:, 0], np.full(n, 1.0 / n),
                              ref[:, 0], np.full(m, 1.0 / m), p)
     space, mu, nu = uniform_pair(pts, ref)
-    if estimator == "mcf-two-sample":
+    if spec.estimator == "mcf-two-sample":
         return wpp_mcf(mu, nu, p)[0].value
     # dyadic upper bound between sample and reference sample
+    k_star = spec.k_star
     if not k_star:   # 0 or None: depth grows with n
         alpha = sampler.metadata().get("alpha") or 2.0 * p
         k_star = auto_k_star(n, alpha)
@@ -122,28 +124,20 @@ def _run_block(task) -> np.ndarray:
     """W_p^p of the replicates `reps` of one n. For 1d-quantile every
     replicate is one sorted row of an (R, n) block evaluated in one call;
     the two-sample estimators run replicate by replicate."""
-    spec, anti, n, reps = task
+    spec, n, reps = task
     if spec.estimator == "1d-quantile":
         rows = [spec.sampler.draw(n, replicate_seed(spec.seed, n, rep))[:, 0]
                 for rep in reps]
-        values, _ = wpp_rows_vs_quantile(np.sort(np.stack(rows), axis=1),
-                                         spec.sampler.quantile, spec.p, anti)
+        values, _ = wpp_rows_vs_quantile(
+            np.sort(np.stack(rows), axis=1), spec.sampler.quantile, spec.p,
+            _quantile_antideriv(spec.sampler, spec.p))
         return values
-    return np.asarray([
-        _one_replicate((spec.sampler, spec.p, spec.estimator, spec.m_ref,
-                        spec.k_star, spec.seed, n, rep)) for rep in reps])
+    return np.asarray([_one_replicate(spec, n, rep) for rep in reps])
 
 
 # Sample values per block at most, so a block's memory does not grow
 # with R * n.
 _BLOCK_VALUES = 1 << 17
-
-# The scipy modules each estimator's replicates load. The kernels import
-# them on first use; a pool's parent imports them before it forks, so the
-# workers inherit them instead of each importing them again.
-_ESTIMATOR_SCIPY = {"dyadic": ("scipy.spatial",),
-                    "mcf-two-sample": ("scipy.optimize", "scipy.sparse"),
-                    "1d-quantile": ()}
 
 
 def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
@@ -152,33 +146,31 @@ def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
     Each n's replicates are cut into contiguous blocks of
     ceil(R / (4 workers)) replicates, at least 8, at most
     _BLOCK_VALUES / n; one process pool serves every block of the
-    experiment and returns them in order. Before the pool forks, the
-    parent imports the scipy modules of the spec's estimator.
+    experiment and returns them in order.
     """
-    anti = None
-    if spec.estimator == "1d-quantile":
-        check_quantile_monotone(spec.sampler.quantile)
-        anti = _quantile_antideriv(spec.sampler, spec.p)
     R = spec.replicates
     size = max(8, -(-R // (4 * spec.workers)))
     tasks = []
     for n in spec.n_grid:
         step = max(1, min(size, _BLOCK_VALUES // n))
-        tasks += [(spec, anti, n, range(s, min(s + step, R)))
+        tasks += [(spec, n, range(s, min(s + step, R)))
                   for s in range(0, R, step)]
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        for name in _ESTIMATOR_SCIPY[spec.estimator]:
-            importlib.import_module(name)
+        if spec.estimator != "1d-quantile":
+            # One replicate in the parent (value discarded) loads the scipy
+            # modules its kernels import on first use, so the forked
+            # workers inherit them instead of each importing them again.
+            # A 1d-quantile block imports no scipy module: there the
+            # replicate would only add numpy.random and, through
+            # `secrets`, OpenSSL to the parent (+6 MB peak RSS).
+            _one_replicate(spec, spec.n_grid[0], 0)
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
         blocks = [_run_block(t) for t in tasks]
-    out = []
-    for n in spec.n_grid:
-        out.append(np.concatenate([b for t, b in zip(tasks, blocks)
-                                   if t[2] == n]))
-    return out
+    return [np.concatenate([b for t, b in zip(tasks, blocks) if t[1] == n])
+            for n in spec.n_grid]
 
 
 @dataclass
@@ -191,7 +183,6 @@ class ExperimentReport:
     corrected_slope: Optional[float] = None
     corrected_r2: Optional[float] = None
     degenerate: bool = False
-    values: Optional[List[np.ndarray]] = None   # raw samples, not serialized
 
     def to_dict(self) -> dict:
         return {
@@ -251,7 +242,7 @@ def run_rate_experiment(spec: ExperimentSpec) -> ExperimentReport:
     values = _run_replicates(spec)
     per_n = [_stats_row(n, v, spec.x_grid)
              for n, v in zip(spec.n_grid, values)]
-    report = ExperimentReport(spec, per_n, values=values)
+    report = ExperimentReport(spec, per_n)
 
     means = np.array([r["mean"] for r in per_n])
     ns = np.array(spec.n_grid, dtype=float)
@@ -287,7 +278,7 @@ def run_tail_experiment(spec: ExperimentSpec) -> ExperimentReport:
     values = _run_replicates(spec)
     per_n = [_stats_row(n, v, spec.x_grid)
              for n, v in zip(spec.n_grid, values)]
-    return ExperimentReport(spec, per_n, values=values)
+    return ExperimentReport(spec, per_n)
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
@@ -373,6 +364,13 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
     ``max_normalized`` is None when the sampler has no alpha, so no row
     was normalized."""
     _require_finite_moment(sampler, p)
+    point_mass = sampler.family == "point-mass"
+    if not point_mass:
+        if sampler.d != 1 or sampler.quantile(np.asarray([0.5])) is None:
+            raise HarnessError("trajectories need a 1D sampler with a "
+                               "closed-form quantile (or point-mass)")
+        check_quantile_monotone(sampler.quantile)
+        anti = _quantile_antideriv(sampler, p)
     md = sampler.metadata()
     alpha = md.get("alpha")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -386,15 +384,11 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
         checkpoints.append(n_max)
     rows = []
     for k in checkpoints:
-        if sampler.family == "point-mass":
-            w = 0.0
-        elif sampler.d == 1 and sampler.quantile(np.asarray([0.5])) is not None:
-            w = wpp_1d_vs_quantile(
-                pts[:k, 0], sampler.quantile, p,
-                quantile_antideriv=_quantile_antideriv(sampler, p)).value
-        else:
-            raise HarnessError("trajectories need a 1D sampler with a "
-                               "closed-form quantile (or point-mass)")
+        w = 0.0
+        if not point_mass:
+            values, _ = wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
+                                             sampler.quantile, p, anti)
+            w = float(values[0])
         norm = as_rate_normalizer(k, p, alpha) if alpha else float("nan")
         rows.append({"k": int(k), "wpp": w,
                      "normalized": norm * w if alpha else float("nan")})

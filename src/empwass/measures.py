@@ -208,11 +208,6 @@ class SyntheticSampler:
 
     # -- analytic metadata ---------------------------------------------------
 
-    @property
-    def bounded(self) -> bool:
-        return self.family in ("point-mass", "uniform-cube", "uniform-cantor",
-                               "uniform-sphere")
-
     def metadata(self) -> dict:
         s = self.scale
         md: dict = {"family": self.family, "d": self.d, "scale": s}

@@ -101,9 +101,6 @@ class FiniteMetricSpace:
 
     # -- basic queries -----------------------------------------------------
 
-    def __len__(self) -> int:
-        return self._n
-
     @property
     def n(self) -> int:
         return self._n
@@ -206,7 +203,8 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
                     seed: int = 0) -> ValidationReport:
     """Check metric axioms.
 
-    Symmetry/nonnegativity/identity over all pairs; triangle inequality
+    Identity on every point. Symmetry/nonnegativity over all pairs when
+    n <= 2048, else over `trials` seeded random pairs; triangle inequality
     exhaustively when n <= 200, else over `trials` seeded random triples.
     """
     if trials < 1:
@@ -217,16 +215,21 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     def d(i, j):
         return D[i, j] if D is not None else space.dist(i, j)
 
-    pairs = 0
     if D is not None:
         pairs = n * n
         if np.any(np.isnan(D)):
             raise MetricError("distance matrix contains NaN entries")
         di = np.diag(D)
-        if np.any(di != 0):
-            i = int(np.argmax(di != 0))
-            return ValidationReport(False, n, pairs, 0, False,
-                                    ("identity", (i, i), float(di[i])))
+    else:
+        pairs = n
+        di = np.asarray([space.dist(i, i) for i in range(n)])
+        if np.any(np.isnan(di)):
+            raise MetricError("non-finite distance encountered")
+    if np.any(di != 0):
+        i = int(np.argmax(di != 0))
+        return ValidationReport(False, n, pairs, 0, False,
+                                ("identity", (i, i), float(di[i])))
+    if D is not None:
         asym = np.abs(D - D.T)
         if np.any(asym > 1e-12):
             i, j = map(int, np.argwhere(asym > 1e-12)[0])
@@ -281,10 +284,10 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
 
 # -- CSV I/O ----------------------------------------------------------------
 
-def load_points_csv(path) -> FiniteMetricSpace:
-    """Point cloud from CSV: one row per point, columns = coordinates."""
+def _read_rows(path) -> np.ndarray:
+    """The float rows of a CSV file, blank lines skipped; every row must be
+    as wide as the first. Errors name the file and the line."""
     rows = []
-    width = None
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
@@ -293,30 +296,24 @@ def load_points_csv(path) -> FiniteMetricSpace:
                 vals = [float(c) for c in row]
             except ValueError as exc:
                 raise MetricError(f"{path}: line {lineno}: {exc}") from None
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise MetricError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(vals)}")
+            if rows and len(vals) != len(rows[0]):
+                raise MetricError(f"{path}: line {lineno}: expected "
+                                  f"{len(rows[0])} columns, got {len(vals)}")
             rows.append(vals)
     if not rows:
         raise MetricError(f"{path}: no data rows")
-    return FiniteMetricSpace.from_points(np.asarray(rows))
+    return np.asarray(rows)
+
+
+def load_points_csv(path) -> FiniteMetricSpace:
+    """Point cloud from CSV: one row per point, columns = coordinates."""
+    return FiniteMetricSpace.from_points(_read_rows(path))
 
 
 def load_matrix_csv(path) -> FiniteMetricSpace:
     """Explicit distance matrix from CSV (square)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise MetricError(f"{path}: line {lineno}: {exc}") from None
-    D = np.asarray(rows)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+    D = _read_rows(path)
+    if D.shape[0] != D.shape[1]:
         raise MetricError(f"{path}: matrix is not square (shape {D.shape})")
     return FiniteMetricSpace.from_matrix(D)
 

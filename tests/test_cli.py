@@ -309,8 +309,9 @@ def test_asrun_without_alpha_reports_null(tmp_path, capsys):
 
 
 # Run in a fresh interpreter: which scipy solver modules are loaded after
-# importing the CLI, after a 1-D tail run, and when a rate run's pool of
-# workers is built (recorded by wrapping ProcessPoolExecutor.__init__).
+# importing the CLI, after a 1-D tail run, and when each rate run's pool of
+# workers is built (recorded by wrapping ProcessPoolExecutor.__init__):
+# first a 1-D mcf-two-sample run, which never solves, then a 3-D one.
 _IMPORT_PROBE = """
 import json, sys
 from concurrent.futures import process
@@ -324,7 +325,7 @@ def loaded():
 
 init = process.ProcessPoolExecutor.__init__
 def probe(self, *args, **kwargs):
-    seen["pool"] = loaded()
+    seen.setdefault("pool", []).append(loaded())
     init(self, *args, **kwargs)
 process.ProcessPoolExecutor.__init__ = probe
 
@@ -337,10 +338,12 @@ assert main(["tail", "--sampler", "uniform-cube:1", "--p", "1",
              "--workers", "1", "--out", out + "/tail"]) == 0
 seen["tail"] = loaded()
 assert "pool" not in seen
-assert main(["rate", "--sampler", "uniform-cube:2", "--p", "1",
-             "--estimator", "mcf-two-sample", "--ngrid", "8:32",
-             "--reps", "30", "--seed", "0", "--workers", "2",
-             "--out", out + "/rate"]) == 0
+for d in (1, 3):
+    assert main(["rate", "--sampler", f"uniform-cube:{d}", "--p", "1",
+                 "--estimator", "mcf-two-sample", "--ngrid", "8:32",
+                 "--reps", "30", "--seed", "0", "--workers", "2",
+                 "--out", f"{out}/rate{d}"]) == 0
+    seen[f"rate{d}"] = loaded()
 print(json.dumps(seen))
 """
 
@@ -355,9 +358,11 @@ def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["tail"] == []
-    # the parent imports the estimator's solver before the pool forks
-    assert "scipy.optimize" in seen["pool"]
-    assert "scipy.sparse" in seen["pool"]
+    # a 1-D two-sample replicate never solves, so nothing is loaded
+    assert seen["pool"][0] == seen["rate1"] == []
+    # the parent's warm-up replicate loads the solver before the pool forks
+    assert "scipy.optimize" in seen["pool"][1]
+    assert "scipy.sparse" in seen["pool"][1]
 
 
 def test_rings_subcommand(tmp_path):

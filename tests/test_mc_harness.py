@@ -95,8 +95,7 @@ def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
                     sampler.quantile, p, quantile_antideriv=anti).value
                     for rep in range(R)])
             else:
-                want.append([_one_replicate((sampler, p, est, m_ref, k_star,
-                                             19, n, rep))
+                want.append([_one_replicate(spec, n, rep)
                              for rep in range(R)])
         want = [np.asarray(w, dtype=float) for w in want]
         for workers in (1, 2, 3):

@@ -147,6 +147,17 @@ def test_validate_metric_catches_asymmetry():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_validate_metric_checks_identity_in_both_regimes(n):
+    # n <= 2048 reads the dense matrix, n > 2048 samples pairs; both must
+    # report the first nonzero self-distance
+    i = np.arange(n, dtype=float)
+    s = FiniteMetricSpace.from_matrix(np.abs(i[:, None] - i[None, :]) + 1.0)
+    rep = validate_metric(s)
+    assert not rep.passed
+    assert rep.violation == ("identity", (0, 0), 1.0)
+
+
 def test_points_csv_roundtrip(tmp_path):
     pts = np.random.default_rng(3).random((17, 2))
     path = tmp_path / "pts.csv"
@@ -160,6 +171,15 @@ def test_points_csv_malformed_reports_line(tmp_path):
     path.write_text("0.1,0.2\n0.3\n0.5,0.6\n")
     with pytest.raises(MetricError, match="line 2"):
         load_points_csv(path)
+
+
+@pytest.mark.parametrize("text", ["0,1\n1,0,5\n", "\n0,1\n1,zero\n"])
+def test_matrix_csv_malformed_reports_line(tmp_path, text):
+    # a ragged or non-numeric row names the file and its line, as for points
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MetricError, match=r"bad\.csv: line (2|3): "):
+        load_matrix_csv(path)
 
 
 def test_matrix_csv_rejects_nonsquare(tmp_path):

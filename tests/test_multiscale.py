@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from empwass.mc_harness import _one_replicate
+from empwass.mc_harness import ExperimentSpec, _one_replicate
 from empwass.measures import DiscreteMeasure, sample, sampler_from_string
 from empwass.metric_core import FiniteMetricSpace, diameter
 from empwass.multiscale import (DegenerateFitError, MultiscaleError,
@@ -315,8 +315,9 @@ def test_partition_tree_golden():
                           "cells (64) than one global greedy cover at the "
                           "next scale (63), so the cap rejects a valid tree")
 def test_known_cap_defect_uniform_square():
-    sampler = sampler_from_string("uniform-cube:2")
-    _one_replicate((sampler, 1.0, "dyadic", None, 0, 1, 32, 26))
+    spec = ExperimentSpec(sampler_from_string("uniform-cube:2"), 1.0,
+                          "dyadic", (32,), 1, seed=1, k_star=0)
+    _one_replicate(spec, 32, 26)
 
 
 @st.composite
