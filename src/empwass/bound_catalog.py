@@ -20,12 +20,12 @@ class BoundError(ValueError):
     pass
 
 
-def classify_regime(alpha: float, p: float, tol: float = 1e-12) -> str:
-    """Dispatch on alpha vs 2p (exact equality with documented tolerance)."""
+def classify_regime(alpha: float, p: float) -> str:
+    """Dispatch on alpha vs 2p (|alpha - 2p| <= 1e-12 counts as equal)."""
     if alpha <= 0 or p <= 0:
         raise BoundError("alpha and p must be positive")
     gap = alpha - 2.0 * p
-    if abs(gap) <= tol:
+    if abs(gap) <= 1e-12:
         return "alpha_eq_2p"
     if 0 < abs(gap) < 1e-9:
         warnings.warn(
@@ -85,10 +85,11 @@ def hoeffding_bound(x: float, n: int, p: float, alpha: float, Delta: float,
     """P(W_p^p > x) bound for measures supported on a set of diameter Delta."""
     if x <= 0:
         raise BoundError("x must be positive")
-    if x > Delta ** p:
+    delta_p = float(Delta) ** p   # float: never an exact integer power
+    if x > delta_p:
         return 0.0
     regime = classify_regime(alpha, p)
-    scale = C * Delta ** p
+    scale = C * delta_p
     if regime == "alpha_lt_2p":
         expo = n * (x / scale) ** 2
     elif regime == "alpha_gt_2p":
@@ -125,7 +126,7 @@ def default_cap(p: float, strong_moment_p: float) -> float:
 
 
 def main_term_bound(x: float, n: int, p: float, alpha: float, i_val: float,
-                    cap: float, C: float = 1.0) -> BoundResult:
+                    cap: float = math.inf, C: float = 1.0) -> BoundResult:
     """Exponential deviation bound for the shared-mass transport term.
 
     i_val is the regime's tail integral (I_{alpha,p} when alpha > 2p,
@@ -213,7 +214,8 @@ def fuk_nagaev_bound(x: float, n: int, p: float, alpha: float,
             return _na("the r > 2 bullet needs q > r")
         if not math.isfinite(i2pp):
             return _na("I_{2p,p} must be finite for the r > 2 bullet")
-        poly = {"poly_i2pp_q": Cpoly * i2pp ** q / (x ** q * n ** (q / 2.0)),
+        poly = {"poly_i2pp_q":
+                Cpoly * float(i2pp) ** q / (x ** q * n ** (q / 2.0)),
                 **poly}
     exp_i = iap if regime == "alpha_gt_2p" else i2pp
     v = _main_exp(x, n, p, alpha, regime, exp_i, cap, C)
@@ -262,7 +264,7 @@ def moderate_deviation_bound(x: float, n: int, rho: float, p: float,
 # ---------------------------------------------------------------------------
 
 def bernstein_bound(x: float, n: int, kappa: float, p: float, alpha: float,
-                    i_val: float, cap: float, C: float = 1.0,
+                    i_val: float, cap: float = math.inf, C: float = 1.0,
                     C1: float = 1.0, C2: float = 1.0,
                     eps: Optional[float] = None) -> BoundResult:
     """Tail bound when exp(lam * d(x0,X)^kappa) is integrable.

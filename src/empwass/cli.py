@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import json
-import math
 import os
 import sys
 
@@ -130,65 +130,64 @@ def _cmd_rings(args):
             json.dumps({"bound": mb.total, "exact": v.value}))
 
 
+# `bound --formula` name -> catalog function
+_FORMULAS = {
+    "moment": bc.moment_bound,
+    "hoeffding": bc.hoeffding_bound,
+    "main-term": bc.main_term_bound,
+    "fuk-nagaev": bc.fuk_nagaev_bound,
+    "moderate": bc.moderate_deviation_bound,
+    "bernstein": bc.bernstein_bound,
+    "as-normalizer": bc.as_rate_normalizer,
+}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _read_grid(path: str):
+    """(x_grid, n_grid, params) of a `bound` grid file. x_grid and n_grid
+    must be lists of numbers (default [1.0] and [0]) and params an object
+    of numbers or nulls; a null param counts as absent."""
+    with open(path) as f:
+        grid = json.load(f)
+    if not isinstance(grid, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    xs, ns = grid.get("x_grid", [1.0]), grid.get("n_grid", [0])
+    params = grid.get("params", {})
+    for name, vals in (("x_grid", xs), ("n_grid", ns)):
+        if not (isinstance(vals, list) and all(map(_is_number, vals))):
+            raise ValueError(f"{path}: {name} is not a list of numbers")
+    if not (isinstance(params, dict)
+            and all(v is None or _is_number(v) for v in params.values())):
+        raise ValueError(f"{path}: params is not an object of numbers/nulls")
+    return xs, ns, {k: v for k, v in params.items() if v is not None}
+
+
 def _cmd_bound(args):
-    with open(args.grid) as f:
-        spec = json.load(f)
-    params = spec.get("params", {})
+    xs, ns, params = _read_grid(args.grid)
+    fn = _FORMULAS[args.formula]
+    names = inspect.signature(fn).parameters
     rows = []
-    for n in spec.get("n_grid", [0]):
-        for x in spec.get("x_grid", [1.0]):
+    for n in ns:
+        for x in xs:
             row = {"n": n, "x": x, "formula": args.formula}
             try:
-                row.update(_eval_formula(args.formula, x, int(n), params))
+                # alpha = 1 is the CLI's one default; x and n win over
+                # params; values[k] raises KeyError for the first
+                # required parameter without a value
+                values = {"alpha": 1.0, **params, "x": x, "n": int(n)}
+                res = fn(**{k: values[k] for k, prm in names.items()
+                            if k in values or prm.default is prm.empty})
+                row.update(res.to_dict() if isinstance(res, bc.BoundResult)
+                           else {"value": res})
             except (bc.BoundError, KeyError) as exc:
                 row["error"] = str(exc)
             except OverflowError as exc:   # a float power past 1.8e308
                 row["error"] = f"float overflow: {exc}"
             rows.append(row)
     return 0, {"bounds.csv": rows}, f"wrote {len(rows)} rows"
-
-
-def _eval_formula(formula: str, x: float, n: int, params: dict) -> dict:
-    p = float(params["p"])
-    alpha = float(params.get("alpha", 1.0))
-    C = float(params.get("C", 1.0))
-    if formula == "moment":
-        return {"value": bc.moment_bound(float(params["r"]), n, p, alpha, C)}
-    if formula == "hoeffding":
-        return {"value": bc.hoeffding_bound(x, n, p, alpha,
-                                            float(params["Delta"]), C)}
-    if formula == "main-term":
-        res = bc.main_term_bound(x, n, p, alpha, float(params["i_val"]),
-                                 float(params.get("cap", math.inf)), C)
-        return res.to_dict()
-    if formula == "fuk-nagaev":
-        res = bc.fuk_nagaev_bound(
-            x, n, p, alpha, r=params.get("r"), q=params.get("q"),
-            weak_rp=params.get("weak_rp"),
-            i2pp=float(params.get("i2pp", math.inf)),
-            iap=float(params.get("iap", math.inf)),
-            cap=float(params.get("cap", math.inf)), C=C,
-            Cpoly=float(params.get("Cpoly", 1.0)))
-        return res.to_dict()
-    if formula == "moderate":
-        res = bc.moderate_deviation_bound(
-            x, n, float(params["rho"]), p, alpha, r=params.get("r"),
-            weak_rp=params.get("weak_rp"),
-            i2pp=float(params.get("i2pp", math.inf)),
-            iap=float(params.get("iap", math.inf)),
-            Cpoly=float(params.get("Cpoly", 1.0)))
-        return res.to_dict()
-    if formula == "bernstein":
-        res = bc.bernstein_bound(
-            x, n, float(params["kappa"]), p, alpha,
-            i_val=float(params["i_val"]),
-            cap=float(params.get("cap", math.inf)), C=C,
-            C1=float(params.get("C1", 1.0)), C2=float(params.get("C2", 1.0)),
-            eps=params.get("eps"))
-        return res.to_dict()
-    if formula == "as-normalizer":
-        return {"value": bc.as_rate_normalizer(n, p, alpha)}
-    raise bc.BoundError(f"unknown formula {formula!r}")
 
 
 def _spec_from_args(args, need_x: bool = False) -> mc.ExperimentSpec:
@@ -334,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_rings)
 
     sp = sub.add_parser("bound", help="evaluate a bound formula on a grid")
-    sp.add_argument("--formula", required=True,
-                    choices=["moment", "hoeffding", "main-term", "fuk-nagaev",
-                             "moderate", "bernstein", "as-normalizer"])
+    sp.add_argument("--formula", required=True, choices=list(_FORMULAS))
     sp.add_argument("--grid", required=True,
                     help="JSON file {x_grid, n_grid, params}")
     _add_common(sp)
@@ -437,7 +434,7 @@ def main(argv=None) -> int:
         for name, payload in files.items():
             write = _write_csv if name.endswith(".csv") else _write_json
             write(args.out, name, payload)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(summary)

@@ -108,9 +108,10 @@ def ring_decompose(mu_a: DiscreteMeasure, mu_b: DiscreteMeasure,
                              excess_a, excess_b, mu_a, mu_b)
 
 
-def verify_reconstruction(dec: RingDecomposition, tol: float = 1e-12) -> None:
+def verify_reconstruction(dec: RingDecomposition) -> None:
     """Check mu = sum_i lam_i * (conditional on ring i) + lam * excess,
-    atomwise, for both measures."""
+    atomwise, for both measures, to an absolute 1e-12 per atom."""
+    tol = 1e-12
     for which in ("a", "b"):
         orig = dec.mu_a if which == "a" else dec.mu_b
         acc: Dict[int, float] = {}

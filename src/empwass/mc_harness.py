@@ -13,13 +13,17 @@ import numpy as np
 
 from .bound_catalog import as_rate_normalizer, classify_regime
 from .measures import SyntheticSampler, uniform_pair
-from .multiscale import auto_k_star, build_partition_tree, dyadic_wpp_bound
+from .multiscale import (auto_k_star, build_partition_tree, dyadic_wpp_bound,
+                         line_fit)
 from .ot_exact import (check_quantile_monotone, wpp_1d_arrays, wpp_mcf,
                        wpp_rows_vs_quantile)
 
 
 class HarnessError(ValueError):
     pass
+
+
+_DROP_SMALL = 2   # smallest n values left out of the rate fits
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,6 @@ class ExperimentSpec:
     x_grid: Tuple[float, ...] = ()
     m_ref: Optional[int] = None          # two-sample reference size (default n)
     k_star: int = 3                      # 0 = depth grows with n
-    drop_small: int = 2                  # smallest n values excluded from fits
     workers: int = 1
 
     def __post_init__(self):
@@ -51,13 +54,11 @@ class ExperimentSpec:
         if self.estimator not in ("mcf-two-sample", "1d-quantile", "dyadic"):
             raise HarnessError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "1d-quantile":
-            if self.sampler.quantile(np.asarray([0.5])) is None:
-                raise HarnessError("1d-quantile needs a 1D sampler with a "
-                                   "closed-form quantile")
-            _require_finite_moment(self.sampler, self.p)
-            check_quantile_monotone(self.sampler.quantile)
+            _check_quantile_sampler(self.sampler, self.p)
         seen = {}
         for x in self.x_grid:
+            if not math.isfinite(x):
+                raise HarnessError(f"x_grid values must be finite, got {x!r}")
             key = f"tail_x{x:g}"
             if key in seen:
                 raise HarnessError(f"x_grid values {seen[key]!r} and {x!r} "
@@ -70,7 +71,7 @@ class ExperimentSpec:
             "estimator": self.estimator, "n_grid": list(self.n_grid),
             "replicates": self.replicates, "seed": self.seed,
             "x_grid": list(self.x_grid), "m_ref": self.m_ref,
-            "k_star": self.k_star, "drop_small": self.drop_small,
+            "k_star": self.k_star, "drop_small": _DROP_SMALL,
         }
 
 
@@ -79,12 +80,17 @@ def replicate_seed(master: int, n: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master, n, rep]))
 
 
-def _require_finite_moment(sampler: SyntheticSampler, p: float) -> None:
-    """W_p^p to a Pareto(a) reference is infinite unless p < a."""
+def _check_quantile_sampler(sampler: SyntheticSampler, p: float) -> None:
+    """Refuse a sampler that is not 1-D with a closed-form, monotone
+    quantile, or with W_p^p to it infinite (Pareto(a) needs p < a)."""
+    if sampler.quantile(np.asarray([0.5])) is None:
+        raise HarnessError("1d-quantile and trajectories need a 1D sampler "
+                           "with a closed-form quantile")
     if sampler.family == "pareto-radial" and sampler.a <= p:
         raise HarnessError(
             f"pareto-radial with a = {sampler.a:g} has no finite moment of "
             f"order p = {p:g}: W_p^p to it is infinite (needs a > p)")
+    check_quantile_monotone(sampler.quantile)
 
 
 def _quantile_antideriv(sampler: SyntheticSampler, p: float):
@@ -220,11 +226,7 @@ def _stats_row(n: int, vals: np.ndarray, x_grid: Sequence[float]) -> dict:
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = slope * x + intercept
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, _, _, ss_res, r2 = line_fit(x, y)
     dof = max(x.size - 2, 1)
     se = math.sqrt(ss_res / dof / float(np.sum((x - x.mean()) ** 2)))
     return float(slope), se, r2
@@ -246,7 +248,7 @@ def run_rate_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     means = np.array([r["mean"] for r in per_n])
     ns = np.array(spec.n_grid, dtype=float)
-    drop = min(spec.drop_small, max(len(spec.n_grid) - 2, 0))
+    drop = min(_DROP_SMALL, max(len(spec.n_grid) - 2, 0))
     keep = slice(drop, None)
     if np.any(means[keep] <= 0.0):
         report.degenerate = True
@@ -281,11 +283,12 @@ def run_tail_experiment(spec: ExperimentSpec) -> ExperimentReport:
     return ExperimentReport(spec, per_n)
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int):
+    """95 % Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
     ph = k / n
+    z = 1.959963984540054   # two-sided 95 % normal quantile
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (ph + z2 / (2 * n)) / denom
@@ -311,9 +314,9 @@ class ConstantFit:
 
 
 def fit_bound_constant(report: ExperimentReport,
-                       bound_fn: Callable[[float, int, float], float],
-                       c_max: float = 1e9) -> ConstantFit:
-    """Smallest C with bound_fn(x, n, C) >= Wilson upper limit everywhere.
+                       bound_fn: Callable[[float, int, float], float]
+                       ) -> ConstantFit:
+    """Smallest C <= 1e9 with bound_fn(x, n, C) >= each Wilson upper limit.
 
     bound_fn must be nondecreasing in C. Falsification (no finite C)
     names the violating grid point.
@@ -336,10 +339,10 @@ def fit_bound_constant(report: ExperimentReport,
                 worst_gap = gap
         return worst, worst_gap
 
-    bad, gap = valid(c_max)
+    bad, gap = valid(1e9)
     if bad is not None:
         return ConstantFit(False, falsified_at=bad, gap=gap)
-    lo, hi = 1e-9, c_max
+    lo, hi = 1e-9, 1e9
     bad_lo, _ = valid(lo)
     if bad_lo is None:
         return ConstantFit(True, C=lo)
@@ -363,24 +366,21 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
     at dyadic checkpoints k; evidence (not proof) of a.s. boundedness.
     ``max_normalized`` is None when the sampler has no alpha, so no row
     was normalized."""
-    _require_finite_moment(sampler, p)
+    if not p >= 1:
+        raise HarnessError("p must be >= 1")
+    if n_max < 4:
+        raise HarnessError("n_max must be >= 4, the first checkpoint")
     point_mass = sampler.family == "point-mass"
     if not point_mass:
-        if sampler.d != 1 or sampler.quantile(np.asarray([0.5])) is None:
-            raise HarnessError("trajectories need a 1D sampler with a "
-                               "closed-form quantile (or point-mass)")
-        check_quantile_monotone(sampler.quantile)
+        _check_quantile_sampler(sampler, p)
         anti = _quantile_antideriv(sampler, p)
     md = sampler.metadata()
     alpha = md.get("alpha")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     pts = sampler.draw(n_max, rng)
-    checkpoints = []
-    k = 4
-    while k <= n_max:
-        checkpoints.append(k)
-        k *= 2
-    if checkpoints and checkpoints[-1] != n_max:
+    # k = 4, 8, 16, ... up to n_max, then n_max itself
+    checkpoints = [4 << i for i in range((n_max // 4).bit_length())]
+    if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
     rows = []
     for k in checkpoints:
@@ -389,9 +389,8 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
             values, _ = wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
                                              sampler.quantile, p, anti)
             w = float(values[0])
-        norm = as_rate_normalizer(k, p, alpha) if alpha else float("nan")
-        rows.append({"k": int(k), "wpp": w,
-                     "normalized": norm * w if alpha else float("nan")})
+        norm = as_rate_normalizer(k, p, alpha) * w if alpha else float("nan")
+        rows.append({"k": int(k), "wpp": w, "normalized": norm})
     normed = [r["normalized"] for r in rows if not math.isnan(r["normalized"])]
     return {"sampler": md, "p": p, "seed": seed, "rows": rows,
             "max_normalized": max(normed) if normed else None}
@@ -438,8 +437,15 @@ def verify_appendix_inequalities(dist: str, r: float,
 
     The mean-norm inequalities (square-function and order-(1,2] bounds)
     use their explicit constants; the maximal inequality's absolute
-    constant is fitted and reported.
+    constant is fitted and reported. Needs 1 < r < inf (no check applies
+    at r = 1), R >= 2 and, for pareto, a finite r-th moment (r < a).
     """
+    if not 1.0 < r < math.inf:
+        raise HarnessError(f"r must lie in (1, inf), got {r!r}")
+    if not R >= 2:
+        raise HarnessError(f"R must be >= 2 replicates, got {R!r}")
+    if dist == "pareto" and not r < a < math.inf:
+        raise HarnessError(f"pareto needs a tail index r < a < inf, got {a!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     xi_r = _xi_norm(dist, a, r)
     xi_2 = _xi_norm(dist, a, 2.0)

@@ -157,21 +157,19 @@ class SyntheticSampler:
     kappa: float = 0.0    # exp-radial shape
     lam: float = 0.0      # exp-radial rate
     ratio: float = 0.0    # cantor contraction ratio
-    scale: float = 1.0    # global metric scale factor
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise MeasureError(f"unknown sampler family {self.family!r}")
         if self.d < 1:
             raise MeasureError("dimension must be >= 1")
-        if self.family == "pareto-radial" and self.a <= 0:
+        if self.family == "pareto-radial" and not self.a > 0:
             raise MeasureError("pareto-radial needs tail index a > 0")
-        if self.family == "exp-radial" and (self.kappa <= 0 or self.lam <= 0):
+        if self.family == "exp-radial" and not (self.kappa > 0
+                                                and self.lam > 0):
             raise MeasureError("exp-radial needs kappa > 0 and lam > 0")
         if self.family == "uniform-cantor" and not (0 < self.ratio < 0.5):
             raise MeasureError("cantor ratio must lie in (0, 1/2)")
-        if self.scale <= 0:
-            raise MeasureError("scale must be positive")
 
     # -- sampling ----------------------------------------------------------
 
@@ -187,7 +185,7 @@ class SyntheticSampler:
             bits = rng.integers(0, 2, size=(n, _CANTOR_DEPTH)).astype(float)
             r = self.ratio
             pows = r ** np.arange(_CANTOR_DEPTH)
-            pts = ((1.0 - r) * bits @ pows)[:, None]
+            pts = ((1.0 - r) * bits @ pows).reshape(n, 1)
         elif f == "uniform-sphere":
             pts = self._sphere(n, rng)
         elif f == "pareto-radial":
@@ -198,7 +196,7 @@ class SyntheticSampler:
             pts = self._sphere(n, rng) * rad[:, None]
         else:  # pragma: no cover
             raise AssertionError(f)
-        return pts * self.scale
+        return pts
 
     def _sphere(self, n, rng):
         if self.d == 1:
@@ -209,19 +207,19 @@ class SyntheticSampler:
     # -- analytic metadata ---------------------------------------------------
 
     def metadata(self) -> dict:
-        s = self.scale
-        md: dict = {"family": self.family, "d": self.d, "scale": s}
+        # "scale" (always 1.0) stays so that recorded outputs keep their bytes
+        md: dict = {"family": self.family, "d": self.d, "scale": 1.0}
         f = self.family
         if f == "point-mass":
             md.update(alpha=0.0, delta_diam=0.0, x0=[0.0] * self.d)
         elif f == "uniform-cube":
-            md.update(alpha=float(self.d), delta_diam=s * float(np.sqrt(self.d)),
+            md.update(alpha=float(self.d), delta_diam=float(np.sqrt(self.d)),
                       x0=[0.0] * self.d)
         elif f == "uniform-cantor":
             md.update(alpha=float(np.log(2.0) / np.log(1.0 / self.ratio)),
-                      delta_diam=s, x0=[0.0], ratio=self.ratio)
+                      delta_diam=1.0, x0=[0.0], ratio=self.ratio)
         elif f == "uniform-sphere":
-            md.update(alpha=float(max(self.d - 1, 1)), delta_diam=2.0 * s,
+            md.update(alpha=float(max(self.d - 1, 1)), delta_diam=2.0,
                       x0=[0.0] * self.d)
         elif f == "pareto-radial":
             md.update(a=self.a, x0=[0.0] * self.d)
@@ -231,7 +229,7 @@ class SyntheticSampler:
 
     # tail function H(t) = mu(B(x0, t)^c) with x0 the origin
     def tail(self, t):
-        t = np.asarray(t, dtype=float) / self.scale
+        t = np.asarray(t, dtype=float)
         f = self.family
         if f == "point-mass":
             return np.where(t >= 0, 0.0, 1.0)
@@ -247,9 +245,6 @@ class SyntheticSampler:
         if f == "exp-radial":
             return np.where(t < 0, 1.0, np.exp(-self.lam * np.maximum(t, 0.0) ** self.kappa))
         return None  # no closed form (e.g. uniform-cube d >= 2)
-
-    def has_analytic_tail(self) -> bool:
-        return not (self.family == "uniform-cube" and self.d > 1)
 
     def _cantor_cdf(self, x):
         x = np.array(x, dtype=float)
@@ -273,7 +268,7 @@ class SyntheticSampler:
     def cdf(self, x):
         if self.d != 1:
             return None
-        x = np.asarray(x, dtype=float) / self.scale
+        x = np.asarray(x, dtype=float)
         f = self.family
         if f == "point-mass":
             return (x >= 0).astype(float)
@@ -297,28 +292,25 @@ class SyntheticSampler:
             return None
         u = np.asarray(u, dtype=float)
         f = self.family
-        q = None
         if f == "point-mass":
-            q = np.zeros_like(u)
-        elif f == "uniform-cube":
-            q = u.copy()
-        elif f == "pareto-radial":
+            return np.zeros_like(u)
+        if f == "uniform-cube":
+            return u.copy()
+        if f == "pareto-radial":
             lowu = np.minimum(2.0 * u, 1.0)
             highu = np.minimum(2.0 * (1.0 - u), 1.0)
             with np.errstate(divide="ignore"):
-                q = np.where(u < 0.5,
-                             -np.maximum(lowu, 1e-300) ** (-1.0 / self.a),
-                             np.maximum(highu, 1e-300) ** (-1.0 / self.a))
-        elif f == "exp-radial":
+                return np.where(u < 0.5,
+                                -np.maximum(lowu, 1e-300) ** (-1.0 / self.a),
+                                np.maximum(highu, 1e-300) ** (-1.0 / self.a))
+        if f == "exp-radial":
             w = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
             w = np.maximum(w, 1e-300)
             rad = (-np.log(w) / self.lam) ** (1.0 / self.kappa)
-            q = np.where(u < 0.5, -rad, rad)
-        elif f == "uniform-sphere":
-            q = np.where(u < 0.5, -1.0, 1.0)
-        if q is None:
-            return None
-        return q * self.scale
+            return np.where(u < 0.5, -rad, rad)
+        if f == "uniform-sphere":
+            return np.where(u < 0.5, -1.0, 1.0)
+        return None
 
     def quantile_antideriv(self, u):
         """Q(u) = integral of the quantile from 0 to u (closed forms only)."""
@@ -329,15 +321,15 @@ class SyntheticSampler:
         if f == "point-mass":
             return np.zeros_like(u)
         if f == "uniform-cube":
-            return self.scale * 0.5 * u * u
+            return 0.5 * u * u
         if f == "uniform-sphere":
-            return self.scale * np.where(u < 0.5, -u, u - 1.0)
+            return np.where(u < 0.5, -u, u - 1.0)
         if f == "pareto-radial" and self.a > 1.0:
             a = self.a
             c = 1.0 - 1.0 / a
             lo = -(0.5 / c) * np.minimum(2.0 * u, 1.0) ** c
             hi = -(0.5 / c) + (0.5 / c) * (1.0 - np.minimum(2.0 * (1 - u), 1.0) ** c)
-            return self.scale * np.where(u < 0.5, lo, hi)
+            return np.where(u < 0.5, lo, hi)
         return None
 
 

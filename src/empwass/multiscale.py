@@ -51,7 +51,7 @@ def greedy_cover(space: FiniteMetricSpace, subset: Sequence[int],
     subset = np.asarray(subset, dtype=np.int64)
     if subset.size == 0:
         raise MultiscaleError("subset is empty")
-    if delta <= 0:
+    if not delta > 0:
         raise MultiscaleError("delta must be positive")
     cov = _cover(space, subset, delta)
     # a maximal 2*delta-separated set is the greedy cover at 2*delta
@@ -79,6 +79,17 @@ class DimensionFit:
                 "r2": self.r2, "diam": self.diam}
 
 
+def line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept,
+    residuals, residual sum of squares, r^2), r^2 = 1 for a constant y."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = float(np.sum(resid ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, resid, ss_res, r2
+
+
 def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
                   deltas: Sequence[float]) -> DimensionFit:
     """One-sided power-law envelope for covering counts.
@@ -91,7 +102,7 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size < 4:
         raise MultiscaleError("need at least 4 scales")
-    if deltas.min() <= 0:
+    if not np.all(deltas > 0):
         raise MultiscaleError("delta must be positive")
     if deltas.max() / deltas.min() < 10.0 - 1e-9:
         raise MultiscaleError("scales must span at least one decade")
@@ -105,13 +116,9 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
         raise DegenerateFitError("all covering counts equal 1")
     x = np.log(Delta / deltas)
     y = np.log(counts.astype(float))
-    alpha, logbeta = np.polyfit(x, y, 1)
-    yhat = alpha * x + logbeta
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    alpha, logbeta, resid, _, r2 = line_fit(x, y)
     # one-sided adjustment: shift the intercept up to dominate all counts
-    logbeta += max(0.0, float(np.max(y - yhat)))
+    logbeta += max(0.0, float(np.max(resid)))
     return DimensionFit(float(alpha), float(np.exp(logbeta)), deltas, counts,
                         r2, Delta)
 

@@ -47,8 +47,9 @@ class TransportPlan:
     mass: np.ndarray
     cost: float
 
-    def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure, p: float,
-                 tol: float = 1e-9) -> None:
+    def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure,
+                 p: float) -> None:
+        tol = 1e-9   # absolute slack of the marginal and cost checks
         if np.any(self.mass < -tol):
             raise OTError("negative plan mass")
         row = np.zeros(mu.n_atoms)
@@ -80,7 +81,7 @@ class TransportPlan:
 
 def wpp_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WppValue:
     """Exact quantile-coupling W_p^p for measures on the line."""
-    if p < 1:
+    if not p >= 1:
         raise OTError("p must be >= 1")
     for m in (mu, nu):
         if m.space.kind != "euclidean" or m.space.dim != 1:
@@ -114,27 +115,22 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _UEPS = 1e-13
 
 
-def check_quantile_monotone(quantile_fn: Callable, grid: int = 2048) -> None:
-    """Refuse a quantile function whose samples on a uniform grid of
-    (0, 1) decrease by more than a 1e-9 relative slack."""
-    if grid < 1000:
-        raise OTError("grid must be >= 1000")
-    ugrid = np.linspace(_UEPS, 1.0 - _UEPS, grid)
+def check_quantile_monotone(quantile_fn: Callable) -> None:
+    """Refuse a quantile function whose samples on a uniform 2048-point
+    grid of (0, 1) decrease by more than a 1e-9 relative slack."""
+    ugrid = np.linspace(_UEPS, 1.0 - _UEPS, 2048)
     qs = np.asarray(quantile_fn(ugrid), dtype=float)
     if np.any(np.diff(qs) < -1e-9 * (1.0 + np.max(np.abs(qs[np.isfinite(qs)])))):
         raise OTError("quantile function samples are not monotone")
 
 
 def wpp_1d_vs_quantile(sample_positions, quantile_fn: Callable, p: float,
-                       grid: int = 2048,
                        quantile_antideriv: Optional[Callable] = None) -> WppValue:
     """W_p^p between an empirical measure on the line and a continuous
     reference given by its quantile function: the one-row call of
     `wpp_rows_vs_quantile`, after checking that the quantile function is
-    monotone on a `grid`-point sample."""
-    if p < 1:
-        raise OTError("p must be >= 1")
-    check_quantile_monotone(quantile_fn, grid)
+    monotone (`check_quantile_monotone`)."""
+    check_quantile_monotone(quantile_fn)
     xs = np.sort(np.asarray(sample_positions, dtype=float))
     values, errors = wpp_rows_vs_quantile(xs[None, :], quantile_fn, p,
                                           quantile_antideriv)
@@ -162,7 +158,7 @@ def wpp_rows_vs_quantile(xs, quantile_fn: Callable, p: float,
     are bit-identical to a one-row call. The caller checks that q is
     monotone (`check_quantile_monotone`).
     """
-    if p < 1:
+    if not p >= 1:
         raise OTError("p must be >= 1")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
@@ -260,7 +256,7 @@ def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     must pass a dual certificate (reduced costs >= -tol). Returns
     (WppValue, TransportPlan).
     """
-    if p < 1:
+    if not p >= 1:
         raise OTError("p must be >= 1")
     if mu.space is not nu.space:
         raise OTError("measures live on different spaces")

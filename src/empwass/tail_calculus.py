@@ -51,7 +51,7 @@ class TailProfile:
 
     @classmethod
     def from_sampler(cls, s: SyntheticSampler) -> "TailProfile":
-        if not s.has_analytic_tail():
+        if s.tail(np.asarray([0.0])) is None:
             raise TailError(f"no closed-form tail for {s.family} d={s.d}")
         return cls("analytic", sampler=s)
 
@@ -75,7 +75,7 @@ class TailProfile:
         if s.family == "pareto-radial":
             if p >= s.a:
                 return INF
-            return s.scale ** p * s.a / (s.a - p)
+            return s.a / (s.a - p)
         # bounded or stretched-exponential: integrate p t^{p-1} H(t)
         val, _ = self.i_detail(1.0, p)
         return p * val
@@ -123,16 +123,15 @@ class TailProfile:
         if s.family == "pareto-radial":
             if s.a * exponent <= p:
                 return INF, 0.0
-            # exact: scale^p * [1/p + 1/(a*exponent - p)]
-            val = s.scale ** p * (1.0 / p + 1.0 / (s.a * exponent - p))
-            return float(val), 0.0
+            # exact: 1/p + 1/(a*exponent - p)
+            return float(1.0 / p + 1.0 / (s.a * exponent - p)), 0.0
 
         def f(t):
             return float(self.H(t)) ** exponent * t ** (p - 1.0)
 
         top = self.max_dist()
         if math.isinf(top):  # exp-radial: cut where H^exponent is negligible
-            top = (745.0 / (s.lam * exponent)) ** (1.0 / s.kappa) * s.scale
+            top = (745.0 / (s.lam * exponent)) ** (1.0 / s.kappa)
         from scipy import integrate
         val, err = integrate.quad(f, 0.0, top, limit=400)
         return float(val), float(err)
@@ -145,7 +144,7 @@ def weak_moment(profile: TailProfile, q: float) -> float:
     points; analytic families use closed forms where available, else a
     refined grid search. Divergence returns +inf.
     """
-    if q < 1:
+    if not q >= 1:
         raise TailError("q must be >= 1")
     if profile.kind == "empirical":
         t, tail = profile._step()
@@ -161,14 +160,14 @@ def weak_moment(profile: TailProfile, q: float) -> float:
     if s.family == "point-mass":
         return 0.0
     if s.family == "uniform-sphere":
-        return s.scale ** q
+        return 1.0
     if s.family == "pareto-radial":
         if q > s.a:
             return INF
-        return s.scale ** q  # sup attained at t = scale
+        return 1.0  # sup attained at t = 1
     if s.family == "exp-radial":
         tstar = (q / (s.lam * s.kappa)) ** (1.0 / s.kappa)
-        return s.scale ** q * tstar ** q * math.exp(-s.lam * tstar ** s.kappa)
+        return tstar ** q * math.exp(-s.lam * tstar ** s.kappa)
     # bounded 1D families: refined grid search with a convergence check
     top = profile.max_dist()
     val = 0.0
@@ -206,7 +205,7 @@ def i_integral(profile: TailProfile, exponent: float, p: float) -> IntegralValue
     """
     if not (0.0 < exponent <= 1.0):
         raise TailError("exponent must lie in (0, 1]")
-    if p < 1:
+    if not p >= 1:
         raise TailError("p must be >= 1")
     val, err = profile.i_detail(exponent, p)
     return IntegralValue(val, err, math.isfinite(val))
@@ -249,9 +248,7 @@ def exp_moment(source, kappa: float, lam_exp: float, n_mc: int = 100000,
     if s.family == "pareto-radial":
         return ExpMomentEstimate(INF, INF, INF, False, 0, "metadata")
     if s.family == "exp-radial":
-        k_eff = kappa  # distances scale by s.scale
-        if k_eff > s.kappa or (k_eff == s.kappa
-                               and lam_exp * s.scale ** s.kappa >= s.lam):
+        if kappa > s.kappa or (kappa == s.kappa and lam_exp >= s.lam):
             return ExpMomentEstimate(INF, INF, INF, False, 0, "metadata")
     if s.family == "point-mass":
         return ExpMomentEstimate(1.0, 1.0, 1.0, True, 0, "exact")

@@ -172,7 +172,7 @@ def test_acceptance_6_ring_decomposition_and_bound():
         n_atoms = int(rng.integers(4, 17))
         space, mu, nu = _random_pair_nd(rng, 2, n_atoms)
         dec = ring_decompose(mu, nu, x0=0)
-        verify_reconstruction(dec, tol=1e-12)
+        verify_reconstruction(dec)
         # the excess mass is the same whichever side it is read from,
         # and complements the shared per-ring mass
         shared = sum(r.lam_i for r in dec.rings)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -306,6 +307,143 @@ def test_asrun_without_alpha_reports_null(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"max_normalized": None}
     assert json.loads((out / "asrun.json").read_text())[
         "max_normalized"] is None
+
+
+_EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
+               "--reps", "1000", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # a NaN radius finds no neighbours, and the cover's block rule then
+    # divided by zero
+    (["cover", "--points", "{pts}", "--delta", "nan"], "delta must be"),
+    (["dim", "--points", "{pts}", "--delta-grid", "0.1,0.01,nan,0.001"],
+     "delta must be"),
+    (["tail", "--sampler", "pareto-radial:nan", *_EXPERIMENT,
+      "--xgrid", "0.1"], "a > 0"),
+    (["tail", "--sampler", "exp-radial:nan:1", *_EXPERIMENT,
+      "--xgrid", "0.1"], "kappa > 0"),
+    (["tail", "--sampler", "exp-radial:1:nan", *_EXPERIMENT,
+      "--xgrid", "0.1"], "lam > 0"),
+    (["tail", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--xgrid", "nan"],
+     "finite"),
+    (["fitc", "--sampler", "uniform-cube:1", *_EXPERIMENT,
+      "--xgrid", "0.1,inf"], "finite"),
+    (["wpp", "--a", "{a1}", "--b", "{b1}", "--p", "nan"], "p must be"),
+    (["wpp", "--a", "{pts}", "--b", "{pts}", "--p", "nan"], "p must be"),
+    (["asrun", "--sampler", "uniform-cube:1", "--p", "nan", "--nmax", "64",
+      "--seed", "0"], "p must be"),
+    (["asrun", "--sampler", "point-mass:3", "--p", "nan", "--nmax", "64",
+      "--seed", "0"], "p must be"),
+    (["asrun", "--sampler", "uniform-cube:1", "--p", "1", "--nmax", "2",
+      "--seed", "0"], "first checkpoint"),
+])
+def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
+    rng = np.random.default_rng(1)
+    files = {"{pts}": pts_file, "{a1}": str(tmp_path / "a1.csv"),
+             "{b1}": str(tmp_path / "b1.csv")}
+    save_points_csv(files["{a1}"], rng.random((5, 1)))
+    save_points_csv(files["{b1}"], rng.random((4, 1)))
+    argv = [files.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    assert _run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and reason in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (["--dist", "pareto", "--a", "1"], "pareto needs"),
+    (["--dist", "pareto", "--a", "0.5"], "pareto needs"),
+    (["--dist", "pareto", "--a", "nan"], "pareto needs"),
+    (["--dist", "uniform", "--r", "0"], "r must lie"),
+    (["--dist", "uniform", "--r", "1"], "r must lie"),
+    (["--dist", "uniform", "--r", "nan"], "r must lie"),
+    (["--dist", "uniform", "--reps", "1"], "R must be"),
+])
+def test_verify_appendix_refuses_what_it_cannot_evaluate(tmp_path, capsys,
+                                                         extra, reason):
+    # flags later on the line win, so --r, --a and --reps are overridden
+    argv = ["verify-appendix", "--r", "2", "--ngrid", "8:16", "--reps", "50",
+            "--seed", "0", *extra, "--out", str(tmp_path)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and reason in err, err
+
+
+def test_unallocatable_sample_exit_2(tmp_path, capsys):
+    # numpy refuses a 7 PiB array at once, before touching memory
+    assert _run(["asrun", "--sampler", "uniform-cube:1", "--p", "1",
+                 "--nmax", "1000000000000000", "--seed", "0",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Unable to allocate" in err, err
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ([1, 2], "not a JSON object"),
+    ({"params": [1, 2]}, "params is not"),
+    ({"params": {"p": 1}, "x_grid": 5}, "x_grid is not"),
+    ({"params": {"p": 1}, "x_grid": [None]}, "x_grid is not"),
+    ({"params": {"p": 1}, "n_grid": ["10"]}, "n_grid is not"),
+    ({"params": {"p": 1, "alpha": 3, "r": "2"}}, "params is not"),
+    ({"params": {"p": "1", "Delta": 1}}, "params is not"),
+    ({"params": {"p": True, "Delta": 1}}, "params is not"),
+])
+def test_bound_grid_checked_once(tmp_path, capsys, grid, reason):
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(grid))
+    out = tmp_path / "b"
+    assert _run(["bound", "--formula", "fuk-nagaev", "--grid", str(spec),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and reason in err, err
+    assert not out.exists()
+
+
+def test_bound_missing_and_null_params(tmp_path):
+    # a null param counts as absent, so the catalog's default applies; a
+    # missing required one is a row error naming the first in signature
+    # order (moment_bound(r, n, p, ...))
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"params": {"i2pp": None, "alpha": None},
+                                "n_grid": [10], "x_grid": [0.5]}))
+    rows = {}
+    for formula in ("moment", "fuk-nagaev"):
+        out = tmp_path / formula
+        assert _run(["bound", "--formula", formula, "--grid", str(spec),
+                     "--out", str(out)]) == 0
+        with open(out / "bounds.csv", newline="") as f:
+            rows[formula], = csv.DictReader(f)
+    assert rows["moment"]["error"] == "'r'"
+    assert rows["fuk-nagaev"]["error"] == "'p'"
+    spec.write_text(json.dumps({"params": {"p": 1, "i2pp": None, "r": None},
+                                "n_grid": [10], "x_grid": [0.5]}))
+    out = tmp_path / "null"
+    assert _run(["bound", "--formula", "fuk-nagaev", "--grid", str(spec),
+                 "--out", str(out)]) == 0
+    with open(out / "bounds.csv", newline="") as f:
+        row, = csv.DictReader(f)
+    assert row["applicable"] == "False"
+    assert row["reason"] == ("I_{2p,p} is infinite and no weak moment was "
+                             "supplied")
+
+
+def _readme_cli_lines():
+    """The `empwass ...` commands of the README's CLI block, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("empwass ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 12
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        build_parser().parse_args(argv)   # exits 2 on a bad example
 
 
 # Run in a fresh interpreter: which scipy solver modules are loaded after

@@ -124,8 +124,7 @@ def test_workers_give_identical_report():
 
 def test_rate_slope_one_dimensional():
     # W_1 against uniform[0,1] decays like n^{-1/2}
-    spec = _spec(n_grid=(64, 128, 256, 512, 1024, 2048), replicates=60,
-                 drop_small=2)
+    spec = _spec(n_grid=(64, 128, 256, 512, 1024, 2048), replicates=60)
     rep = run_rate_experiment(spec)
     assert not rep.degenerate
     assert rep.slope == pytest.approx(-0.5, abs=0.1)

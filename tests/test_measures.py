@@ -7,6 +7,7 @@ from empwass.measures import (DiscreteMeasure, MeasureError, measure_from_json,
                               measure_to_json, mix, restrict, sample,
                               sampler_from_string)
 from empwass.metric_core import FiniteMetricSpace
+from empwass.tail_calculus import TailError, TailProfile
 
 
 @pytest.fixture
@@ -102,7 +103,15 @@ def test_pareto_tail_function():
 def test_exp_radial_tail_function():
     s = sampler_from_string("exp-radial:2:0.5:2")
     assert s.tail(1.0) == pytest.approx(math.exp(-0.5))
-    assert s.has_analytic_tail()
+    assert TailProfile.from_sampler(s).kind == "analytic"
+
+
+def test_no_closed_form_tail_is_refused():
+    # the uniform square has no closed-form tail about the origin
+    s = sampler_from_string("uniform-cube:2")
+    assert s.tail(1.0) is None
+    with pytest.raises(TailError, match="no closed-form tail"):
+        TailProfile.from_sampler(s)
 
 
 def test_quantile_closed_forms():

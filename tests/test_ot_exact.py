@@ -213,15 +213,14 @@ def test_wpp_1d_vs_quantile_uniform_reference():
     # via |F_n(x) - x| piecewise integration (hand derivation)
     s = sampler_from_string("uniform-cube:1")
     got = wpp_1d_vs_quantile(np.array([0.25, 0.75]), s.quantile, 1.0,
-                             grid=2048, quantile_antideriv=s.quantile_antideriv)
+                             quantile_antideriv=s.quantile_antideriv)
     assert got.value == pytest.approx(0.125, rel=1e-9)
     # p = 2: integral of (Q(u) - X_(i))^2 du; oracle by dense numeric quadrature
     u = (np.arange(2_000_000) + 0.5) / 2_000_000
     q = s.quantile(u)
     x = np.where(u < 0.5, 0.25, 0.75)
     want = np.mean((q - x) ** 2)
-    got2 = wpp_1d_vs_quantile(np.array([0.25, 0.75]), s.quantile, 2.0,
-                              grid=2048)
+    got2 = wpp_1d_vs_quantile(np.array([0.25, 0.75]), s.quantile, 2.0)
     assert got2.value == pytest.approx(want, rel=1e-5)
 
 
