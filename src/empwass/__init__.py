@@ -8,9 +8,8 @@ __version__ = "0.1.0"
 from ._kernels import backend
 from .metric_core import (FiniteMetricSpace, MetricError, ValidationReport,
                           diameter, validate_metric)
-from .measures import (DiscreteMeasure, EmpiricalMeasure, MeasureError,
-                       SyntheticSampler, mix, restrict, sample,
-                       sampler_from_string)
+from .measures import (DiscreteMeasure, MeasureError, SyntheticSampler, mix,
+                       restrict, sampler_from_string)
 from .ot_exact import (OTError, TransportPlan, WppValue, wpp_1d,
                        wpp_1d_vs_quantile, wpp_mcf, wpp_rows_vs_quantile,
                        wpp_to_point)

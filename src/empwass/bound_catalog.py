@@ -85,6 +85,10 @@ def hoeffding_bound(x: float, n: int, p: float, alpha: float, Delta: float,
     """P(W_p^p > x) bound for measures supported on a set of diameter Delta."""
     if x <= 0:
         raise BoundError("x must be positive")
+    if not C > 0:
+        raise BoundError("C must be positive")
+    if not Delta >= 0:
+        raise BoundError("Delta must be nonnegative")
     delta_p = float(Delta) ** p   # float: never an exact integer power
     if x > delta_p:
         return 0.0
@@ -193,6 +197,7 @@ def fuk_nagaev_bound(x: float, n: int, p: float, alpha: float,
     weak_rp is the rp-th weak moment already raised to the power rp.
     Terms are reported separately; the value is their sum.
     """
+    x = float(x)   # float: never an exact integer power
     if x <= 0:
         raise BoundError("x must be positive")
     regime = classify_regime(alpha, p)
@@ -232,6 +237,7 @@ def moderate_deviation_bound(x: float, n: int, rho: float, p: float,
                              Cpoly: float = 1.0) -> BoundResult:
     """Bound on n^{s*rho - 1} P(W_p^p > x / n^{1-rho}) for the bullet's
     exponent s; limsup-type bullets are flagged asymptotic."""
+    x = float(x)   # float: never an exact integer power
     if x <= 0:
         raise BoundError("x must be positive")
     if not (0 < rho <= 1):

@@ -4,7 +4,7 @@ unbounded support, and the resulting three-term transport bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,23 +114,27 @@ def verify_reconstruction(dec: RingDecomposition) -> None:
     tol = 1e-12
     for which in ("a", "b"):
         orig = dec.mu_a if which == "a" else dec.mu_b
-        acc: Dict[int, float] = {}
-        for r in dec.rings:
-            cond = r.cond_a if which == "a" else r.cond_b
-            if r.lam_i > 0.0 and cond is not None:
-                for i, w in zip(cond.idx, cond.weights):
-                    acc[int(i)] = acc.get(int(i), 0.0) + r.lam_i * w
-        exc = dec.excess_a if which == "a" else dec.excess_b
+        parts = [(r.lam_i, r.cond_a if which == "a" else r.cond_b)
+                 for r in dec.rings]
+        parts = [(lam, m) for lam, m in parts if lam > 0.0 and m is not None]
         if dec.lam > 0.0:
-            for i, w in zip(exc.idx, exc.weights):
-                acc[int(i)] = acc.get(int(i), 0.0) + dec.lam * w
-        for i, w in zip(orig.idx, orig.weights):
-            if abs(acc.get(int(i), 0.0) - w) > tol:
-                raise MeasureError(
-                    f"reconstruction fails at atom {int(i)}: "
-                    f"{acc.get(int(i), 0.0)} vs {w}")
-        extra = set(acc) - set(int(i) for i in orig.idx)
-        if any(abs(acc[i]) > tol for i in extra):
+            parts.append((dec.lam,
+                          dec.excess_a if which == "a" else dec.excess_b))
+        # the empty leading pieces keep concatenate defined with no parts
+        idx = np.concatenate([orig.idx[:0]] + [m.idx for _, m in parts])
+        atoms = np.union1d(orig.idx, idx)
+        # add.at sums each atom's terms in ring order, the excess last
+        acc = np.zeros(atoms.size)
+        np.add.at(acc, np.searchsorted(atoms, idx), np.concatenate(
+            [orig.weights[:0]] + [lam * m.weights for lam, m in parts]))
+        got = acc[np.searchsorted(atoms, orig.idx)]
+        bad = np.abs(got - orig.weights) > tol
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise MeasureError(
+                f"reconstruction fails at atom {int(orig.idx[k])}: "
+                f"{got[k]} vs {orig.weights[k]}")
+        if np.any(np.abs(acc[~np.isin(atoms, orig.idx)]) > tol):
             raise MeasureError("reconstruction has spurious atoms")
 
 

@@ -1,10 +1,8 @@
-"""Discrete/empirical measures and synthetic samplers with known tails."""
+"""Discrete measures and synthetic samplers with known tails."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,45 +41,6 @@ class DiscreteMeasure:
     @property
     def n_atoms(self) -> int:
         return self.idx.size
-
-    def mass_on(self, subset) -> float:
-        w = self.weights[np.isin(self.idx, np.asarray(subset, np.int64))]
-        # a running sum in atom order, not numpy's pairwise one
-        return float(np.cumsum(np.append(0.0, w))[-1])
-
-    def weight_vector(self) -> np.ndarray:
-        """Weights spread over all points of the space."""
-        w = np.zeros(self.space.n)
-        w[self.idx] = self.weights
-        return w
-
-    def to_dict(self) -> dict:
-        d = {"idx": self.idx.tolist(), "weights": self.weights.tolist()}
-        if self.space.kind == "euclidean":
-            d["points"] = self.space.points[self.idx].tolist()
-        else:
-            d["space"] = self.space.kind
-        return d
-
-
-class EmpiricalMeasure(DiscreteMeasure):
-    """Uniform weights 1/n over n sampled points (repeats kept distinct)."""
-
-    def __init__(self, space, idx, *, seed: Optional[int] = None,
-                 family: Optional[str] = None, metadata: Optional[dict] = None):
-        idx = np.asarray(idx, dtype=np.int64)
-        n = idx.size
-        super().__init__(space, idx, np.full(n, 1.0 / n))
-        self.n = n
-        self.seed = seed
-        self.family = family
-        self.metadata = dict(metadata or {})
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d.update({"n": self.n, "seed": self.seed, "family": self.family,
-                  "metadata": self.metadata})
-        return d
 
 
 def uniform_pair(pa: np.ndarray, pb: np.ndarray):
@@ -358,35 +317,3 @@ def sampler_from_string(text: str) -> SyntheticSampler:
     except (IndexError, ValueError) as exc:
         raise MeasureError(f"bad sampler spec {text!r}: {exc}") from None
     raise MeasureError(f"unknown sampler family {fam!r}")
-
-
-def sample(sampler: SyntheticSampler, n: int, seed: int) -> EmpiricalMeasure:
-    """n i.i.d. points; deterministic in (family params, n, seed)."""
-    rng = np.random.default_rng(seed)
-    pts = sampler.draw(n, rng)
-    space = FiniteMetricSpace.from_points(pts)
-    return EmpiricalMeasure(space, np.arange(n), seed=seed,
-                            family=sampler.family, metadata=sampler.metadata())
-
-
-# -- serialization ------------------------------------------------------------
-
-def measure_to_json(m: DiscreteMeasure) -> str:
-    return json.dumps(m.to_dict(), sort_keys=True)
-
-
-def measure_from_json(text: str) -> DiscreteMeasure:
-    d = json.loads(text)
-    if "points" not in d:
-        raise MeasureError(
-            f"cannot rebuild a measure on a {d.get('space', 'non-Euclidean')} "
-            "space from JSON: only Euclidean payloads carry their points")
-    pts = np.asarray(d["points"])
-    space = FiniteMetricSpace.from_points(pts)
-    # the stored points are exactly the atoms, so indices re-base to 0..k-1
-    idx = np.arange(len(pts))
-    if "n" in d and d.get("n"):
-        return EmpiricalMeasure(space, idx, seed=d.get("seed"),
-                                family=d.get("family"),
-                                metadata=d.get("metadata"))
-    return DiscreteMeasure(space, idx, d["weights"])

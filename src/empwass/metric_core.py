@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,9 +47,7 @@ class FiniteMetricSpace:
     """
 
     def __init__(self, *, kind: str, points: Optional[np.ndarray] = None,
-                 matrix: Optional[np.ndarray] = None,
-                 dist_fn: Optional[Callable[[int, int], float]] = None,
-                 n: Optional[int] = None):
+                 matrix: Optional[np.ndarray] = None):
         self.kind = kind
         if kind == "euclidean":
             pts = np.asarray(points, dtype=float)
@@ -63,7 +61,6 @@ class FiniteMetricSpace:
             self.points.setflags(write=False)
             self._n = pts.shape[0]
             self._matrix = None
-            self._dist_fn = None
         elif kind == "explicit-matrix":
             D = np.asarray(matrix, dtype=float)
             if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] == 0:
@@ -74,14 +71,6 @@ class FiniteMetricSpace:
             self._matrix.setflags(write=False)
             self._n = D.shape[0]
             self.points = None
-            self._dist_fn = None
-        elif kind == "custom":
-            if dist_fn is None or n is None or n <= 0:
-                raise MetricError("custom space needs dist_fn and n > 0")
-            self._dist_fn = dist_fn
-            self._n = int(n)
-            self.points = None
-            self._matrix = None
         else:
             raise MetricError(f"unknown space kind {kind!r}")
 
@@ -94,10 +83,6 @@ class FiniteMetricSpace:
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteMetricSpace":
         return cls(kind="explicit-matrix", matrix=matrix)
-
-    @classmethod
-    def from_callable(cls, n: int, dist_fn) -> "FiniteMetricSpace":
-        return cls(kind="custom", dist_fn=dist_fn, n=n)
 
     # -- basic queries -----------------------------------------------------
 
@@ -112,9 +97,7 @@ class FiniteMetricSpace:
     def dist(self, i: int, j: int) -> float:
         if self.kind == "euclidean":
             return float(np.linalg.norm(self.points[i] - self.points[j]))
-        if self.kind == "explicit-matrix":
-            return float(self._matrix[i, j])
-        return float(self._dist_fn(i, j))
+        return float(self._matrix[i, j])
 
     def distance_block(self, rows, cols) -> np.ndarray:
         """Dense block of pairwise distances, computed on demand."""
@@ -130,27 +113,10 @@ class FiniteMetricSpace:
                 diff = a[:, t][:, None] - b[:, t][None, :]
                 d2 += diff * diff
             return np.sqrt(d2)
-        if self.kind == "explicit-matrix":
-            return self._matrix[np.ix_(rows, cols)]
-        out = np.empty((rows.size, cols.size))
-        for a_, i in enumerate(rows):
-            for b_, j in enumerate(cols):
-                out[a_, b_] = self._dist_fn(int(i), int(j))
-        return out
+        return self._matrix[np.ix_(rows, cols)]
 
     def submatrix(self, idx) -> np.ndarray:
         return self.distance_block(idx, idx)
-
-    def scaled(self, c: float) -> "FiniteMetricSpace":
-        """New space with all distances multiplied by c > 0."""
-        if c <= 0:
-            raise MetricError("scale factor must be positive")
-        if self.kind == "euclidean":
-            return FiniteMetricSpace.from_points(self.points * c)
-        if self.kind == "explicit-matrix":
-            return FiniteMetricSpace.from_matrix(self._matrix * c)
-        fn = self._dist_fn
-        return FiniteMetricSpace.from_callable(self._n, lambda i, j: c * fn(i, j))
 
 
 def diameter(space: FiniteMetricSpace, subset=None) -> float:
@@ -163,7 +129,7 @@ def diameter(space: FiniteMetricSpace, subset=None) -> float:
     from the point of largest r. The survivors are scanned once per
     distinct row, as equal coordinates give equal entries. Every distance
     comes from ``distance_block``, as in a scan over the whole set, so the
-    result is the same float. Other spaces scan every pair.
+    result is the same float. An explicit matrix is scanned whole.
     """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, np.int64)
     if idx.size == 0:

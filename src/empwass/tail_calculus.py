@@ -9,7 +9,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .measures import DiscreteMeasure, MeasureError, SyntheticSampler
+from .measures import SyntheticSampler
 
 INF = math.inf
 
@@ -30,12 +30,6 @@ class TailProfile:
     dists: Optional[np.ndarray] = None           # sorted ascending
     weights: Optional[np.ndarray] = None         # aligned with dists
     sampler: Optional[SyntheticSampler] = None
-
-    @classmethod
-    def from_sample(cls, m: DiscreteMeasure, x0: int) -> "TailProfile":
-        d = m.space.distance_block(np.asarray([x0]), m.idx)[0]
-        order = np.argsort(d, kind="stable")
-        return cls("empirical", d[order], m.weights[order].copy())
 
     @classmethod
     def from_distances(cls, dists, weights=None) -> "TailProfile":
@@ -88,12 +82,6 @@ class TailProfile:
         if "delta_diam" in md:
             return float(md["delta_diam"])
         return INF
-
-    def scaled(self, c: float) -> "TailProfile":
-        """Profile after multiplying the metric by c (empirical only)."""
-        if self.kind != "empirical":
-            raise TailError("scaling is implemented for empirical profiles")
-        return TailProfile("empirical", self.dists * c, self.weights.copy())
 
     # -- internals ----------------------------------------------------------
 
@@ -262,15 +250,3 @@ def exp_moment(source, kappa: float, lam_exp: float, n_mc: int = 100000,
     return ExpMomentEstimate(mean, mean - half, mean + half, True,
                              n_mc, "monte-carlo")
 
-
-def tail_csv_rows(profile: TailProfile, n: int = 200):
-    """(t, H(t)) rows on a log-spaced grid for plotting."""
-    top = profile.max_dist()
-    if not math.isfinite(top) or top <= 0:
-        top = 1.0
-        while float(profile.H(top)) > 1e-9 and top < 1e12:
-            top *= 2.0
-    lo = max(top * 1e-6, 1e-12)
-    grid = np.concatenate(([0.0], np.geomspace(lo, top, n - 1)))
-    H = np.asarray(profile.H(grid), dtype=float)
-    return list(zip(map(float, grid), map(float, H)))

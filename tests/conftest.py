@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from empwass.bound_catalog import (BoundError, BoundResult, _done, _main_exp,
                                    _na, classify_regime)
-from empwass.measures import DiscreteMeasure
+from empwass.measures import DiscreteMeasure, MeasureError
 from empwass.metric_core import MetricError
 from empwass.multiscale import MultiscaleError, greedy_cover
 from empwass.ot_exact import OTError, WppValue
@@ -219,22 +219,42 @@ def _restrict_loop(mu, subset):
                            mu.weights[keep] / mass), mass
 
 
-def _mass_on_loop(mu, subset):
-    """DiscreteMeasure.mass_on as Python's sum over a set filter."""
-    sset = set(int(i) for i in np.asarray(subset).ravel())
-    return float(sum(w for i, w in zip(mu.idx, mu.weights) if int(i) in sset))
-
-
 def _ring_ids_loop(dists):
     """Ring id of each distance, one scalar log2 at a time."""
     return np.array([1 if t <= 2.0 else int(np.ceil(np.log2(t) - 1e-12))
                      for t in map(float, dists)], dtype=np.int64)
 
 
+def _verify_reconstruction_loop(dec):
+    """verify_reconstruction with a dict accumulator and a set of extras."""
+    tol = 1e-12
+    for which in ("a", "b"):
+        orig = dec.mu_a if which == "a" else dec.mu_b
+        acc = {}
+        for r in dec.rings:
+            cond = r.cond_a if which == "a" else r.cond_b
+            if r.lam_i > 0.0 and cond is not None:
+                for i, w in zip(cond.idx, cond.weights):
+                    acc[int(i)] = acc.get(int(i), 0.0) + r.lam_i * w
+        exc = dec.excess_a if which == "a" else dec.excess_b
+        if dec.lam > 0.0:
+            for i, w in zip(exc.idx, exc.weights):
+                acc[int(i)] = acc.get(int(i), 0.0) + dec.lam * w
+        for i, w in zip(orig.idx, orig.weights):
+            if abs(acc.get(int(i), 0.0) - w) > tol:
+                raise MeasureError(
+                    f"reconstruction fails at atom {int(i)}: "
+                    f"{acc.get(int(i), 0.0)} vs {w}")
+        extra = set(acc) - set(int(i) for i in orig.idx)
+        if any(abs(acc[i]) > tol for i in extra):
+            raise MeasureError("reconstruction has spurious atoms")
+
+
 @pytest.fixture
 def measure_loop_oracles():
     return SimpleNamespace(mix=_mix_loop, restrict=_restrict_loop,
-                           mass_on=_mass_on_loop, ring_ids=_ring_ids_loop)
+                           ring_ids=_ring_ids_loop,
+                           verify_reconstruction=_verify_reconstruction_loop)
 
 
 # The heavy-tail bounds as written before one bullet selector served

@@ -300,6 +300,46 @@ def test_bound_overflow_is_a_row_error(tmp_path, formula):
     assert big["error"].startswith("float overflow")
 
 
+def test_hoeffding_bad_constants_are_row_errors(tmp_path):
+    # C = 0 divided by zero and Delta < 0 made Delta ** p complex
+    cases = {"C must be positive": {"p": 1, "Delta": 1, "C": 0},
+             "Delta must be nonnegative": {"p": 1.5, "Delta": -1}}
+    for k, (reason, params) in enumerate(cases.items()):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({"params": params, "x_grid": [0.5]}))
+        out = tmp_path / f"b{k}"
+        assert _run(["bound", "--formula", "hoeffding", "--grid", str(spec),
+                     "--out", str(out)]) == 0
+        with open(out / "bounds.csv", newline="") as f:
+            row, = csv.DictReader(f)
+        assert row["error"] == reason
+
+
+@pytest.mark.parametrize("formula, params", [
+    ("fuk-nagaev", {"p": 1, "alpha": 1, "r": 3, "q": 10 ** 8, "i2pp": 1.0,
+                    "weak_rp": 1}),
+    ("moderate", {"p": 1, "alpha": 1, "r": 10 ** 8, "rho": 0.8,
+                  "weak_rp": 1})])
+def test_bound_integer_grid_overflows(tmp_path, formula, params):
+    # an integer x raised to a huge integer power is Python's exact integer
+    # power, which runs for minutes; a child process under a memory cap and
+    # a timeout fails the test instead of hanging the suite
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"params": params, "n_grid": [10],
+                                "x_grid": [10]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "empwass.cli", "bound", "--formula", formula,
+         "--grid", str(spec), "--out", str(tmp_path / "b")],
+        env=env, preexec_fn=_limit_memory, capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "b" / "bounds.csv", newline="") as f:
+        row, = csv.DictReader(f)
+    assert row["error"].startswith("float overflow")
+
+
 def test_asrun_without_alpha_reports_null(tmp_path, capsys):
     out = tmp_path / "as"
     assert _run(["asrun", "--sampler", "pareto-radial:3:1", "--p", "1",

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from empwass.mc_harness import ExperimentSpec, _one_replicate
-from empwass.measures import DiscreteMeasure, sample, sampler_from_string
+from empwass.measures import DiscreteMeasure, sampler_from_string
 from empwass.metric_core import FiniteMetricSpace, diameter
 from empwass.multiscale import (DegenerateFitError, MultiscaleError,
                                 PartitionTree, auto_delta_grid, auto_k_star,

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from empwass.measures import DiscreteMeasure, sampler_from_string
-from empwass.metric_core import FiniteMetricSpace
+from empwass.measures import sampler_from_string
 from empwass.tail_calculus import (TailError, TailProfile, exp_moment,
-                                   i_integral, tail_csv_rows, weak_moment)
+                                   i_integral, weak_moment)
 
 
 def _profile_from_values(dists, weights=None):
@@ -83,20 +82,6 @@ def test_exp_radial_weak_moment_and_integral():
     assert got.value == pytest.approx(want, rel=1e-6)
 
 
-def test_scaled_profile():
-    prof = _profile_from_values([1.0, 2.0], [0.5, 0.5]).scaled(3.0)
-    assert prof.H(2.9) == pytest.approx(1.0)
-    assert prof.strong_moment(1.0) == pytest.approx(4.5)
-
-
-def test_from_sample_measures_distance_to_reference():
-    pts = np.array([[0.0], [1.0], [2.0]])
-    space = FiniteMetricSpace.from_points(pts)
-    mu = DiscreteMeasure(space, [1, 2], [0.5, 0.5])
-    prof = TailProfile.from_sample(mu, x0=0)
-    assert prof.H(1.5) == pytest.approx(0.5)
-
-
 def test_exp_moment_divergence_from_metadata():
     pareto = sampler_from_string("pareto-radial:3:1")
     est = exp_moment(pareto, kappa=1.0, lam_exp=0.1, n_mc=100, seed=0)
@@ -111,13 +96,6 @@ def test_exp_moment_divergence_from_metadata():
     # same kappa, too-large rate diverges
     est3 = exp_moment(gauss, kappa=2.0, lam_exp=1.5, n_mc=100, seed=0)
     assert not est3.finite
-
-
-def test_tail_csv_rows_monotone():
-    prof = _profile_from_values(np.random.default_rng(1).pareto(3, 200) + 1)
-    rows = tail_csv_rows(prof, n=50)
-    hs = [h for _t, h in rows]
-    assert all(a >= b - 1e-15 for a, b in zip(hs, hs[1:]))
 
 
 def test_i_integral_rejects_bad_exponent():
