@@ -200,6 +200,8 @@ def fuk_nagaev_bound(x: float, n: int, p: float, alpha: float,
     x = float(x)   # float: never an exact integer power
     if x <= 0:
         raise BoundError("x must be positive")
+    if n < 1:
+        raise BoundError("n must be >= 1")
     regime = classify_regime(alpha, p)
     bullet = _bullet(regime, alpha, p, r, weak_rp, i2pp, iap)
     if isinstance(bullet, BoundResult):

@@ -241,6 +241,8 @@ def run_rate_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     if spec.replicates < 30:
         raise HarnessError("rate fits need at least 30 replicates")
+    if len(spec.n_grid) < 2:
+        raise HarnessError("rate fits need at least 2 values of n")
     values = _run_replicates(spec)
     per_n = [_stats_row(n, v, spec.x_grid)
              for n, v in zip(spec.n_grid, values)]

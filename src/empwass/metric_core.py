@@ -39,6 +39,18 @@ class ValidationReport:
         }
 
 
+def _norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean norms of a - b over the last axis, a and b broadcast: the
+    squared coordinate differences summed in coordinate order, so exact
+    zeros for coincident points, unlike the expanded-square formula."""
+    diff = a[..., 0] - b[..., 0]
+    d2 = diff * diff
+    for t in range(1, a.shape[-1]):
+        diff = a[..., t] - b[..., t]
+        d2 += diff * diff
+    return np.sqrt(d2)
+
+
 class FiniteMetricSpace:
     """A finite point set with a metric.
 
@@ -94,25 +106,21 @@ class FiniteMetricSpace:
     def dim(self) -> Optional[int]:
         return None if self.points is None else self.points.shape[1]
 
-    def dist(self, i: int, j: int) -> float:
+    def distances(self, rows, cols) -> np.ndarray:
+        """d(rows[k], cols[k]) for each k, as ``distance_block`` gives it."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
         if self.kind == "euclidean":
-            return float(np.linalg.norm(self.points[i] - self.points[j]))
-        return float(self._matrix[i, j])
+            return _norms(self.points[rows], self.points[cols])
+        return self._matrix[rows, cols]
 
     def distance_block(self, rows, cols) -> np.ndarray:
         """Dense block of pairwise distances, computed on demand."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if self.kind == "euclidean":
-            a = self.points[rows]
-            b = self.points[cols]
-            # per-coordinate differences: exact zeros for coincident points,
-            # unlike the expanded-square formula
-            d2 = np.zeros((rows.size, cols.size))
-            for t in range(a.shape[1]):
-                diff = a[:, t][:, None] - b[:, t][None, :]
-                d2 += diff * diff
-            return np.sqrt(d2)
+            return _norms(self.points[rows][:, None, :],
+                          self.points[cols][None, :, :])
         return self._matrix[np.ix_(rows, cols)]
 
     def submatrix(self, idx) -> np.ndarray:
@@ -165,6 +173,18 @@ def diameter(space: FiniteMetricSpace, subset=None) -> float:
     return best
 
 
+_DRAW_BLOCK = 1 << 16   # index tuples per draw in the sampled checks
+
+
+def _draws(seed: int, n: int, trials: int, width: int):
+    """(offset, index columns) of `trials` seeded random index tuples. A
+    draw of (m, width) integers is the stream of m draws of width."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, _DRAW_BLOCK):
+        size = (min(_DRAW_BLOCK, trials - start), width)
+        yield start, rng.integers(0, n, size=size).T
+
+
 def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
                     seed: int = 0) -> ValidationReport:
     """Check metric axioms.
@@ -172,23 +192,19 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     Identity on every point. Symmetry/nonnegativity over all pairs when
     n <= 2048, else over `trials` seeded random pairs; triangle inequality
     exhaustively when n <= 200, else over `trials` seeded random triples.
+    A sampled check reports the first violating draw.
     """
     if trials < 1:
         raise MetricError("trials must be >= 1")
     n = space.n
-    D = space.submatrix(np.arange(n)) if n <= 2048 else None
-
-    def d(i, j):
-        return D[i, j] if D is not None else space.dist(i, j)
-
+    every = np.arange(n)
+    D = space.submatrix(every) if n <= 2048 else None
     if D is not None:
-        pairs = n * n
         if np.any(np.isnan(D)):
             raise MetricError("distance matrix contains NaN entries")
-        di = np.diag(D)
+        di, pairs = np.diag(D), n * n
     else:
-        pairs = n
-        di = np.asarray([space.dist(i, i) for i in range(n)])
+        di, pairs = space.distances(every, every), n
         if np.any(np.isnan(di)):
             raise MetricError("non-finite distance encountered")
     if np.any(di != 0):
@@ -196,56 +212,51 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
         return ValidationReport(False, n, pairs, 0, False,
                                 ("identity", (i, i), float(di[i])))
     if D is not None:
-        asym = np.abs(D - D.T)
-        if np.any(asym > 1e-12):
-            i, j = map(int, np.argwhere(asym > 1e-12)[0])
-            return ValidationReport(False, n, pairs, 0, False,
-                                    ("symmetry", (i, j), float(D[i, j] - D[j, i])))
-        if np.any(D < 0):
-            i, j = map(int, np.argwhere(D < 0)[0])
-            return ValidationReport(False, n, pairs, 0, False,
-                                    ("nonnegativity", (i, j), float(D[i, j])))
+        asym = D - D.T
+        for kind, bad, detail in (("symmetry", np.abs(asym) > 1e-12, asym),
+                                  ("nonnegativity", D < 0, D)):
+            if np.any(bad):
+                i, j = map(int, np.argwhere(bad)[0])
+                return ValidationReport(False, n, pairs, 0, False,
+                                        (kind, (i, j), float(detail[i, j])))
     else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            i, j = rng.integers(0, n, size=2)
-            pairs += 1
-            dij, dji = space.dist(i, j), space.dist(j, i)
-            if not np.isfinite(dij):
-                raise MetricError("non-finite distance encountered")
-            if abs(dij - dji) > 1e-12:
-                return ValidationReport(False, n, pairs, 0, False,
-                                        ("symmetry", (int(i), int(j)), dij - dji))
-            if dij < 0:
-                return ValidationReport(False, n, pairs, 0, False,
-                                        ("nonnegativity", (int(i), int(j)), dij))
+        for start, (i, j) in _draws(seed, n, trials, 2):
+            dij, dji = space.distances(i, j), space.distances(j, i)
+            with np.errstate(invalid="ignore"):
+                asym = np.abs(dij - dji) > 1e-12
+            bad = ~np.isfinite(dij) | asym | (dij < 0)
+            if bad.any():
+                t = int(np.argmax(bad))
+                if not np.isfinite(dij[t]):
+                    raise MetricError("non-finite distance encountered")
+                kind, detail = (("symmetry", dij[t] - dji[t]) if asym[t]
+                                else ("nonnegativity", dij[t]))
+                return ValidationReport(
+                    False, n, pairs + start + t + 1, 0, False,
+                    (kind, (int(i[t]), int(j[t])), float(detail)))
+        pairs += trials
 
-    tol = 1e-9
-    exhaustive = n <= 200
-    triples = 0
-    if exhaustive and D is not None:
+    if n <= 200:
         # vectorized over k for each (i, j)
         for i in range(n):
-            lhs = D[i][None, :]  # d(i, k)
-            rhs = D[i][:, None] + D  # d(i, j) + d(j, k)
-            bad = lhs > rhs + tol
-            triples += n * n
+            bad = D[i][None, :] > D[i][:, None] + D + 1e-9
             if bad.any():
                 j, k = map(int, np.argwhere(bad)[0])
                 return ValidationReport(
-                    False, n, pairs, triples, True,
+                    False, n, pairs, (i + 1) * n * n, True,
                     ("triangle", (i, j, k), float(D[i, k] - D[i, j] - D[j, k])))
-    else:
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            i, j, k = rng.integers(0, n, size=3)
-            triples += 1
-            if d(i, k) > d(i, j) + d(j, k) + tol:
-                return ValidationReport(
-                    False, n, pairs, triples, False,
-                    ("triangle", (int(i), int(j), int(k)),
-                     d(i, k) - d(i, j) - d(j, k)))
-    return ValidationReport(True, n, pairs, triples, exhaustive)
+        return ValidationReport(True, n, pairs, n ** 3, True)
+    for start, (i, j, k) in _draws(seed, n, trials, 3):
+        dik, dij, djk = (space.distances(a, b)
+                         for a, b in ((i, k), (i, j), (j, k)))
+        bad = dik > dij + djk + 1e-9
+        if bad.any():
+            t = int(np.argmax(bad))
+            return ValidationReport(
+                False, n, pairs, start + t + 1, False,
+                ("triangle", (int(i[t]), int(j[t]), int(k[t])),
+                 float(dik[t] - dij[t] - djk[t])))
+    return ValidationReport(True, n, pairs, trials, False)
 
 
 # -- CSV I/O ----------------------------------------------------------------

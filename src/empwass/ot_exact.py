@@ -60,19 +60,20 @@ class TransportPlan:
             raise OTError("plan row sums do not match source weights")
         if np.max(np.abs(col - nu.weights)) > tol:
             raise OTError("plan column sums do not match target weights")
-        d = np.array([mu.space.dist(int(mu.idx[i]), int(nu.idx[j]))
-                      for i, j in zip(self.src, self.dst)])
-        c = float(np.sum(self.mass * d ** p))
+        c = float(np.sum(self._costs(mu, nu, p)))
         if abs(c - self.cost) > tol * max(1.0, abs(self.cost)):
             raise OTError("plan cost does not match recomputation")
 
+    def _costs(self, mu, nu, p: float) -> np.ndarray:
+        """mass * d^p of each entry, d as in the solve's cost matrix."""
+        d = mu.space.distances(mu.idx[self.src], nu.idx[self.dst])
+        return self.mass * d ** p
+
     def to_rows(self, mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
         """(i, j, mass, cost contribution) rows for CSV export."""
-        rows = []
-        for i, j, m in zip(self.src, self.dst, self.mass):
-            d = mu.space.dist(int(mu.idx[i]), int(nu.idx[j]))
-            rows.append((int(i), int(j), float(m), float(m * d ** p)))
-        return rows
+        return list(zip(self.src.tolist(), self.dst.tolist(),
+                        self.mass.tolist(),
+                        self._costs(mu, nu, p).tolist()))
 
 
 # ---------------------------------------------------------------------------

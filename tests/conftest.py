@@ -55,6 +55,52 @@ def diameter_oracle():
     return _diameter_oracle
 
 
+def _validate_metric_loop(space, trials, seed):
+    """The sampled checks of validate_metric, one seeded draw and one
+    scalar distance at a time: (violation, pairs, triples). Pairs are
+    sampled when n > 2048 and triples when n > 200; a smaller space must
+    pass the dense checks."""
+    n = space.n
+    assert n > 200
+
+    def dist(i, j):
+        return float(space.distances([i], [j])[0])
+
+    if n <= 2048:
+        D = space.submatrix(np.arange(n))
+        assert np.all(np.diag(D) == 0) and np.all(D >= 0)
+        assert np.all(np.abs(D - D.T) <= 1e-12)
+        pairs = n * n
+    else:
+        pairs = n
+        for i in range(n):
+            if dist(i, i) != 0:
+                return ("identity", (i, i), dist(i, i)), pairs, 0
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            i, j = rng.integers(0, n, size=2)
+            pairs += 1
+            dij, dji = dist(i, j), dist(j, i)
+            if not np.isfinite(dij):
+                raise MetricError("non-finite distance encountered")
+            if abs(dij - dji) > 1e-12:
+                return ("symmetry", (int(i), int(j)), dij - dji), pairs, 0
+            if dij < 0:
+                return ("nonnegativity", (int(i), int(j)), dij), pairs, 0
+    rng = np.random.default_rng(seed)
+    for t in range(1, trials + 1):
+        i, j, k = rng.integers(0, n, size=3)
+        if dist(i, k) > dist(i, j) + dist(j, k) + 1e-9:
+            return (("triangle", (int(i), int(j), int(k)),
+                     dist(i, k) - dist(i, j) - dist(j, k)), pairs, t)
+    return None, pairs, trials
+
+
+@pytest.fixture
+def validate_metric_loop():
+    return _validate_metric_loop
+
+
 def _greedy_cover_oracle(pts, delta, stop=None):
     """One center per step: the lowest-index uncovered point, then a
     squared-distance test against every point."""

@@ -257,6 +257,17 @@ def test_bad_ngrid_exit_2(tmp_path, ngrid):
     assert proc.stderr.startswith("error: grid")
 
 
+@pytest.mark.parametrize("ngrid", ["64:64", "1:1"])
+def test_rate_over_one_n_exit_2(tmp_path, capsys, ngrid):
+    rc = _run(["rate", "--sampler", "uniform-cube:1", "--p", "1",
+               "--estimator", "1d-quantile", "--ngrid", ngrid, "--reps", "30",
+               "--seed", "0", "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: rate fits need at least 2 values of n\n"
+    assert not (tmp_path / "r" / "rate.json").exists()
+
+
 def test_colliding_tail_columns_exit_2(tmp_path, capsys):
     # 0.1 and 0.1000001 both format as tail_x0.1 under :g
     rc = _run(["tail", "--sampler", "uniform-cube:1", "--p", "1",
@@ -313,6 +324,20 @@ def test_hoeffding_bad_constants_are_row_errors(tmp_path):
         with open(out / "bounds.csv", newline="") as f:
             row, = csv.DictReader(f)
         assert row["error"] == reason
+
+
+def test_fuk_nagaev_without_n_grid_is_a_row_error(tmp_path):
+    # the default n_grid is [0], and both integral bullets divided by n
+    for k, params in enumerate(({"p": 1, "alpha": 1, "i2pp": 1.0},
+                                {"p": 1, "alpha": 3, "iap": 1.0})):
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({"x_grid": [0.5], "params": params}))
+        out = tmp_path / f"b{k}"
+        assert _run(["bound", "--formula", "fuk-nagaev", "--grid", str(spec),
+                     "--out", str(out)]) == 0
+        with open(out / "bounds.csv", newline="") as f:
+            row, = csv.DictReader(f)
+        assert row["n"] == "0" and row["error"] == "n must be >= 1"
 
 
 @pytest.mark.parametrize("formula, params", [
@@ -611,7 +636,8 @@ def _golden_runs(tmp_path):
 
 
 # sha256 of each output file, recorded before the subcommands shared one
-# output writer
+# output writer; wpp-2d's plan.csv re-recorded when its cost column came
+# to use the solve's distance formula (2 of 22 costs moved in the last bit)
 _GOLDEN = {
     "cover": (
         "bf8f78cb3c177bfeaf52ce77393ae46f28a4cf0ec6e2df9a1732b0863ff8e067",),
@@ -619,7 +645,7 @@ _GOLDEN = {
         "a2f26239e1cf4049e9c20a46878ffc934d78ec71102729d5baa911d02233ce5b",),
     "wpp-2d": (
         "e319206711fd465664d332331a9dfbbe3ecb6587c8d12a4da2e8497e3c145478",
-        "0020099233fe6f9a7bc0112b4fb6ac011a32ef243eddbfa97ec87d06d561d025"),
+        "7e4d77860c13d66db8672dc4cda4b99160a5286049c03dd287a9475bc5647fde"),
     "asrun": (
         "b87bab333fe5551d0e7df7b330114f3e1384a4d895c28af4c66d0940b7eaf1d0",
         "d2867f95cb66b016426db27ac46ad35011f4b4074525776411b5cd4545b1a1a7"),

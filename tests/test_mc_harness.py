@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from empwass import mc_harness
 from empwass.measures import sampler_from_string
 from empwass.mc_harness import (ExperimentSpec, HarnessError, _one_replicate,
                                 _run_replicates, fit_bound_constant,
@@ -151,6 +152,17 @@ def test_rate_degenerate_flag_on_point_mass():
                  n_grid=(32, 64, 128, 256), replicates=40)
     rep = run_rate_experiment(spec)
     assert rep.degenerate
+
+
+def test_rate_fit_refuses_a_single_n(monkeypatch):
+    # a line through one point divided by zero, or failed to converge
+    def no_replicates(spec):
+        raise AssertionError("replicates ran")
+
+    monkeypatch.setattr(mc_harness, "_run_replicates", no_replicates)
+    for n in (1, 64):
+        with pytest.raises(HarnessError, match="at least 2 values of n"):
+            run_rate_experiment(_spec(n_grid=(n,), replicates=30))
 
 
 def test_corrected_fit_reported_in_equality_regime():

@@ -86,7 +86,7 @@ def test_pareto_tail_function():
 def test_exp_radial_tail_function():
     s = sampler_from_string("exp-radial:2:0.5:2")
     assert s.tail(1.0) == pytest.approx(math.exp(-0.5))
-    assert TailProfile.from_sampler(s).kind == "analytic"
+    assert TailProfile.from_sampler(s).H(1.0) == s.tail(1.0)
 
 
 def test_no_closed_form_tail_is_refused():

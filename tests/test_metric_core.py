@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from empwass import metric_core
 from empwass.metric_core import (FiniteMetricSpace, MetricError, diameter,
                                  load_matrix_csv, load_points_csv,
                                  save_points_csv, validate_metric)
@@ -12,8 +13,7 @@ def test_from_points_euclidean():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
     s = FiniteMetricSpace.from_points(pts)
     assert s.n == 3 and s.dim == 2
-    assert s.dist(0, 1) == pytest.approx(5.0)
-    assert s.dist(1, 1) == 0.0
+    assert s.distances([0, 1], [1, 1]).tolist() == [5.0, 0.0]
     block = s.distance_block([0, 1], [2])
     assert block.shape == (2, 1)
     assert block[0, 0] == pytest.approx(1.0)
@@ -148,6 +148,58 @@ def test_validate_metric_checks_identity_in_both_regimes(n):
     rep = validate_metric(s)
     assert not rep.passed
     assert rep.violation == ("identity", (0, 0), 1.0)
+
+
+def _planted_space(n, how, seed=0):
+    """The line metric |i - j| on n points with a planted defect in about
+    one pair in 200, or a cloud of n random points in the plane."""
+    rng = np.random.default_rng(seed)
+    if how == "cloud":
+        return FiniteMetricSpace.from_points(rng.random((n, 2)))
+    i = np.arange(n, dtype=float)
+    M = np.abs(i[:, None] - i[None, :])
+    mask = np.triu(rng.random((n, n)) < 0.005, 1)
+    if how == "asymmetry":
+        M[mask] += 1e-6
+    else:
+        both = mask | mask.T
+        M[both] = {"negative": -1.0, "triangle": 4.0 * n,
+                   "infinite": np.inf}[how]
+    return FiniteMetricSpace.from_matrix(M)
+
+
+@pytest.mark.parametrize("block", [7, None])
+@pytest.mark.parametrize("n, how", [
+    (2100, "cloud"), (2100, "asymmetry"), (2100, "negative"),
+    (2100, "triangle"), (2100, "infinite"), (500, "cloud"),
+    (500, "triangle")])
+def test_sampled_checks_match_scalar_loop(monkeypatch, validate_metric_loop,
+                                          n, how, block):
+    """Index-array draws give the first violation and the counts of the
+    loop that drew one pair or triple at a time; blocks of 7 draws cross
+    many block edges."""
+    if block is not None:
+        monkeypatch.setattr(metric_core, "_DRAW_BLOCK", block)
+    space = _planted_space(n, how)
+    if how == "infinite":
+        for check in (validate_metric, validate_metric_loop):
+            with pytest.raises(MetricError, match="non-finite"):
+                check(space, 3000, 2)
+        return
+    rep = validate_metric(space, trials=3000, seed=2)
+    want = validate_metric_loop(space, 3000, 2)
+    assert (rep.violation, rep.pairs_checked, rep.triples_checked) == want
+    assert rep.passed == (want[0] is None) == (how == "cloud")
+
+
+@pytest.mark.parametrize("n", [3, 2049, 2 ** 32 + 1, 2 ** 33])
+def test_block_draws_are_the_single_draw_stream(n):
+    # the sampled checks draw (m, 2) or (m, 3) integers at once
+    block, single = np.random.default_rng(4), np.random.default_rng(4)
+    for width in (2, 3, 3, 2):
+        got = block.integers(0, n, size=(50, width))
+        want = [single.integers(0, n, size=width) for _ in range(50)]
+        assert np.array_equal(got, want)
 
 
 def test_points_csv_roundtrip(tmp_path):

@@ -208,6 +208,20 @@ def test_transport_plan_marginals_validate():
     plan.validate(mu, nu, 2.0)
 
 
+def test_plan_rows_cost_what_the_solve_used():
+    # each row's cost is its mass times the entry of the solve's cost
+    # matrix, not a norm recomputed by another formula
+    rng = np.random.default_rng(3)
+    space = FiniteMetricSpace.from_points(rng.random((23, 2)))
+    mu = DiscreteMeasure(space, np.arange(14), np.full(14, 1.0 / 14))
+    nu = DiscreteMeasure(space, 14 + np.arange(9), np.full(9, 1.0 / 9))
+    _, plan = wpp_mcf(mu, nu, 2.0)
+    C = space.distance_block(mu.idx, nu.idx) ** 2.0
+    rows = plan.to_rows(mu, nu, 2.0)
+    assert [c for *_, c in rows] == [m * C[i, j] for i, j, m, _ in rows]
+    plan.validate(mu, nu, 2.0)
+
+
 def test_wpp_1d_vs_quantile_uniform_reference():
     # W_1(empirical {1/4, 3/4} vs uniform[0,1]) has closed-form value 1/8
     # via |F_n(x) - x| piecewise integration (hand derivation)

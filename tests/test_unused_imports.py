@@ -1,4 +1,5 @@
-"""Every name a library module imports at module level is used in it."""
+"""Every name a library module imports at module level is used in it,
+and every private name it defines is read in src/ or perfbench/."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 _SRC = Path(__file__).resolve().parents[1] / "src" / "empwass"
 # __init__.py imports names to re-export them
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
+# the benchmark also names functions in strings ("FiniteMetricSpace.dist...")
+_READERS = [*_SRC.glob("*.py"), *(_SRC.parents[1] / "perfbench").glob("*.py")]
 
 
 def _unused_imports(source: str):
@@ -25,6 +28,48 @@ def _unused_imports(source: str):
                   if name not in used)
 
 
+def _references(source: str):
+    """Names a module reads: loaded names, attributes, imported names and
+    the dotted words of string constants."""
+    refs = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs.update(n.value.replace(".", " ").split())
+    return refs
+
+
+def _private_definitions(source: str):
+    """(line, name) of each _-prefixed name defined at module level or in
+    the body of a module-level class."""
+    tree = ast.parse(source)
+    bodies = [tree.body] + [n.body for n in tree.body
+                            if isinstance(n, ast.ClassDef)]
+    out = []
+    for node in (n for body in bodies for n in body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [getattr(node.target, "id", "")]
+        else:
+            continue
+        out += [(node.lineno, name) for name in targets
+                if name.startswith("_") and not name.startswith("__")]
+    return sorted(out)
+
+
+def _orphans(source: str, refs):
+    return [(line, name) for line, name in _private_definitions(source)
+            if name not in refs]
+
+
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [
         (1, "os")]
@@ -33,3 +78,19 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_orphaned_private_definition():
+    source = ("_A = 1\n_B = _A\n\n\nclass T:\n    _c: int = 0\n\n"
+              "    def _step(self):\n        return self._c\n\n\n"
+              "def _f():\n    return T()\n")
+    assert _orphans(source, _references(source)) == [
+        (2, "_B"), (8, "_step"), (12, "_f")]
+    assert _orphans(source, _references("x = '_B _f'\ny.T._step")) == [
+        (1, "_A"), (6, "_c")]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_orphaned_private_definitions(path):
+    refs = set().union(*(_references(p.read_text()) for p in _READERS))
+    assert _orphans(path.read_text(), refs) == []
