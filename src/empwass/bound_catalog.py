@@ -316,8 +316,6 @@ def as_rate_normalizer(n: int, p: float, alpha: float) -> float:
     if n < 3:
         raise BoundError("n must be >= 3 for log log n")
     ll = math.log(math.log(n))
-    if ll <= 0:
-        ll = math.log(math.log(3.0000001))  # guard: n=3 gives ll ~ 0.094
     regime = classify_regime(alpha, p)
     if regime == "alpha_lt_2p":
         return math.sqrt(n / ll)

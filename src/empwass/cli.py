@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import bound_catalog as bc
 from . import mc_harness as mc
@@ -92,19 +90,18 @@ def _cmd_wpp(args):
 
 def _cmd_cover(args):
     space = load_points_csv(args.points)
-    est = greedy_cover(space, np.arange(space.n), args.delta).to_dict()
+    est = greedy_cover(space, args.delta).to_dict()
     return 0, {"cover.json": est}, json.dumps(est)
 
 
 def _cmd_dim(args):
     space = load_points_csv(args.points)
-    subset = np.arange(space.n)
     try:
         if args.delta_grid == "auto":
-            deltas = auto_delta_grid(space, subset, args.scales)
+            deltas = auto_delta_grid(space, args.scales)
         else:
-            deltas = np.asarray(_parse_xgrid(args.delta_grid))
-        fit = fit_dimension(space, subset, deltas).to_dict()
+            deltas = _parse_xgrid(args.delta_grid)
+        fit = fit_dimension(space, deltas).to_dict()
     except DegenerateFitError as exc:
         fit = {"degenerate": True, "reason": str(exc)}
     return 0, {"dim.json": fit}, json.dumps(fit)
@@ -112,7 +109,7 @@ def _cmd_dim(args):
 
 def _cmd_tree(args):
     space = load_points_csv(args.points)
-    tree = build_partition_tree(space, np.arange(space.n), args.kstar)
+    tree = build_partition_tree(space, args.kstar)
     return 0, {"tree.json": tree.to_dict()}, json.dumps(
         {"k_star": tree.k_star, "cell_counts": tree.cell_counts})
 

@@ -122,7 +122,7 @@ def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
     if not k_star:   # 0 or None: depth grows with n
         alpha = sampler.metadata().get("alpha") or 2.0 * p
         k_star = auto_k_star(n, alpha)
-    tree = build_partition_tree(space, np.arange(n + m), k_star)
+    tree = build_partition_tree(space, k_star)
     return dyadic_wpp_bound(tree, mu, nu, p)
 
 
@@ -236,8 +236,9 @@ def run_rate_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Estimate E[W_p^p] on the n-grid and fit the log-log decay slope.
 
     The two smallest n are dropped from the fit (pre-asymptotic bias).
-    When the sampler's covering dimension equals 2p, a second fit with
-    the sqrt(log n) correction removed is reported alongside.
+    When the sampler's covering dimension equals 2p and every n in the
+    fit is at least 2 (log log 1 is -inf), a second fit with the
+    sqrt(log n) correction removed is reported alongside.
     """
     if spec.replicates < 30:
         raise HarnessError("rate fits need at least 30 replicates")
@@ -264,7 +265,7 @@ def run_rate_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     md = spec.sampler.metadata()
     alpha = md.get("alpha")
-    if alpha is not None and alpha > 0 \
+    if alpha is not None and alpha > 0 and ns[keep].min() >= 2 \
             and classify_regime(alpha, spec.p) == "alpha_eq_2p":
         yc = y - 0.5 * np.log(np.log(ns[keep]))
         cslope, _, cr2 = _ols(x, yc)
@@ -366,8 +367,8 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
                       seed: int) -> dict:
     """One trajectory of the normalized statistic a_k * W_p^p(L_k, ref)
     at dyadic checkpoints k; evidence (not proof) of a.s. boundedness.
-    ``max_normalized`` is None when the sampler has no alpha, so no row
-    was normalized."""
+    Without a sampler alpha no row is normalized: ``normalized`` and
+    ``max_normalized`` are None."""
     if not p >= 1:
         raise HarnessError("p must be >= 1")
     if n_max < 4:
@@ -391,11 +392,11 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
             values, _ = wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
                                              sampler.quantile, p, anti)
             w = float(values[0])
-        norm = as_rate_normalizer(k, p, alpha) * w if alpha else float("nan")
+        norm = as_rate_normalizer(k, p, alpha) * w if alpha else None
         rows.append({"k": int(k), "wpp": w, "normalized": norm})
-    normed = [r["normalized"] for r in rows if not math.isnan(r["normalized"])]
     return {"sampler": md, "p": p, "seed": seed, "rows": rows,
-            "max_normalized": max(normed) if normed else None}
+            "max_normalized": (max(r["normalized"] for r in rows) if alpha
+                               else None)}
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,8 @@ def _draws(seed: int, n: int, trials: int, width: int):
         yield start, rng.integers(0, n, size=size).T
 
 
+# a distance that overflows is inf, and the checks refuse it
+@np.errstate(over="ignore", invalid="ignore")
 def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
                     seed: int = 0) -> ValidationReport:
     """Check metric axioms.
@@ -192,7 +194,8 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     Identity on every point. Symmetry/nonnegativity over all pairs when
     n <= 2048, else over `trials` seeded random pairs; triangle inequality
     exhaustively when n <= 200, else over `trials` seeded random triples.
-    A sampled check reports the first violating draw.
+    A sampled check reports the first violating draw. A distance that is
+    not finite, in the matrix or in a draw, is refused with a MetricError.
     """
     if trials < 1:
         raise MetricError("trials must be >= 1")
@@ -200,13 +203,11 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     every = np.arange(n)
     D = space.submatrix(every) if n <= 2048 else None
     if D is not None:
-        if np.any(np.isnan(D)):
-            raise MetricError("distance matrix contains NaN entries")
         di, pairs = np.diag(D), n * n
     else:
         di, pairs = space.distances(every, every), n
-        if np.any(np.isnan(di)):
-            raise MetricError("non-finite distance encountered")
+    if not np.all(np.isfinite(di if D is None else D)):
+        raise MetricError("non-finite distance encountered")
     if np.any(di != 0):
         i = int(np.argmax(di != 0))
         return ValidationReport(False, n, pairs, 0, False,
@@ -222,8 +223,7 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     else:
         for start, (i, j) in _draws(seed, n, trials, 2):
             dij, dji = space.distances(i, j), space.distances(j, i)
-            with np.errstate(invalid="ignore"):
-                asym = np.abs(dij - dji) > 1e-12
+            asym = np.abs(dij - dji) > 1e-12
             bad = ~np.isfinite(dij) | asym | (dij < 0)
             if bad.any():
                 t = int(np.argmax(bad))
@@ -249,9 +249,12 @@ def validate_metric(space: FiniteMetricSpace, trials: int = 10000,
     for start, (i, j, k) in _draws(seed, n, trials, 3):
         dik, dij, djk = (space.distances(a, b)
                          for a, b in ((i, k), (i, j), (j, k)))
-        bad = dik > dij + djk + 1e-9
+        finite = np.isfinite(dik) & np.isfinite(dij) & np.isfinite(djk)
+        bad = ~finite | (dik > dij + djk + 1e-9)
         if bad.any():
             t = int(np.argmax(bad))
+            if not finite[t]:
+                raise MetricError("non-finite distance encountered")
             return ValidationReport(
                 False, n, pairs, start + t + 1, False,
                 ("triangle", (int(i[t]), int(j[t]), int(k[t])),

@@ -34,30 +34,26 @@ class CoveringEstimate:
                 "centers": [int(c) for c in self.centers]}
 
 
-def _cover(space: FiniteMetricSpace, subset: np.ndarray, delta: float,
+def _cover(space: FiniteMetricSpace, idx: np.ndarray, delta: float,
            stop: Optional[int] = None) -> np.ndarray:
-    """Positions in subset of the greedy delta-cover centers."""
+    """Positions in idx of the greedy delta-cover centers of those points."""
     if space.kind == "euclidean":
-        return _kernels.greedy_cover_pts(space.points[subset], float(delta),
+        return _kernels.greedy_cover_pts(space.points[idx], float(delta),
                                          stop=stop)
-    return _kernels.greedy_cover_mat(space.submatrix(subset), float(delta),
+    return _kernels.greedy_cover_mat(space.submatrix(idx), float(delta),
                                      stop=stop)
 
 
-def greedy_cover(space: FiniteMetricSpace, subset: Sequence[int],
-                 delta: float) -> CoveringEstimate:
-    """Greedy cover by closed delta-balls (next center = first uncovered
-    point of lowest index) plus a 2*delta-packing lower bound."""
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size == 0:
-        raise MultiscaleError("subset is empty")
+def greedy_cover(space: FiniteMetricSpace, delta: float) -> CoveringEstimate:
+    """Greedy cover of the space by closed delta-balls (next center = first
+    uncovered point of lowest index) plus a 2*delta-packing lower bound."""
     if not delta > 0:
         raise MultiscaleError("delta must be positive")
-    cov = _cover(space, subset, delta)
+    every = np.arange(space.n)
+    cov = _cover(space, every, delta)
     # a maximal 2*delta-separated set is the greedy cover at 2*delta
-    pack = _cover(space, subset, 2.0 * delta)
-    return CoveringEstimate(float(delta), int(cov.size), int(pack.size),
-                            subset[cov])
+    pack = _cover(space, every, 2.0 * delta)
+    return CoveringEstimate(float(delta), int(cov.size), int(pack.size), cov)
 
 
 @dataclass(frozen=True)
@@ -90,15 +86,14 @@ def line_fit(x: np.ndarray, y: np.ndarray):
     return slope, intercept, resid, ss_res, r2
 
 
-def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
+def fit_dimension(space: FiniteMetricSpace,
                   deltas: Sequence[float]) -> DimensionFit:
-    """One-sided power-law envelope for covering counts.
+    """One-sided power-law envelope for the space's covering counts.
 
     Least squares on log counts vs log(diam/delta), then the prefactor is
     inflated minimally so the law dominates every observed count. Counts
     are greedy cover sizes.
     """
-    subset = np.asarray(subset, dtype=np.int64)
     deltas = np.sort(np.asarray(deltas, dtype=float))[::-1]
     if deltas.size < 4:
         raise MultiscaleError("need at least 4 scales")
@@ -106,12 +101,11 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
         raise MultiscaleError("delta must be positive")
     if deltas.max() / deltas.min() < 10.0 - 1e-9:
         raise MultiscaleError("scales must span at least one decade")
-    if subset.size == 0:
-        raise MultiscaleError("subset is empty")
-    Delta = diameter(space, subset)
+    Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
-    counts = np.array([_cover(space, subset, d).size for d in deltas])
+    every = np.arange(space.n)
+    counts = np.array([_cover(space, every, d).size for d in deltas])
     if np.all(counts == 1):
         raise DegenerateFitError("all covering counts equal 1")
     x = np.log(Delta / deltas)
@@ -123,10 +117,9 @@ def fit_dimension(space: FiniteMetricSpace, subset: Sequence[int],
                         r2, Delta)
 
 
-def auto_delta_grid(space: FiniteMetricSpace, subset: Sequence[int],
-                    n_scales: int = 6) -> np.ndarray:
+def auto_delta_grid(space: FiniteMetricSpace, n_scales: int = 6) -> np.ndarray:
     """Dyadic scales diam/8, diam/16, ... for dimension fitting."""
-    Delta = diameter(space, np.asarray(subset, dtype=np.int64))
+    Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
     n_scales = max(4, n_scales)
@@ -144,25 +137,23 @@ class Cell:
     points: np.ndarray        # space indices of member points
 
 
-def _group(values: np.ndarray, labels: np.ndarray,
-           ncells: int) -> List[np.ndarray]:
-    """values split by label into ncells groups, each in input order;
-    labels outside [0, ncells) join no group."""
+def _group(labels: np.ndarray, ncells: int) -> List[np.ndarray]:
+    """Positions of labels split by label into ncells groups, each
+    ascending; labels outside [0, ncells) join no group."""
     pos = np.flatnonzero((labels >= 0) & (labels < ncells))
     order = pos[np.argsort(labels[pos], kind="stable")]
     ends = np.cumsum(np.bincount(labels[pos], minlength=ncells))
-    return np.split(values[order], ends[:-1])
+    return np.split(order, ends[:-1])
 
 
 @dataclass
 class PartitionTree:
-    """Nested partitions of ``subset``, stored per level k = 1..k_star as
-    ``labels[k-1]`` (cell id of each subset position), ``centers[k-1]``
-    (space index of each cell's center) and ``parents[k-1]`` (cell id of
-    each cell's parent at level k-1; level 0 is the single root cell)."""
+    """Nested partitions of the space, stored per level k = 1..k_star as
+    ``labels[k-1]`` (cell id of each point), ``centers[k-1]`` (space index
+    of each cell's center) and ``parents[k-1]`` (cell id of each cell's
+    parent at level k-1; level 0 is the single root cell)."""
 
     space: FiniteMetricSpace
-    subset: np.ndarray
     diam: float
     k_star: int
     labels: List[np.ndarray] = field(default_factory=list)
@@ -177,7 +168,7 @@ class PartitionTree:
     def levels(self) -> List[List[Cell]]:
         """Cell view of the label arrays."""
         return [[Cell(int(c), int(p), m) for c, p, m in
-                 zip(cen, par, _group(self.subset, lab, cen.size))]
+                 zip(cen, par, _group(lab, cen.size))]
                 for lab, cen, par in zip(self.labels, self.centers,
                                          self.parents)]
 
@@ -195,7 +186,7 @@ class PartitionTree:
         a greedy cover that stops as soon as it reaches the level's cell
         count.
         """
-        n = self.subset.size
+        n = self.space.n
         prev, nprev = np.zeros(n, np.int64), 1
         for k, (lab, cen, par) in enumerate(
                 zip(self.labels, self.centers, self.parents), start=1):
@@ -208,11 +199,8 @@ class PartitionTree:
             if (par.min() < 0 or par.max() >= nprev
                     or np.any(par[lab] != prev)):
                 raise MultiscaleError(f"refinement violated at level {k}")
-            if self.diam == 0.0:
-                cap = 1
-            else:
-                cap = _cover(self.space, self.subset,
-                             4.0 ** (-k - 1) * self.diam, stop=ncells).size
+            cap = _cover(self.space, np.arange(n), 4.0 ** (-k - 1) * self.diam,
+                         stop=ncells).size
             if ncells > cap:
                 raise MultiscaleError(
                     f"level {k} has {ncells} cells, cover cap is {cap}")
@@ -223,7 +211,7 @@ class PartitionTree:
         bound = self.level_radius(k) + 1e-12
         if self.space.kind == "euclidean":
             pts = self.space.points
-            diff = pts[self.subset] - pts[cen[lab]]
+            diff = pts - pts[cen[lab]]
             rmax = np.zeros(cen.size)
             np.maximum.at(rmax, lab, np.einsum("ij,ij->i", diff, diff))
             # the margin absorbs rounding in both distance computations
@@ -232,7 +220,7 @@ class PartitionTree:
             unsure = np.arange(cen.size)
         if unsure.size == 0:
             return
-        members = _group(self.subset, lab, cen.size)
+        members = _group(lab, cen.size)
         for c in unsure:
             if diameter(self.space, members[c]) > bound:
                 raise MultiscaleError(f"cell diameter violated at level {k}")
@@ -259,45 +247,38 @@ def _assign(space: FiniteMetricSpace, pts_idx: np.ndarray,
     return _kernels.assign_nearest_mat(D)
 
 
-def build_partition_tree(space: FiniteMetricSpace, subset: Sequence[int],
+def build_partition_tree(space: FiniteMetricSpace,
                          k_star: int) -> PartitionTree:
-    """Top-down refined partitions with four-fold shrinking diameters.
+    """Top-down refined partitions of the space with four-fold shrinking
+    diameters.
 
     Level-k centers come from a greedy cover at radius 4^{-k}*diam/2
     inside each parent cell; points go to their nearest center within the
     parent (ties to the lowest center index). Cells are numbered by
     parent, then by center order within the parent.
     """
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size == 0:
-        raise MultiscaleError("subset is empty")
     if k_star < 1:
         raise MultiscaleError("k_star must be >= 1")
-    Delta = diameter(space, subset)
-    tree = PartitionTree(space, subset, Delta, int(k_star))
-    prev_lab = np.zeros(subset.size, np.int64)
+    Delta = diameter(space)
+    tree = PartitionTree(space, Delta, int(k_star))
+    prev_lab = np.zeros(space.n, np.int64)
     nprev = 1
     for k in range(1, k_star + 1):
         radius = 4.0 ** (-k) * Delta / 2.0
-        lab = np.empty(subset.size, np.int64)
+        lab = np.empty(space.n, np.int64)
         cen: List[np.ndarray] = []
         par: List[np.ndarray] = []
         ncells = 0
-        for pid, pos in enumerate(_group(np.arange(subset.size), prev_lab,
-                                         nprev)):
-            pts = subset[pos]
-            if pts.size == 1 or Delta == 0.0:
-                # one cell; when Delta == 0 every level is one cell and its
-                # center, like the root's, is the first point of subset
-                centers = pts[:1]
-                local = np.zeros(pts.size, np.int64)
+        for pid, pts in enumerate(_group(prev_lab, nprev)):
+            if pts.size == 1:
+                centers, local = pts, np.zeros(1, np.int64)
             else:
                 centers = pts[_cover(space, pts, radius)]
                 local = _assign(space, pts, centers)
                 used = np.bincount(local, minlength=centers.size) > 0
                 local = (np.cumsum(used) - 1)[local]
                 centers = centers[used]
-            lab[pos] = ncells + local
+            lab[pts] = ncells + local
             cen.append(centers)
             par.append(np.full(centers.size, pid, np.int64))
             ncells += centers.size
@@ -320,20 +301,15 @@ def dyadic_wpp_bound(tree: PartitionTree, mu: DiscreteMeasure,
 
         diam^p * [4^{-k* p} + 4^p * sum_k 4^{-k p} sum_i |mu(Q_i^k)-nu(Q_i^k)|]
     """
-    position = np.full(tree.space.n, -1, np.int64)
-    position[tree.subset] = np.arange(tree.subset.size)
-    at = []
-    for m in (mu, nu):
-        if m.idx.max() >= position.size or position[m.idx].min() < 0:
-            raise MultiscaleError("measure support lies outside the tree")
-        at.append(position[m.idx])
+    if mu.space is not tree.space or nu.space is not tree.space:
+        raise MultiscaleError("measures live outside the tree's space")
     disc_sum = 0.0
     for k in range(1, tree.k_star + 1):
         lab = tree.labels[k - 1]
         ncells = tree.centers[k - 1].size
         # bincount sums each cell's weights in atom order
-        ma = np.bincount(lab[at[0]], weights=mu.weights, minlength=ncells)
-        mb = np.bincount(lab[at[1]], weights=nu.weights, minlength=ncells)
+        ma = np.bincount(lab[mu.idx], weights=mu.weights, minlength=ncells)
+        mb = np.bincount(lab[nu.idx], weights=nu.weights, minlength=ncells)
         disc_sum += 4.0 ** (-k * p) * float(np.sum(np.abs(ma - mb)))
     val = 4.0 ** (-tree.k_star * p) + 4.0 ** p * disc_sum
     return tree.diam ** p * val

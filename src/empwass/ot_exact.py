@@ -265,9 +265,6 @@ def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     ib, wb = _drop_zero(nu)
     if ia.size + ib.size > MAX_MCF_ATOMS:
         raise OTError(f"instance exceeds {MAX_MCF_ATOMS} combined atoms")
-    if abs(wa.sum() - wb.sum()) > 1e-10:
-        raise OTError("weight sums differ: transportation problem infeasible")
-
     # positions of surviving atoms in the original atom lists
     pos_a = np.flatnonzero(mu.weights > 0.0)
     pos_b = np.flatnonzero(nu.weights > 0.0)

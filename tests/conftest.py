@@ -126,11 +126,11 @@ def _verify_tree_oracle(tree):
     sorted union of each level's cells, the pairwise diameter of every
     cell, membership of each cell in its parent, and a full greedy cover
     for the cardinality cap (the one-at-a-time loop for point clouds)."""
-    subset_sorted = np.sort(tree.subset)
+    every = np.arange(tree.space.n)
     levels = tree.levels
     for k, level in enumerate(levels, start=1):
         got = np.sort(np.concatenate([c.points for c in level]))
-        if got.size != subset_sorted.size or np.any(got != subset_sorted):
+        if got.size != every.size or np.any(got != every):
             raise MultiscaleError(f"level {k} does not partition the set")
         for c in level:
             if (_diameter_oracle(tree.space, c.points)
@@ -144,10 +144,9 @@ def _verify_tree_oracle(tree):
         if tree.diam == 0.0:
             cap = 1
         elif tree.space.kind == "euclidean":
-            cap = _greedy_cover_oracle(tree.space.points[tree.subset],
-                                       radius).size
+            cap = _greedy_cover_oracle(tree.space.points, radius).size
         else:
-            cap = greedy_cover(tree.space, tree.subset, radius).n_upper
+            cap = greedy_cover(tree.space, radius).n_upper
         if len(level) > cap:
             raise MultiscaleError(
                 f"level {k} has {len(level)} cells, cover cap is {cap}")

@@ -79,7 +79,7 @@ def test_acceptance_2_dyadic_bound_dominates_exact():
         n_atoms = int(rng.integers(4, 33))          # 2 * 32 = 64 points max
         space, mu, nu = _random_pair_nd(rng, 2, n_atoms)
         k_star = int(rng.integers(1, 4))
-        tree = build_partition_tree(space, np.arange(space.n), k_star)
+        tree = build_partition_tree(space, k_star)
         bound = dyadic_wpp_bound(tree, mu, nu, 1.0)
         exact, _ = wpp_mcf(mu, nu, 1.0)
         assert bound >= exact.value - 1e-12
@@ -230,13 +230,11 @@ def _bundled_space(name):
 
 def test_acceptance_9_bundled_dimension_fits():
     cantor = _bundled_space("cantor_third_5000.csv")
-    idx = np.arange(cantor.n)
-    fit = fit_dimension(cantor, idx, auto_delta_grid(cantor, idx, 6))
+    fit = fit_dimension(cantor, auto_delta_grid(cantor, 6))
     assert 0.55 <= fit.alpha <= 0.72
 
     square = _bundled_space("uniform_square_20000.csv")
-    idx = np.arange(square.n)
-    fit = fit_dimension(square, idx, auto_delta_grid(square, idx, 5))
+    fit = fit_dimension(square, auto_delta_grid(square, 5))
     assert 1.7 <= fit.alpha <= 2.3
 
 

@@ -165,6 +165,21 @@ def test_validate_metric_exit_codes(tmp_path, pts_file):
                  "--trials", "100", "--out", str(tmp_path / "bad")]) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, rows", [
+    ("--matrix", "0,inf,1\ninf,0,1\n1,1,0\n"),
+    # finite coordinates whose distances overflow to inf
+    ("--points", "1e200,0\n-1e200,0\n0,1\n")])
+def test_validate_metric_non_finite_exit_2(tmp_path, capsys, flag, rows):
+    path = tmp_path / "in.csv"
+    path.write_text(rows)
+    out = tmp_path / "v"
+    assert _run(["validate-metric", flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: non-finite distance encountered"]
+    assert not (out / "validate.json").exists()
+
+
 def test_rate_deterministic_across_workers(tmp_path):
     def run(out, workers):
         rc = _run(["rate", "--sampler", "uniform-cube:1", "--p", "1",
@@ -363,6 +378,32 @@ def test_bound_integer_grid_overflows(tmp_path, formula, params):
     with open(tmp_path / "b" / "bounds.csv", newline="") as f:
         row, = csv.DictReader(f)
     assert row["error"].startswith("float overflow")
+
+
+def _strict_json(path):
+    """The JSON file at path, refusing NaN and Infinity (not JSON)."""
+    def refuse(name):
+        raise ValueError(f"{path} holds {name}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_undefined_fit_values_are_null(tmp_path):
+    # n = 1 in the rate fit: the log log n correction is -inf there
+    out = tmp_path / "rate"
+    assert _run(["rate", "--sampler", "uniform-cube:2", "--p", "1",
+                 "--estimator", "mcf-two-sample", "--ngrid", "1:2",
+                 "--reps", "30", "--seed", "0", "--out", str(out)]) == 0
+    rate = _strict_json(out / "rate.json")
+    assert rate["slope"] is not None
+    assert rate["corrected_slope"] is rate["corrected_r2"] is None
+    # a sampler without alpha normalizes no row
+    out = tmp_path / "asrun"
+    assert _run(["asrun", "--sampler", "pareto-radial:3:1", "--p", "1",
+                 "--nmax", "16", "--seed", "0", "--out", str(out)]) == 0
+    rows = _strict_json(out / "asrun.json")["rows"]
+    assert [r["normalized"] for r in rows] == [None] * 3
+    with open(out / "asrun.csv", newline="") as f:
+        assert [r["normalized"] for r in csv.DictReader(f)] == [""] * 3
 
 
 def test_asrun_without_alpha_reports_null(tmp_path, capsys):
@@ -705,6 +746,8 @@ def test_outputs_golden(tmp_path):
         got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in files)
         assert got == _GOLDEN[case], case
+        for path in out.glob("*.json"):
+            _strict_json(path)
 
 
 def test_wpp_1d_value_golden(tmp_path):

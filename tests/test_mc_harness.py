@@ -241,7 +241,7 @@ def test_as_trajectory_without_alpha_has_no_max():
     # and there is no maximum to report
     out = run_as_trajectory(sampler_from_string("pareto-radial:3:1"), 1.0,
                             256, seed=0)
-    assert all(math.isnan(r["normalized"]) for r in out["rows"])
+    assert all(r["normalized"] is None for r in out["rows"])
     assert out["max_normalized"] is None
 
 

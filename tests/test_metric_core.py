@@ -150,6 +150,43 @@ def test_validate_metric_checks_identity_in_both_regimes(n):
     assert rep.violation == ("identity", (0, 0), 1.0)
 
 
+def _line_matrix(n):
+    i = np.arange(n, dtype=float)
+    return np.abs(i[:, None] - i[None, :])
+
+
+def _inf_in_triples_only(n=2049, far=1000):
+    """A line metric whose points below `far` are at distance inf from
+    every other point, and a seed whose one sampled pair avoids them
+    while its one sampled triple meets one."""
+    M = _line_matrix(n)
+    M[:far] = M[:, :far] = np.inf
+    np.fill_diagonal(M, 0.0)
+    def first(seed, width):
+        return np.random.default_rng(seed).integers(0, n, (1, width))[0]
+
+    seed = next(s for s in range(1000) if first(s, 2).min() >= far
+                and first(s, 3).min() < far and np.ptp(first(s, 3)) > 0)
+    return FiniteMetricSpace.from_matrix(M), seed
+
+
+def test_validate_metric_refuses_non_finite_distances():
+    """One rule in every regime: a distance that is not finite, or that
+    overflows to inf, raises instead of entering the report."""
+    dense = _line_matrix(3)
+    dense[0, 1] = dense[1, 0] = np.inf
+    diagonal = _line_matrix(2049)
+    diagonal[5, 5] = np.inf
+    overflow = FiniteMetricSpace.from_points(
+        [[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    triples, seed = _inf_in_triples_only()
+    for space, trials, s in ((FiniteMetricSpace.from_matrix(dense), 100, 0),
+                             (FiniteMetricSpace.from_matrix(diagonal), 100, 0),
+                             (overflow, 100, 0), (triples, 1, seed)):
+        with pytest.raises(MetricError, match="non-finite distance"):
+            validate_metric(space, trials=trials, seed=s)
+
+
 def _planted_space(n, how, seed=0):
     """The line metric |i - j| on n points with a planted defect in about
     one pair in 200, or a cloud of n random points in the plane."""

@@ -42,7 +42,7 @@ def test_greedy_cover_sandwiched_by_optimum():
         pts = rng.random((n, 2))
         space = FiniteMetricSpace.from_points(pts)
         delta = float(rng.uniform(0.1, 0.5))
-        est = greedy_cover(space, np.arange(n), delta)
+        est = greedy_cover(space, delta)
         opt = _min_cover_size(space, np.arange(n), delta)
         # greedy upper bound is feasible; packing lower bound is valid
         assert est.n_lower <= opt <= est.n_upper
@@ -56,18 +56,16 @@ def test_cover_count_monotone_in_delta():
     pts = rng.random((80, 2))
     space = FiniteMetricSpace.from_points(pts)
     deltas = [0.4, 0.2, 0.1, 0.05]
-    counts = [greedy_cover(space, np.arange(80), d).n_upper for d in deltas]
+    counts = [greedy_cover(space, d).n_upper for d in deltas]
     assert counts == sorted(counts)
 
 
 def test_greedy_cover_singleton_and_errors():
     space = FiniteMetricSpace.from_points(np.zeros((1, 2)))
-    est = greedy_cover(space, [0], 0.1)
+    est = greedy_cover(space, 0.1)
     assert est.n_upper == est.n_lower == 1
     with pytest.raises(MultiscaleError):
-        greedy_cover(space, [], 0.1)
-    with pytest.raises(MultiscaleError):
-        greedy_cover(space, [0], 0.0)
+        greedy_cover(space, 0.0)
 
 
 def _limit_memory():
@@ -82,7 +80,7 @@ def test_cover_ends_when_a_center_misses_itself():
     code = ("from empwass.metric_core import FiniteMetricSpace\n"
             "from empwass.multiscale import greedy_cover\n"
             "space = FiniteMetricSpace.from_matrix([[0, 1], [1, 5]])\n"
-            "print(greedy_cover(space, [0, 1], 0.5).to_dict())\n")
+            "print(greedy_cover(space, 0.5).to_dict())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -97,14 +95,14 @@ def test_fit_dimension_line_and_square():
     rng = np.random.default_rng(12)
     line = rng.random((3000, 1))
     s1 = FiniteMetricSpace.from_points(line)
-    grid = auto_delta_grid(s1, np.arange(3000), 6)
-    fit1 = fit_dimension(s1, np.arange(3000), grid)
+    grid = auto_delta_grid(s1, 6)
+    fit1 = fit_dimension(s1, grid)
     assert 0.85 <= fit1.alpha <= 1.15
     # enough points that counts stay unsaturated over a 5-scale dyadic grid
     square = rng.random((12000, 2))
     s2 = FiniteMetricSpace.from_points(square)
-    grid2 = auto_delta_grid(s2, np.arange(12000), 5)
-    fit2 = fit_dimension(s2, np.arange(12000), grid2)
+    grid2 = auto_delta_grid(s2, 5)
+    fit2 = fit_dimension(s2, grid2)
     assert 1.7 <= fit2.alpha <= 2.2
     # envelope is one-sided: dominates every observed count
     assert np.all(fit2.envelope(fit2.scales) >= fit2.counts - 1e-9)
@@ -112,17 +110,16 @@ def test_fit_dimension_line_and_square():
 
 def test_fit_dimension_argument_validation():
     space = FiniteMetricSpace.from_points(np.random.default_rng(0).random((50, 1)))
-    idx = np.arange(50)
     with pytest.raises(MultiscaleError):
-        fit_dimension(space, idx, [0.1, 0.05, 0.02])  # too few scales
+        fit_dimension(space, [0.1, 0.05, 0.02])  # too few scales
     with pytest.raises(MultiscaleError):
-        fit_dimension(space, idx, [0.1, 0.09, 0.08, 0.07])  # < 1 decade
+        fit_dimension(space, [0.1, 0.09, 0.08, 0.07])  # < 1 decade
     for grid in ([-1, -0.5, -0.2, -0.01], [0.5, 0.2, 0.1, -0.01]):
         with pytest.raises(MultiscaleError, match="delta must be positive"):
-            fit_dimension(space, idx, grid)
+            fit_dimension(space, grid)
     degenerate = FiniteMetricSpace.from_points(np.zeros((5, 1)))
     with pytest.raises(DegenerateFitError):
-        fit_dimension(degenerate, np.arange(5), [0.8, 0.4, 0.2, 0.05])
+        fit_dimension(degenerate, [0.8, 0.4, 0.2, 0.05])
 
 
 def test_partition_tree_invariants_checked_by_verify():
@@ -130,10 +127,10 @@ def test_partition_tree_invariants_checked_by_verify():
     for d in (1, 2):
         pts = rng.random((400, d))
         space = FiniteMetricSpace.from_points(pts)
-        tree = build_partition_tree(space, np.arange(400), 3)
+        tree = build_partition_tree(space, 3)
         tree.verify()  # partition / refinement / diameter / cardinality
         assert len(tree.levels) == 3
-        # each level partitions the subset
+        # each level partitions the space
         for level in tree.levels:
             got = np.sort(np.concatenate([c.points for c in level]))
             assert np.array_equal(got, np.arange(400))
@@ -146,10 +143,10 @@ def test_partition_tree_invariants_checked_by_verify():
 
 def test_partition_tree_degenerate_inputs():
     space = FiniteMetricSpace.from_points(np.zeros((4, 2)))
-    tree = build_partition_tree(space, np.arange(4), 2)
+    tree = build_partition_tree(space, 2)
     assert all(len(level) == 1 for level in tree.levels)
     single = FiniteMetricSpace.from_points(np.array([[1.0, 2.0]]))
-    tree1 = build_partition_tree(single, [0], 2)
+    tree1 = build_partition_tree(single, 2)
     assert tree1.diam == 0.0
 
 
@@ -159,7 +156,7 @@ def test_dyadic_bound_hand_example():
     # cells separate the points, giving 1 * (1/4 + 4 * (1/4) * 2) = 2.25;
     # with both measures on one point the bound is the resolution term only.
     space = FiniteMetricSpace.from_points(np.array([[0.0], [1.0]]))
-    tree = build_partition_tree(space, [0, 1], 1)
+    tree = build_partition_tree(space, 1)
     mu = DiscreteMeasure(space, [0], [1.0])
     nu = DiscreteMeasure(space, [1], [1.0])
     assert dyadic_wpp_bound(tree, mu, nu, 1.0) == pytest.approx(0.25 + 2.0)
@@ -177,7 +174,7 @@ def test_dyadic_bound_dominates_exact_wpp():
             wb = rng.dirichlet(np.ones(n))
             mu = DiscreteMeasure(space, np.arange(n), wa)
             nu = DiscreteMeasure(space, np.arange(n), wb)
-            tree = build_partition_tree(space, np.arange(n), 3)
+            tree = build_partition_tree(space, 3)
             bound = dyadic_wpp_bound(tree, mu, nu, p)
             exact = wpp_mcf(mu, nu, p)[0].value
             assert bound >= exact - 1e-10
@@ -185,11 +182,15 @@ def test_dyadic_bound_dominates_exact_wpp():
 
 def test_dyadic_bound_rejects_outside_support():
     space = FiniteMetricSpace.from_points(np.array([[0.0], [1.0], [2.0]]))
-    tree = build_partition_tree(space, [0, 1], 1)
+    other = FiniteMetricSpace.from_points(np.array([[0.0], [1.0], [2.0]]))
+    tree = build_partition_tree(other, 1)
     mu = DiscreteMeasure(space, [2], [1.0])
     nu = DiscreteMeasure(space, [0], [1.0])
     with pytest.raises(MultiscaleError):
         dyadic_wpp_bound(tree, mu, nu, 1.0)
+    # one measure on the tree's space is not enough
+    with pytest.raises(MultiscaleError):
+        dyadic_wpp_bound(tree, DiscreteMeasure(other, [2], [1.0]), nu, 1.0)
 
 
 def test_auto_k_star():
@@ -205,16 +206,15 @@ def test_cantor_dimension_from_bundled_data():
     with resources.as_file(resources.files("empwass").joinpath(
             "data/cantor_third_5000.csv")) as path:
         space = load_points_csv(path)
-    idx = np.arange(space.n)
-    fit = fit_dimension(space, idx, auto_delta_grid(space, idx, 6))
+    fit = fit_dimension(space, auto_delta_grid(space, 6))
     # middle-thirds construction has log 2 / log 3 = 0.6309...
     assert 0.55 <= fit.alpha <= 0.72
 
 
-def _build_unchecked(space, subset, k_star):
+def _build_unchecked(space, k_star):
     """The tree build_partition_tree makes, before its own verify runs."""
     with mock.patch.object(PartitionTree, "verify", lambda self: None):
-        return build_partition_tree(space, subset, k_star)
+        return build_partition_tree(space, k_star)
 
 
 def _verdict(check, tree):
@@ -243,15 +243,14 @@ def _clouds(draw):
 @given(_clouds())
 def test_verify_agrees_with_oracle(verify_tree_oracle, cloud):
     space, k_star = cloud
-    tree = _build_unchecked(space, np.arange(space.n), k_star)
+    tree = _build_unchecked(space, k_star)
     assert _verdict(PartitionTree.verify, tree) == \
         _verdict(verify_tree_oracle, tree)
 
 
 def _square_tree(n=300, k_star=2, seed=15):
     pts = np.random.default_rng(seed).random((n, 2))
-    return build_partition_tree(FiniteMetricSpace.from_points(pts),
-                                np.arange(n), k_star)
+    return build_partition_tree(FiniteMetricSpace.from_points(pts), k_star)
 
 
 def _both_reject(tree, oracle, match):
@@ -266,7 +265,7 @@ def test_verify_rejects_point_moved_to_far_cell(verify_tree_oracle):
     lab, cen = tree.labels[1], tree.centers[1]
     i = int(np.flatnonzero(np.bincount(lab)[lab] > 1)[0])
     pts = tree.space.points
-    far = int(np.argmax(np.linalg.norm(pts[cen] - pts[tree.subset[i]], axis=1)))
+    far = int(np.argmax(np.linalg.norm(pts[cen] - pts[i], axis=1)))
     lab[i] = far
     _both_reject(tree, verify_tree_oracle, "cell diameter violated at level 2")
     assert _verdict(verify_tree_oracle, tree) == \
@@ -302,8 +301,7 @@ def test_partition_tree_golden():
     # sha256 of the tree.json payload as produced before the tree was
     # stored as label arrays
     pts = np.random.default_rng(2024).random((2000, 2))
-    tree = build_partition_tree(FiniteMetricSpace.from_points(pts),
-                                np.arange(2000), 3)
+    tree = build_partition_tree(FiniteMetricSpace.from_points(pts), 3)
     assert tree.cell_counts == [26, 339, 1503]
     blob = json.dumps(tree.to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == \
@@ -339,6 +337,6 @@ def test_dyadic_bound_dominates_exact_on_random_trees(case):
     not the cover cap, so trees are taken as built: the cap defect pinned
     by test_known_cap_defect_uniform_square stays out of this property."""
     space, k_star, (mu, nu), p = case
-    tree = _build_unchecked(space, np.arange(space.n), k_star)
+    tree = _build_unchecked(space, k_star)
     exact = wpp_mcf(mu, nu, p)[0].value
     assert dyadic_wpp_bound(tree, mu, nu, p) >= exact - 1e-9

@@ -222,6 +222,17 @@ def test_plan_rows_cost_what_the_solve_used():
     plan.validate(mu, nu, 2.0)
 
 
+def test_wpp_mcf_accepts_weight_sums_within_measure_tolerance():
+    # each weight sum is within DiscreteMeasure's 1e-10 of 1, so the two
+    # sums may differ by up to 2e-10; the solve rescales nu to mu's total
+    space = FiniteMetricSpace.from_points(np.arange(5.0))
+    mu = DiscreteMeasure(space, [0, 1], [0.5 + 0.45e-10] * 2)
+    nu = DiscreteMeasure(space, [2, 3, 4], [1 / 3 - 0.3e-10] * 3)
+    value, plan = wpp_mcf(mu, nu, 1.0)
+    assert value.value == pytest.approx(2.5, rel=1e-9)
+    plan.validate(mu, nu, 1.0)
+
+
 def test_wpp_1d_vs_quantile_uniform_reference():
     # W_1(empirical {1/4, 3/4} vs uniform[0,1]) has closed-form value 1/8
     # via |F_n(x) - x| piecewise integration (hand derivation)
