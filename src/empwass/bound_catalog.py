@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 E2 = math.e ** 2
@@ -43,9 +43,7 @@ class BoundResult:
     asymptotic: bool = False
 
     def to_dict(self) -> dict:
-        return {"applicable": self.applicable, "value": self.value,
-                "terms": dict(self.terms), "reason": self.reason,
-                "asymptotic": self.asymptotic}
+        return asdict(self)
 
 
 def _na(reason: str) -> BoundResult:
@@ -89,18 +87,14 @@ def hoeffding_bound(x: float, n: int, p: float, alpha: float, Delta: float,
         raise BoundError("C must be positive")
     if not Delta >= 0:
         raise BoundError("Delta must be nonnegative")
+    if Delta == math.inf:
+        raise BoundError("Delta must be finite")
     delta_p = float(Delta) ** p   # float: never an exact integer power
-    if x > delta_p:
-        return 0.0
-    regime = classify_regime(alpha, p)
-    scale = C * delta_p
-    if regime == "alpha_lt_2p":
-        expo = n * (x / scale) ** 2
-    elif regime == "alpha_gt_2p":
-        expo = n * (x / scale) ** (alpha / p)
-    else:
-        expo = n * (x / (scale * math.log(math.e + scale / x))) ** 2
-    return E2 * math.exp(-expo)
+    if C * delta_p == math.inf:
+        raise BoundError("C * Delta**p overflows")
+    # the main-term envelope: tail integral C * Delta^p, cap Delta^p
+    return _main_exp(x, n, p, alpha, classify_regime(alpha, p),
+                     C * delta_p, delta_p, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import argparse
 import configparser
 import csv
 import inspect
+import io
 import json
+import math
 import os
 import sys
 
@@ -45,24 +47,28 @@ def _parse_grid(text: str):
     return out
 
 
-def _parse_xgrid(text: str):
-    return tuple(float(t) for t in text.split(","))
+def _parse_xgrid(text: str, name: str = "x"):
+    """'0.1,0.5' -> (0.1, 0.5); every value must be finite."""
+    out = tuple(float(t) for t in text.split(","))
+    for v in out:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    return out
 
 
-def _write_json(outdir: str, name: str, payload) -> None:
-    with open(os.path.join(outdir, name), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=str)
-        f.write("\n")
+def _json_text(payload) -> str:
+    """Strict JSON: a NaN or an infinity raises ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=str,
+                      allow_nan=False) + "\n"
 
 
-def _write_csv(outdir: str, name: str, rows) -> None:
-    keys = sorted({k for r in rows for k in r})
-    with open(os.path.join(outdir, name), "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=keys)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: repr(r[k]) if isinstance(r[k], float) else r[k]
-                        for k in r})
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=sorted({k for r in rows for k in r}))
+    w.writeheader()
+    w.writerows({k: repr(v) if isinstance(v, float) else v
+                 for k, v in r.items()} for r in rows)
+    return buf.getvalue()
 
 
 def _joint_measures(path_a: str, path_b: str):
@@ -100,7 +106,7 @@ def _cmd_dim(args):
         if args.delta_grid == "auto":
             deltas = auto_delta_grid(space, args.scales)
         else:
-            deltas = _parse_xgrid(args.delta_grid)
+            deltas = _parse_xgrid(args.delta_grid, "delta")
         fit = fit_dimension(space, deltas).to_dict()
     except DegenerateFitError as exc:
         fit = {"degenerate": True, "reason": str(exc)}
@@ -266,6 +272,16 @@ def _cmd_validate_metric(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Finite(argparse.Action):
+    """The action of every float flag: inf or NaN exits 2 with one line."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not math.isfinite(value):
+            parser.exit(2, f"error: {self.dest} must be finite, "
+                           f"got {value!r}\n")
+        setattr(namespace, self.dest, value)
+
+
 def _add_common(sp):
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--config", default=None,
@@ -274,7 +290,7 @@ def _add_common(sp):
 
 def _add_experiment(sp):
     sp.add_argument("--sampler", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=float, action=_Finite, required=True)
     sp.add_argument("--estimator", default="mcf-two-sample",
                     choices=["mcf-two-sample", "1d-quantile", "dyadic"])
     sp.add_argument("--ngrid", required=True)
@@ -296,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("wpp", help="exact transport cost between two clouds")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=float, action=_Finite, required=True)
     sp.add_argument("--method", default="auto", choices=["auto", "1d", "mcf"])
     sp.add_argument("--plan", action="store_true")
     _add_common(sp)
@@ -304,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cover", help="greedy covering estimate")
     sp.add_argument("--points", required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--delta", type=float, action=_Finite, required=True)
     _add_common(sp)
     sp.set_defaults(func=_cmd_cover)
 
@@ -325,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--x0", type=int, default=0)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=float, action=_Finite, required=True)
     _add_common(sp)
     sp.set_defaults(func=_cmd_rings)
 
@@ -350,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fitc", help="fit the minimal valid bound constant")
     _add_experiment(sp)
     sp.add_argument("--xgrid", required=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--alpha", type=float, action=_Finite, default=None)
+    sp.add_argument("--delta", type=float, action=_Finite, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_fitc)
 
     sp = sub.add_parser("asrun", help="almost-sure trajectory check")
     sp.add_argument("--sampler", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=float, action=_Finite, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     _add_common(sp)
@@ -367,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check the partial-sum moment inequalities")
     sp.add_argument("--dist", required=True,
                     choices=["rademacher", "uniform", "pareto"])
-    sp.add_argument("--r", type=float, required=True)
-    sp.add_argument("--a", type=float, default=4.0)
+    sp.add_argument("--r", type=float, action=_Finite, required=True)
+    sp.add_argument("--a", type=float, action=_Finite, default=4.0)
     sp.add_argument("--ngrid", required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
@@ -424,13 +440,17 @@ def main(argv=None) -> int:
         return 2
     try:
         code, files, summary = args.func(args)
+        config = {k: v for k, v in vars(args).items()
+                  if k != "func" and v is not None}
+        # every file is serialized before any is written
+        texts = {name: _csv_text(payload) if name.endswith(".csv")
+                 else _json_text(payload)
+                 for name, payload in {"effective-config.json": config,
+                                       **files}.items()}
         os.makedirs(args.out, exist_ok=True)
-        _write_json(args.out, "effective-config.json",
-                    {k: v for k, v in vars(args).items()
-                     if k != "func" and v is not None})
-        for name, payload in files.items():
-            write = _write_csv if name.endswith(".csv") else _write_json
-            write(args.out, name, payload)
+        for name, text in texts.items():
+            with open(os.path.join(args.out, name), "w", newline="") as f:
+                f.write(text)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

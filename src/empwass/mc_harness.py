@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -304,16 +304,16 @@ def wilson_interval(k: int, n: int):
 @dataclass(frozen=True)
 class ConstantFit:
     ok: bool
-    C: float = math.nan
+    C: Optional[float] = None
     binding_point: Optional[Tuple[int, float]] = None   # (n, x)
     falsified_at: Optional[Tuple[int, float]] = None
-    gap: float = math.nan
+    gap: Optional[float] = None
+    cells_used: int = 0      # (n, x) cells with an exceedance
+    cells_empty: int = 0     # cells without one, left out of the fit
+    reason: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "C": self.C,
-                "binding_point": list(self.binding_point) if self.binding_point else None,
-                "falsified_at": list(self.falsified_at) if self.falsified_at else None,
-                "gap": self.gap}
+        return asdict(self)
 
 
 def fit_bound_constant(report: ExperimentReport,
@@ -321,16 +321,23 @@ def fit_bound_constant(report: ExperimentReport,
                        ) -> ConstantFit:
     """Smallest C <= 1e9 with bound_fn(x, n, C) >= each Wilson upper limit.
 
-    bound_fn must be nondecreasing in C. Falsification (no finite C)
-    names the violating grid point.
+    Only the (n, x) cells with at least one exceedance enter the fit: on
+    an empty cell the upper limit is about 3.84 / R, a fact about the
+    replicate count R and not about the tail, and no bound is falsified
+    there. bound_fn must be nondecreasing in C. Falsification (no finite
+    C) names the violating grid point.
     """
-    grid = []
-    for row in report.per_n:
-        n = row["n"]
-        for x in report.spec.x_grid:
-            grid.append((n, float(x), row[f"tail_x{x:g}_hi"]))
-    if not grid:
+    if not report.spec.x_grid:
         raise HarnessError("report has no tail grid")
+    grid = [(row["n"], float(x), row[f"tail_x{x:g}_hi"])
+            for row in report.per_n for x in report.spec.x_grid
+            if row[f"tail_x{x:g}"] > 0]
+    cells = {"cells_used": len(grid),
+             "cells_empty": len(report.per_n) * len(report.spec.x_grid)
+             - len(grid)}
+    if not grid:
+        return ConstantFit(True, reason="no (n, x) cell has an exceedance",
+                           **cells)
 
     def valid(C):
         worst = None
@@ -344,11 +351,11 @@ def fit_bound_constant(report: ExperimentReport,
 
     bad, gap = valid(1e9)
     if bad is not None:
-        return ConstantFit(False, falsified_at=bad, gap=gap)
+        return ConstantFit(False, falsified_at=bad, gap=gap, **cells)
     lo, hi = 1e-9, 1e9
     bad_lo, _ = valid(lo)
     if bad_lo is None:
-        return ConstantFit(True, C=lo)
+        return ConstantFit(True, C=lo, **cells)
     while (hi - lo) / hi > 1e-3:
         mid = math.sqrt(lo * hi)
         if valid(mid)[0] is None:
@@ -356,7 +363,7 @@ def fit_bound_constant(report: ExperimentReport,
         else:
             lo = mid
     tight, tgap = valid(lo)   # the point still violated just below C
-    return ConstantFit(True, C=hi, binding_point=tight, gap=tgap)
+    return ConstantFit(True, C=hi, binding_point=tight, gap=tgap, **cells)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +380,8 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
         raise HarnessError("p must be >= 1")
     if n_max < 4:
         raise HarnessError("n_max must be >= 4, the first checkpoint")
-    point_mass = sampler.family == "point-mass"
-    if not point_mass:
-        _check_quantile_sampler(sampler, p)
-        anti = _quantile_antideriv(sampler, p)
+    _check_quantile_sampler(sampler, p)
+    anti = _quantile_antideriv(sampler, p)
     md = sampler.metadata()
     alpha = md.get("alpha")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -387,11 +392,9 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
         checkpoints.append(n_max)
     rows = []
     for k in checkpoints:
-        w = 0.0
-        if not point_mass:
-            values, _ = wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
-                                             sampler.quantile, p, anti)
-            w = float(values[0])
+        values, _ = wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
+                                         sampler.quantile, p, anti)
+        w = float(values[0])
         norm = as_rate_normalizer(k, p, alpha) * w if alpha else None
         rows.append({"k": int(k), "wpp": w, "normalized": norm})
     return {"sampler": md, "p": p, "seed": seed, "rows": rows,

@@ -69,6 +69,11 @@ class FiniteMetricSpace:
                 raise MetricError("empty point cloud")
             if not np.all(np.isfinite(pts)):
                 raise MetricError("point coordinates must be finite")
+            # no pairwise distance exceeds the bounding-box diagonal
+            with np.errstate(over="ignore"):
+                if not np.isfinite(_norms(pts.max(axis=0), pts.min(axis=0))):
+                    raise MetricError("point cloud too wide: its distances "
+                                      "overflow a float")
             self.points = pts
             self.points.setflags(write=False)
             self._n = pts.shape[0]
@@ -154,8 +159,7 @@ def diameter(space: FiniteMetricSpace, subset=None) -> float:
         # An entry or a norm is within a factor (d + 3)·2^-53 of its exact
         # value, which the relative 1e-9 covers for d < 10^6; where squares
         # are subnormal it is also off by up to sqrt(d)·2^-537, which 1e-150
-        # covers. A norm of inf keeps every point; an L of inf with finite
-        # norms keeps none, and inf is then the answer already.
+        # covers.
         keep = np.flatnonzero(r + r.max() >= best * (1.0 - 1e-9) - 1e-150)
         keep = keep[np.lexsort(pts[keep].T)]
         rows = pts[keep]

@@ -118,24 +118,17 @@ def fit_dimension(space: FiniteMetricSpace,
 
 
 def auto_delta_grid(space: FiniteMetricSpace, n_scales: int = 6) -> np.ndarray:
-    """Dyadic scales diam/8, diam/16, ... for dimension fitting."""
+    """n_scales dyadic scales diam/8, diam/16, ... for dimension fitting
+    (`fit_dimension` needs at least 5 of them to span a decade)."""
     Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
-    n_scales = max(4, n_scales)
     return Delta / 8.0 * 0.5 ** np.arange(n_scales)
 
 
 # ---------------------------------------------------------------------------
 # Refined partition sequence
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Cell:
-    center: int              # space index of the cell center
-    parent: int               # cell id in the previous level (0, the root, at level 1)
-    points: np.ndarray        # space indices of member points
-
 
 def _group(labels: np.ndarray, ncells: int) -> List[np.ndarray]:
     """Positions of labels split by label into ncells groups, each
@@ -163,14 +156,6 @@ class PartitionTree:
     @property
     def cell_counts(self) -> List[int]:
         return [c.size for c in self.centers]
-
-    @property
-    def levels(self) -> List[List[Cell]]:
-        """Cell view of the label arrays."""
-        return [[Cell(int(c), int(p), m) for c, p, m in
-                 zip(cen, par, _group(lab, cen.size))]
-                for lab, cen, par in zip(self.labels, self.centers,
-                                         self.parents)]
 
     def level_radius(self, k: int) -> float:
         return 4.0 ** (-k) * self.diam
@@ -231,9 +216,11 @@ class PartitionTree:
             "k_star": self.k_star,
             "cell_counts": self.cell_counts,
             "levels": [
-                [{"center": int(c.center), "parent": int(c.parent),
-                  "points": [int(q) for q in c.points]} for c in lv]
-                for lv in self.levels
+                [{"center": int(c), "parent": int(p),
+                  "points": [int(q) for q in m]}
+                 for c, p, m in zip(cen, par, _group(lab, cen.size))]
+                for lab, cen, par in zip(self.labels, self.centers,
+                                         self.parents)
             ],
         }
 

@@ -3,7 +3,7 @@ integrals against continuous references, and a min-cost-flow solver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,8 +36,7 @@ class WppValue:
     error: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "p": self.p, "method": self.method,
-                "error": self.error}
+        return asdict(self)
 
 
 @dataclass
@@ -177,8 +176,9 @@ def wpp_rows_vs_quantile(xs, quantile_fn: Callable, p: float,
     qlo = q(lo)
     qhi = q(hi)
     crossing = (qlo < xs) & (xs < qhi)
-    # vectorized bisection for the sign-change point in each interval
-    us = np.tile(hi, (R, 1))
+    # split point of each cell: hi where q <= x throughout, lo where
+    # q >= x throughout, else the bisected crossing
+    us = np.where(qhi <= xs, hi, lo)
     if np.any(crossing):
         rows, cols = np.nonzero(crossing)
         a = lo[cols]
@@ -197,11 +197,8 @@ def wpp_rows_vs_quantile(xs, quantile_fn: Callable, p: float,
                               dtype=float)
 
         Qlo, Qhi, Qus = Q(lo), Q(hi), Q(us)
-        sgn = np.where(qhi <= xs, 1.0, -1.0)   # +1 if q below x throughout
-        base = sgn * (xs * (hi - lo) - (Qhi - Qlo))
-        cross = (xs * (us - lo) - (Qus - Qlo)) \
-            + ((Qhi - Qus) - xs * (hi - us))
-        total = np.where(crossing, cross, base).sum(axis=1)
+        total = ((xs * (us - lo) - (Qus - Qlo))
+                 + ((Qhi - Qus) - xs * (hi - us))).sum(axis=1)
         return total, np.zeros(R)
 
     def panels(a, b, xv, seg, nodes):
@@ -244,11 +241,6 @@ def wpp_rows_vs_quantile(xs, quantile_fn: Callable, p: float,
 # Exact min-cost flow for general discrete measures
 # ---------------------------------------------------------------------------
 
-def _drop_zero(m: DiscreteMeasure):
-    keep = m.weights > 0.0
-    return m.idx[keep], m.weights[keep]
-
-
 def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     """Exact optimum of the transportation LP with costs d^p.
 
@@ -261,13 +253,13 @@ def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
         raise OTError("p must be >= 1")
     if mu.space is not nu.space:
         raise OTError("measures live on different spaces")
-    ia, wa = _drop_zero(mu)
-    ib, wb = _drop_zero(nu)
-    if ia.size + ib.size > MAX_MCF_ATOMS:
-        raise OTError(f"instance exceeds {MAX_MCF_ATOMS} combined atoms")
-    # positions of surviving atoms in the original atom lists
+    # positions of the atoms of positive weight in each atom list
     pos_a = np.flatnonzero(mu.weights > 0.0)
     pos_b = np.flatnonzero(nu.weights > 0.0)
+    if pos_a.size + pos_b.size > MAX_MCF_ATOMS:
+        raise OTError(f"instance exceeds {MAX_MCF_ATOMS} combined atoms")
+    ia, wa = mu.idx[pos_a], mu.weights[pos_a]
+    ib, wb = nu.idx[pos_b], nu.weights[pos_b]
 
     C = mu.space.distance_block(ia, ib) ** p
 

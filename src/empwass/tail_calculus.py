@@ -5,7 +5,7 @@ sub/super-exponential moment estimates."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Tuple
 
 import numpy as np
@@ -113,8 +113,7 @@ class IntegralValue:
     finite: bool
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "error": self.error,
-                "finite": self.finite}
+        return asdict(self)
 
 
 def i_integral(profile: TailProfile, exponent: float, p: float) -> IntegralValue:
@@ -142,9 +141,7 @@ class ExpMomentEstimate:
     method: str
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "finite": self.finite,
-                "n_mc": self.n_mc, "method": self.method}
+        return asdict(self)
 
 
 def exp_moment(s: SyntheticSampler, kappa: float, lam_exp: float,

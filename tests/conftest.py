@@ -122,23 +122,25 @@ def greedy_cover_oracle():
 
 
 def _verify_tree_oracle(tree):
-    """Partition-tree checks on the Cell view, written out directly: the
-    sorted union of each level's cells, the pairwise diameter of every
-    cell, membership of each cell in its parent, and a full greedy cover
-    for the cardinality cap (the one-at-a-time loop for point clouds)."""
+    """Partition-tree checks on the cells of ``to_dict()``, written out
+    directly: the sorted union of each level's cells, the pairwise
+    diameter of every cell, membership of each cell in its parent, and a
+    full greedy cover for the cardinality cap (the one-at-a-time loop for
+    point clouds)."""
     every = np.arange(tree.space.n)
-    levels = tree.levels
+    levels = tree.to_dict()["levels"]
     for k, level in enumerate(levels, start=1):
-        got = np.sort(np.concatenate([c.points for c in level]))
+        points = [np.asarray(c["points"], np.int64) for c in level]
+        got = np.sort(np.concatenate(points))
         if got.size != every.size or np.any(got != every):
             raise MultiscaleError(f"level {k} does not partition the set")
-        for c in level:
-            if (_diameter_oracle(tree.space, c.points)
+        for c, pts in zip(level, points):
+            if (_diameter_oracle(tree.space, pts)
                     > tree.level_radius(k) + 1e-12):
                 raise MultiscaleError(f"cell diameter violated at level {k}")
             if k > 1:
-                parent_pts = levels[k - 2][c.parent].points
-                if not np.all(np.isin(c.points, parent_pts)):
+                parent_pts = levels[k - 2][c["parent"]]["points"]
+                if not np.all(np.isin(pts, parent_pts)):
                     raise MultiscaleError(f"refinement violated at level {k}")
         radius = 4.0 ** (-k - 1) * tree.diam
         if tree.diam == 0.0:

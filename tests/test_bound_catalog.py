@@ -52,6 +52,17 @@ def test_hoeffding_bound_values_and_cutoff():
     assert got == pytest.approx(math.e ** 2 * math.exp(-50 * (0.1 / den) ** 2))
 
 
+def test_hoeffding_refuses_infinite_delta():
+    # an infinite Delta ** p would make the envelope NaN
+    with pytest.raises(BoundError, match="Delta must be finite"):
+        hoeffding_bound(0.5, 10, 1.0, 1.0, Delta=math.inf)
+    with pytest.raises(BoundError, match="Delta must be nonnegative"):
+        hoeffding_bound(0.5, 10, 1.0, 1.0, Delta=math.nan)
+    # nor may the tail integral C * Delta^p overflow
+    with pytest.raises(BoundError, match="overflows"):
+        hoeffding_bound(0.5, 10, 1.0, 1.0, Delta=1e300, C=1e9)
+
+
 def test_hoeffding_monotone_in_x_and_n():
     xs = np.linspace(0.01, 0.99, 40)
     for alpha in (1.0, 2.0, 4.0):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from empwass.cli import build_parser, main
+from empwass.cli import _Finite, build_parser, main
 from empwass.metric_core import save_points_csv
 
 
@@ -176,7 +176,11 @@ def test_validate_metric_non_finite_exit_2(tmp_path, capsys, flag, rows):
     out = tmp_path / "v"
     assert _run(["validate-metric", flag, str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: non-finite distance encountered"]
+    # a point cloud is refused when its space is built
+    reason = {"--matrix": "non-finite distance encountered",
+              "--points": "point cloud too wide: its distances overflow "
+                          "a float"}[flag]
+    assert err.splitlines() == [f"error: {reason}"]
     assert not (out / "validate.json").exists()
 
 
@@ -327,9 +331,11 @@ def test_bound_overflow_is_a_row_error(tmp_path, formula):
 
 
 def test_hoeffding_bad_constants_are_row_errors(tmp_path):
-    # C = 0 divided by zero and Delta < 0 made Delta ** p complex
+    # C = 0 divided by zero and Delta < 0 made Delta ** p complex; an
+    # infinite Delta (a grid's 1e400 parses as inf) would make it NaN
     cases = {"C must be positive": {"p": 1, "Delta": 1, "C": 0},
-             "Delta must be nonnegative": {"p": 1.5, "Delta": -1}}
+             "Delta must be nonnegative": {"p": 1.5, "Delta": -1},
+             "Delta must be finite": {"p": 1, "Delta": float("inf")}}
     for k, (reason, params) in enumerate(cases.items()):
         spec = tmp_path / "grid.json"
         spec.write_text(json.dumps({"params": params, "x_grid": [0.5]}))
@@ -461,10 +467,10 @@ def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
 @pytest.mark.parametrize("extra, reason", [
     (["--dist", "pareto", "--a", "1"], "pareto needs"),
     (["--dist", "pareto", "--a", "0.5"], "pareto needs"),
-    (["--dist", "pareto", "--a", "nan"], "pareto needs"),
+    (["--dist", "pareto", "--a", "nan"], "a must be finite"),
     (["--dist", "uniform", "--r", "0"], "r must lie"),
     (["--dist", "uniform", "--r", "1"], "r must lie"),
-    (["--dist", "uniform", "--r", "nan"], "r must lie"),
+    (["--dist", "uniform", "--r", "nan"], "r must be finite"),
     (["--dist", "uniform", "--reps", "1"], "R must be"),
 ])
 def test_verify_appendix_refuses_what_it_cannot_evaluate(tmp_path, capsys,
@@ -656,6 +662,9 @@ def _golden_runs(tmp_path):
         ("asrun", ["asrun", "--sampler", "uniform-cube:1", "--p", "1",
                    "--nmax", "256", "--seed", "0"],
          ("asrun.json", "asrun.csv")),
+        ("asrun-point-mass", ["asrun", "--sampler", "point-mass:1", "--p",
+                              "2", "--nmax", "64", "--seed", "0"],
+         ("asrun.json", "asrun.csv")),
         ("appendix", ["verify-appendix", "--dist", "pareto", "--r", "2",
                       "--ngrid", "8:32", "--reps", "200", "--seed", "0"],
          ("appendix.json",)),
@@ -690,6 +699,10 @@ _GOLDEN = {
     "asrun": (
         "b87bab333fe5551d0e7df7b330114f3e1384a4d895c28af4c66d0940b7eaf1d0",
         "d2867f95cb66b016426db27ac46ad35011f4b4074525776411b5cd4545b1a1a7"),
+    # recorded while asrun still skipped the quantile path for a point mass
+    "asrun-point-mass": (
+        "7a938756e5a12a426d68a90df1f59bd94b73d880d04b80eea2602bf505272332",
+        "7c210ac798ed159e62684293d094dc657b3f09483b59b7a48fc0d1e30e9aaa0a"),
     "appendix": (
         "bd5e3a08cab10eaf9d6a71e999cb890b86487dbb669ed8530ab8bdd4c88274c1",),
     "validate": (
@@ -765,3 +778,116 @@ def test_wpp_1d_value_golden(tmp_path):
         payload = json.loads((out / "wpp.json").read_text())
         assert payload["method"] == "closed-form-1d"
         assert payload["value"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _no_output(tmp_path, capsys, argv):
+    """Run argv into a fresh directory; assert exit 2, one line on stderr
+    and no output directory. Returns the line."""
+    out = tmp_path / "out"
+    assert _run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["wpp", "--a", "{a1}", "--b", "{a1}", "--p", "inf"], "p must be finite"),
+    (["rate", "--sampler", "uniform-cube:1", "--p", "inf", "--ngrid", "8:16",
+      "--reps", "30", "--seed", "0"], "p must be finite"),
+    (["asrun", "--sampler", "uniform-cube:1", "--p", "inf", "--nmax", "8",
+      "--seed", "0"], "p must be finite"),
+    (["cover", "--points", "{a1}", "--delta", "inf"], "delta must be finite"),
+    (["fitc", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--xgrid", "0.1",
+      "--alpha=-inf"], "alpha must be finite"),
+    (["fitc", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--xgrid", "0.1",
+      "--delta", "inf"], "delta must be finite"),
+    (["verify-appendix", "--dist", "uniform", "--r", "inf", "--ngrid", "8:16",
+      "--reps", "50", "--seed", "0"], "r must be finite"),
+    (["tail", "--sampler", "uniform-cube:1", *_EXPERIMENT,
+      "--xgrid", "0.1,1e400"], "x must be finite"),
+    (["dim", "--points", "{a1}", "--delta-grid", "0.1,0.01,-inf,0.001"],
+     "delta must be finite"),
+])
+def test_non_finite_float_flags_exit_2(tmp_path, capsys, argv, reason):
+    a1 = tmp_path / "a1.csv"
+    save_points_csv(a1, np.random.default_rng(1).random((5, 1)))
+    err = _no_output(tmp_path, capsys,
+                     [str(a1) if a == "{a1}" else a for a in argv])
+    assert reason in err, err
+
+
+def test_every_float_flag_refuses_non_finite_values():
+    """Every float flag of every subcommand uses the action that refuses
+    inf and NaN."""
+    sub = build_parser()._subparsers._group_actions[0]
+    finite = {(cmd, a.dest): isinstance(a, _Finite)
+              for cmd, sp in sub.choices.items() for a in sp._actions
+              if a.type is float}
+    assert all(finite.values()), finite
+    assert {dest for _, dest in finite} == {"p", "delta", "alpha", "r", "a"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cmd", [
+    ["cover", "--points", "{big}", "--delta", "1"],
+    ["dim", "--points", "{big}"],
+    ["tree", "--points", "{big}", "--kstar", "2"],
+    ["wpp", "--a", "{big}", "--b", "{big}", "--p", "1"],
+    ["rings", "--a", "{big}", "--b", "{big}", "--p", "1"],
+    ["validate-metric", "--points", "{big}"],
+])
+def test_overflowing_cloud_exit_2(tmp_path, capsys, cmd):
+    # finite coordinates, but 1e200 - (-1e200) squared overflows
+    big = tmp_path / "big.csv"
+    big.write_text("1e200,0\n-1e200,0\n0,1\n")
+    err = _no_output(tmp_path, capsys,
+                     [str(big) if a == "{big}" else a for a in cmd])
+    assert err == "error: point cloud too wide: its distances overflow " \
+        "a float\n"
+
+
+def test_non_finite_payload_writes_nothing(tmp_path, capsys, monkeypatch,
+                                           pts_file):
+    # every file is serialized, as strict JSON, before any is written
+    import empwass.cli as cli
+    monkeypatch.setattr(cli, "_cmd_cover", lambda args: (
+        0, {"cover.json": {"delta": args.delta, "x": float("nan")}}, "s"))
+    err = _no_output(tmp_path, capsys,
+                     ["cover", "--points", pts_file, "--delta", "0.1"])
+    assert err.startswith("error: Out of range float values"), err
+
+
+_FITC = ["fitc", "--sampler", "uniform-cube:1", "--p", "1", "--estimator",
+         "1d-quantile", "--ngrid", "64:256", "--reps", "1000", "--seed", "0"]
+
+
+def test_fitc_fits_only_cells_with_an_exceedance(tmp_path):
+    # W_1 <= 1 here, so no replicate exceeds 1.5; that cell's Wilson upper
+    # limit (about 3.84 / R) used to falsify Hoeffding's exact 0
+    out = tmp_path / "f"
+    assert _run([*_FITC, "--xgrid", "0.1,1.5", "--out", str(out)]) == 0
+    fit = _strict_json(out / "fitc.json")
+    assert fit["ok"] and fit["falsified_at"] is None
+    assert 0 < fit["C"] < 1
+    assert (fit["cells_used"], fit["cells_empty"]) == (1, 5)
+    assert fit["reason"] is None
+
+
+def test_fitc_without_exceedances_reports_null(tmp_path):
+    out = tmp_path / "f"
+    assert _run([*_FITC, "--xgrid", "1.5,2", "--out", str(out)]) == 0
+    fit = _strict_json(out / "fitc.json")
+    assert fit["ok"] and fit["C"] is None and fit["gap"] is None
+    assert (fit["cells_used"], fit["cells_empty"]) == (0, 6)
+    assert "no (n, x) cell has an exceedance" in fit["reason"]
+
+
+def test_fitc_falsified_is_strict_json(tmp_path):
+    # the smallest constant cannot hold at x = 0.0001: falsified, no C
+    out = tmp_path / "f"
+    assert _run([*_FITC, "--xgrid", "0.0001", "--delta", "1e-9",
+                 "--out", str(out)]) == 1
+    fit = _strict_json(out / "fitc.json")
+    assert not fit["ok"] and fit["C"] is None
+    assert fit["falsified_at"] is not None

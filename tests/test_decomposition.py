@@ -9,7 +9,7 @@ from empwass.decomposition import (mixture_bound, ring_decompose, ring_index,
                                    verify_mixture_convexity,
                                    verify_reconstruction)
 from empwass.measures import DiscreteMeasure, MeasureError, mix, restrict
-from empwass.metric_core import FiniteMetricSpace
+from empwass.metric_core import FiniteMetricSpace, MetricError
 from empwass.ot_exact import wpp_mcf
 
 
@@ -58,10 +58,16 @@ def test_ring_decompose_equal_measures_no_excess():
 
 
 def test_ring_decompose_refuses_overflowing_distance():
-    # 1e308 - (-1e308) overflows, which has no ring
-    space, mu, nu = _pair_1d([1e308], [1.0], [0.0], [1.0], x0=-1e308)
-    with np.errstate(over="ignore"), \
-            pytest.raises(MeasureError, match="overflow"):
+    # 1e308 - (-1e308) overflows: the cloud is refused when its space is
+    # built
+    with pytest.raises(MetricError, match="overflow"):
+        _pair_1d([1e308], [1.0], [0.0], [1.0], x0=-1e308)
+    # an explicit matrix can hold an infinite distance, which has no ring
+    space = FiniteMetricSpace.from_matrix(
+        [[0.0, np.inf, 1.0], [np.inf, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    mu = DiscreteMeasure(space, [1], [1.0])
+    nu = DiscreteMeasure(space, [2], [1.0])
+    with pytest.raises(MeasureError, match="overflow"):
         ring_decompose(mu, nu, x0=0)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from empwass import mc_harness
 from empwass.measures import sampler_from_string
+from empwass.bound_catalog import hoeffding_bound
 from empwass.mc_harness import (ExperimentSpec, HarnessError, _one_replicate,
                                 _run_replicates, fit_bound_constant,
                                 replicate_seed, run_as_trajectory,
@@ -263,3 +264,18 @@ def test_verify_appendix_heavy_tailed():
     for row in out["rows"]:
         assert row["vbe_ok"]
         assert row["vbe_ratio"] <= 1.0 + 3.0 * row["lhs_se"] / row["vbe_rhs"]
+
+
+def test_constant_fit_measures_the_bound_not_the_replicates():
+    # acceptance 4's setup: an empty cell's upper limit is about 3.84 / R,
+    # so a fit that used it moved with R (5.82 at R = 1,000, 5.35 at 4,000)
+    x_grid = (0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3, 0.5)
+    fits = []
+    for R in (1000, 4000):
+        rep = run_tail_experiment(_spec(n_grid=(64, 256, 1024), replicates=R,
+                                        seed=44, x_grid=x_grid))
+        fits.append(fit_bound_constant(
+            rep, lambda x, n, C: hoeffding_bound(x, n, 1.0, 1.0, 1.0, C)))
+    assert all(f.ok for f in fits)
+    assert fits[1].C == pytest.approx(fits[0].C, rel=0.05)
+    assert fits[0].cells_used + fits[0].cells_empty == 24

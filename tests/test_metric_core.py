@@ -47,7 +47,8 @@ def _diameter_inputs(draw):
     sets whose every point is extreme, a large offset, and scales where
     coordinates are subnormal (x 1e-310), where their squares are (x
     2^-537, so the rounding of each entry is coarse), and where squares
-    overflow (x 1e300)."""
+    approach overflow (x 1e150; a cloud whose distances overflow is
+    refused when its space is built)."""
     d = draw(st.integers(1, 6))
     n = draw(st.integers(1, 300))
     shape = draw(st.sampled_from(["uniform", "grid", "duplicates", "line",
@@ -81,7 +82,7 @@ def _diameter_inputs(draw):
     elif shape == "subnormal-squares":
         pts = 2.0 ** -537 * rng.random((n, d))
     else:
-        pts = 1e300 * rng.standard_normal((n, d))
+        pts = 1e150 * rng.standard_normal((n, d))
     return pts, rng.permutation(n)[: int(rng.integers(1, n + 1))]
 
 
@@ -171,18 +172,20 @@ def _inf_in_triples_only(n=2049, far=1000):
 
 
 def test_validate_metric_refuses_non_finite_distances():
-    """One rule in every regime: a distance that is not finite, or that
-    overflows to inf, raises instead of entering the report."""
+    """One rule in every regime: a distance that is not finite raises
+    instead of entering the report. A point cloud whose distances
+    overflow to inf is refused before, when its space is built."""
     dense = _line_matrix(3)
     dense[0, 1] = dense[1, 0] = np.inf
     diagonal = _line_matrix(2049)
     diagonal[5, 5] = np.inf
-    overflow = FiniteMetricSpace.from_points(
-        [[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    with pytest.raises(MetricError, match="overflow"):
+        FiniteMetricSpace.from_points([[1e200, 0.0], [-1e200, 0.0],
+                                       [0.0, 1.0]])
     triples, seed = _inf_in_triples_only()
     for space, trials, s in ((FiniteMetricSpace.from_matrix(dense), 100, 0),
                              (FiniteMetricSpace.from_matrix(diagonal), 100, 0),
-                             (overflow, 100, 0), (triples, 1, seed)):
+                             (triples, 1, seed)):
         with pytest.raises(MetricError, match="non-finite distance"):
             validate_metric(space, trials=trials, seed=s)
 
@@ -268,3 +271,13 @@ def test_matrix_csv_rejects_nonsquare(tmp_path):
     path.write_text("0.0,1.0\n1.0,0.0\n2.0,3.0\n")
     with pytest.raises(MetricError):
         load_matrix_csv(path)
+
+
+def test_cloud_whose_distances_overflow_is_refused():
+    # the bounding-box diagonal bounds every pairwise distance
+    with pytest.raises(MetricError, match="overflow"):
+        FiniteMetricSpace.from_points([[1e200], [-1e200]])
+    with pytest.raises(MetricError, match="overflow"):
+        FiniteMetricSpace.from_points([[1e154, 0.0], [0.0, 1e154]])
+    wide = FiniteMetricSpace.from_points([[1e150, 0.0], [-1e150, 0.0]])
+    assert diameter(wide) == 2e150

@@ -122,6 +122,19 @@ def test_fit_dimension_argument_validation():
         fit_dimension(degenerate, [0.8, 0.4, 0.2, 0.05])
 
 
+def test_auto_delta_grid_takes_the_count_as_given():
+    # four dyadic scales span a factor of 8, so fit_dimension refuses any
+    # grid of fewer than 5
+    space = FiniteMetricSpace.from_points(
+        np.random.default_rng(0).random((200, 2)))
+    for k in (2, 3, 4):
+        grid = auto_delta_grid(space, k)
+        assert grid.size == k
+        with pytest.raises(MultiscaleError):
+            fit_dimension(space, grid)
+    assert fit_dimension(space, auto_delta_grid(space, 5)).scales.size == 5
+
+
 def test_partition_tree_invariants_checked_by_verify():
     rng = np.random.default_rng(13)
     for d in (1, 2):
@@ -129,22 +142,23 @@ def test_partition_tree_invariants_checked_by_verify():
         space = FiniteMetricSpace.from_points(pts)
         tree = build_partition_tree(space, 3)
         tree.verify()  # partition / refinement / diameter / cardinality
-        assert len(tree.levels) == 3
+        levels = tree.to_dict()["levels"]
+        assert len(levels) == 3
         # each level partitions the space
-        for level in tree.levels:
-            got = np.sort(np.concatenate([c.points for c in level]))
+        for level in levels:
+            got = np.sort(np.concatenate([c["points"] for c in level]))
             assert np.array_equal(got, np.arange(400))
         # diameters shrink with the prescribed geometric factor
-        for k, level in enumerate(tree.levels, start=1):
+        for k, level in enumerate(levels, start=1):
             cap = 4.0 ** (-k) * tree.diam
             for cell in level:
-                assert diameter(space, cell.points) <= cap * (1 + 1e-12)
+                assert diameter(space, cell["points"]) <= cap * (1 + 1e-12)
 
 
 def test_partition_tree_degenerate_inputs():
     space = FiniteMetricSpace.from_points(np.zeros((4, 2)))
     tree = build_partition_tree(space, 2)
-    assert all(len(level) == 1 for level in tree.levels)
+    assert tree.cell_counts == [1, 1]
     single = FiniteMetricSpace.from_points(np.array([[1.0, 2.0]]))
     tree1 = build_partition_tree(single, 2)
     assert tree1.diam == 0.0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from empwass import _kernels
 from empwass.measures import DiscreteMeasure
 from empwass.metric_core import FiniteMetricSpace
 from empwass.measures import sampler_from_string
+from empwass.mc_harness import replicate_seed
 from empwass.ot_exact import (MAX_MCF_ATOMS, OTError, wpp_1d, wpp_1d_arrays,
                               wpp_1d_vs_quantile, wpp_mcf,
                               wpp_rows_vs_quantile, wpp_to_point)
@@ -333,3 +336,35 @@ def test_wpp_1d_requires_sorted_or_handles_weights():
     got = wpp_1d_arrays(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.0, 0.5]),
                         np.array([0.5]), np.array([1.0]), 2.0)
     assert got == pytest.approx(0.25)
+
+
+# sha256 of the float.hex of the values, then the errors, of
+# wpp_rows_vs_quantile at p = 1 (closed form) on four rows of each
+# n in (1, 2, 7, 64, 1000), recorded while non-crossing cells still had a
+# formula of their own
+_P1_PINS = {
+    "pareto-radial:3:1":
+        "6234005ff42ae9a633248d50b10ee2ad9800d6fcfac4f2aa8ebcd219f4d39646",
+    "uniform-cube:1":
+        "87fb802bf71a1287c8adcd9d83bfaaacebb2d87c68d70b9b6731f85c75b9e3da",
+    "uniform-sphere:1":
+        "9bc5d52bc3fa8a2b8d9d2d7eb69f20f17ad2955a087a06d7c9f45afa65ddb336",
+    "pareto-radial:1.5:1":
+        "884a359b8a66bd70959a234f6910c3c2d154df5188fe9c539bf9e784a7c437e6",
+    "point-mass:1":
+        "bb4ded24ee6028326900a776a84337270e3ee505407315abb6b39f371fd9a8a2",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_P1_PINS))
+def test_rows_vs_quantile_p1_pinned(family):
+    s = sampler_from_string(family)
+    hexes = []
+    for n in (1, 2, 7, 64, 1000):
+        rows = np.sort(np.stack([s.draw(n, replicate_seed(0, n, r))[:, 0]
+                                 for r in range(4)]), axis=1)
+        for arr in wpp_rows_vs_quantile(rows, s.quantile, 1.0,
+                                        s.quantile_antideriv):
+            hexes += [float.hex(float(v)) for v in arr]
+    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+    assert digest == _P1_PINS[family]
