@@ -48,7 +48,7 @@ def wpp_staircase(xa, ca, xb, cb, p):
 _BLOCK_PAIRS = 4096
 
 
-def greedy_cover_pts(pts, delta, stop=None):
+def greedy_cover_pts(pts, delta, stop=None, groups=None):
     """Centers in index order: each is the lowest-index point not within
     delta of an earlier center. With ``stop`` the walk ends once it has
     placed that many centers.
@@ -65,16 +65,25 @@ def greedy_cover_pts(pts, delta, stop=None):
     no more than would bring about ``_BLOCK_PAIRS`` candidate pairs at the
     last query's rate per tentative (the first block assumes every point
     is a neighbour).
+
+    With ``groups`` (one integer label per point) a center covers only
+    points of its own group, so the centers of each group are the greedy
+    cover of that group alone, and the walk returns ``(centers, labels)``:
+    ``labels[i]`` is the position in ``centers`` of the nearest center of
+    i's group (least squared distance, ties to the lowest center; -1 for
+    points a ``stop`` left uncovered). Every center's covered pairs passed
+    the exact test, and a point's nearest center is no farther than the
+    one covering it, so that center is among the kept pairs.
     """
     from scipy.spatial import cKDTree
 
     n = pts.shape[0]
     # relative epsilon keeps points at exactly distance delta covered
-    d2 = delta * delta * (1.0 + 1e-12)
+    d2max = delta * delta * (1.0 + 1e-12)
     tree = cKDTree(pts)
     # covered[n] is the sink for candidates that fail the exact test
     covered = np.zeros(n + 1, bool)
-    centers = []
+    centers, pairs = [], []
     cursor, block = 0, max(1, _BLOCK_PAIRS // max(n, 1))
     while cursor < n and len(centers) != stop:
         tent = cursor + np.flatnonzero(~covered[cursor:n])[:block]
@@ -84,20 +93,39 @@ def greedy_cover_pts(pts, delta, stop=None):
                                       return_sorted=False)
         sizes = np.fromiter(map(len, near), np.intp, tent.size)
         nbr = np.fromiter(chain.from_iterable(near), np.intp)
-        diff = pts[nbr] - pts[np.repeat(tent, sizes)]
-        nbr[np.einsum("ij,ij->i", diff, diff) > d2] = n
-        taken, start = 0, 0
+        owner = np.repeat(tent, sizes)
+        diff = pts[nbr] - pts[owner]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        far = d2 > d2max
+        if groups is not None:
+            far |= groups[nbr] != groups[owner]
+        nbr[far] = n
+        before, start = len(centers), 0
         for t, end in zip(tent.tolist(), np.cumsum(sizes).tolist()):
             if not covered[t]:
                 centers.append(t)
-                taken += 1
                 covered[nbr[start:end]] = True
                 if len(centers) == stop:
                     break
             start = end
+        if groups is not None:
+            accepted = np.zeros(tent.size, bool)
+            accepted[np.searchsorted(tent, centers[before:])] = True
+            keep = np.repeat(accepted, sizes) & (nbr < n)
+            pairs.append((nbr[keep], d2[keep], owner[keep]))
         cursor = int(tent[-1]) + 1
-        block = max(1, min(2 * taken, _BLOCK_PAIRS * tent.size // nbr.size))
-    return np.asarray(centers, np.int64)
+        block = max(1, min(2 * (len(centers) - before),
+                           _BLOCK_PAIRS * tent.size // nbr.size))
+    centers = np.asarray(centers, np.int64)
+    if groups is None:
+        return centers
+    pt, d2, cen = map(np.concatenate, zip(*pairs))
+    # per point, the pair of least d2 and then least center comes first
+    order = np.lexsort((cen, d2, pt))
+    first = order[np.r_[True, pt[order[1:]] != pt[order[:-1]]]]
+    labels = np.full(n, -1, np.int64)
+    labels[pt[first]] = np.searchsorted(centers, cen[first])
+    return centers, labels
 
 
 def greedy_packing_pts(pts, sep):
@@ -110,15 +138,23 @@ def greedy_packing_pts(pts, sep):
 
 
 def assign_nearest_pts(pts, centers):
-    """Index of the nearest center coordinate; ties go to the earliest."""
+    """Index of the nearest center coordinate; ties go to the earliest.
+    The grouped cover walk labels the partition-tree cells itself; this
+    name stays because the benchmark's micro timings and span tracer look
+    it up."""
     diff = pts[:, None, :] - centers[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return np.argmin(d2, axis=1).astype(np.int64)
 
 
-# Matrix variants for explicit-matrix metric spaces.
+# Matrix variant for explicit-matrix metric spaces.
 
-def greedy_cover_mat(D, delta, stop=None):
+def greedy_cover_mat(D, delta, stop=None, groups=None):
+    """``greedy_cover_pts`` on a distance matrix: center c covers every j
+    with ``D[c, j] <= delta * (1 + 1e-12)`` (and, with ``groups``, of c's
+    group). With ``groups`` it returns ``(centers, labels)``, each label
+    the argmin of ``D[i, c]`` over the centers c of i's group, ties to
+    the lowest center."""
     n = D.shape[0]
     delta = delta * (1.0 + 1e-12)
     covered = np.zeros(n, bool)
@@ -126,15 +162,18 @@ def greedy_cover_mat(D, delta, stop=None):
     while len(centers) != stop and not covered.all():
         idx = int(np.argmin(covered))
         centers.append(idx)
-        covered |= D[idx] <= delta
+        reach = D[idx] <= delta
+        if groups is not None:
+            reach &= groups == groups[idx]
+        covered |= reach
         # a diagonal entry above delta (not a metric) must not stall the loop
         covered[idx] = True
-    return np.asarray(centers, np.int64)
-
-
-def assign_nearest_mat(D):
-    """D is the points-by-centers distance block; ties to earliest center."""
-    return np.argmin(D, axis=1).astype(np.int64)
+    centers = np.asarray(centers, np.int64)
+    if groups is None:
+        return centers
+    block = np.where(groups[:, None] == groups[centers], D[:, centers],
+                     np.inf)
+    return centers, np.argmin(block, axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,14 @@ class _Finite(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line, without the usage block; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sp):
     sp.add_argument("--out", default=".", help="output directory")
     sp.add_argument("--config", default=None,
@@ -302,7 +310,7 @@ def _add_experiment(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="empwass",
         description="Empirical transport-distance bounds and experiments")
     ap.add_argument("--version", action="version",

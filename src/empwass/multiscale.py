@@ -34,14 +34,16 @@ class CoveringEstimate:
                 "centers": [int(c) for c in self.centers]}
 
 
-def _cover(space: FiniteMetricSpace, idx: np.ndarray, delta: float,
-           stop: Optional[int] = None) -> np.ndarray:
-    """Positions in idx of the greedy delta-cover centers of those points."""
+def _cover(space: FiniteMetricSpace, delta: float, stop: Optional[int] = None,
+           groups: Optional[np.ndarray] = None):
+    """Greedy delta-cover centers of the whole space; with groups, the
+    cover of each group and each point's nearest center of its group (see
+    ``_kernels.greedy_cover_pts``)."""
     if space.kind == "euclidean":
-        return _kernels.greedy_cover_pts(space.points[idx], float(delta),
-                                         stop=stop)
-    return _kernels.greedy_cover_mat(space.submatrix(idx), float(delta),
-                                     stop=stop)
+        return _kernels.greedy_cover_pts(space.points, float(delta),
+                                         stop=stop, groups=groups)
+    return _kernels.greedy_cover_mat(space.submatrix(np.arange(space.n)),
+                                     float(delta), stop=stop, groups=groups)
 
 
 def greedy_cover(space: FiniteMetricSpace, delta: float) -> CoveringEstimate:
@@ -49,10 +51,9 @@ def greedy_cover(space: FiniteMetricSpace, delta: float) -> CoveringEstimate:
     uncovered point of lowest index) plus a 2*delta-packing lower bound."""
     if not delta > 0:
         raise MultiscaleError("delta must be positive")
-    every = np.arange(space.n)
-    cov = _cover(space, every, delta)
+    cov = _cover(space, delta)
     # a maximal 2*delta-separated set is the greedy cover at 2*delta
-    pack = _cover(space, every, 2.0 * delta)
+    pack = _cover(space, 2.0 * delta)
     return CoveringEstimate(float(delta), int(cov.size), int(pack.size), cov)
 
 
@@ -104,8 +105,7 @@ def fit_dimension(space: FiniteMetricSpace,
     Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
-    every = np.arange(space.n)
-    counts = np.array([_cover(space, every, d).size for d in deltas])
+    counts = np.array([_cover(space, d).size for d in deltas])
     if np.all(counts == 1):
         raise DegenerateFitError("all covering counts equal 1")
     x = np.log(Delta / deltas)
@@ -184,7 +184,7 @@ class PartitionTree:
             if (par.min() < 0 or par.max() >= nprev
                     or np.any(par[lab] != prev)):
                 raise MultiscaleError(f"refinement violated at level {k}")
-            cap = _cover(self.space, np.arange(n), 4.0 ** (-k - 1) * self.diam,
+            cap = _cover(self.space, 4.0 ** (-k - 1) * self.diam,
                          stop=ncells).size
             if ncells > cap:
                 raise MultiscaleError(
@@ -225,54 +225,32 @@ class PartitionTree:
         }
 
 
-def _assign(space: FiniteMetricSpace, pts_idx: np.ndarray,
-            centers_idx: np.ndarray) -> np.ndarray:
-    if space.kind == "euclidean":
-        return _kernels.assign_nearest_pts(space.points[pts_idx],
-                                           space.points[centers_idx])
-    D = space.distance_block(pts_idx, centers_idx)
-    return _kernels.assign_nearest_mat(D)
-
-
 def build_partition_tree(space: FiniteMetricSpace,
                          k_star: int) -> PartitionTree:
     """Top-down refined partitions of the space with four-fold shrinking
     diameters.
 
-    Level-k centers come from a greedy cover at radius 4^{-k}*diam/2
-    inside each parent cell; points go to their nearest center within the
-    parent (ties to the lowest center index). Cells are numbered by
-    parent, then by center order within the parent.
+    Level-k centers are the greedy cover at radius 4^{-k}*diam/2 of each
+    parent cell, all cells of a level in one grouped cover walk; points go
+    to their nearest center within the parent (ties to the lowest center
+    index). Cells are numbered by parent, then by center order within the
+    parent.
     """
     if k_star < 1:
         raise MultiscaleError("k_star must be >= 1")
     Delta = diameter(space)
     tree = PartitionTree(space, Delta, int(k_star))
-    prev_lab = np.zeros(space.n, np.int64)
-    nprev = 1
+    lab = np.zeros(space.n, np.int64)
     for k in range(1, k_star + 1):
-        radius = 4.0 ** (-k) * Delta / 2.0
-        lab = np.empty(space.n, np.int64)
-        cen: List[np.ndarray] = []
-        par: List[np.ndarray] = []
-        ncells = 0
-        for pid, pts in enumerate(_group(prev_lab, nprev)):
-            if pts.size == 1:
-                centers, local = pts, np.zeros(1, np.int64)
-            else:
-                centers = pts[_cover(space, pts, radius)]
-                local = _assign(space, pts, centers)
-                used = np.bincount(local, minlength=centers.size) > 0
-                local = (np.cumsum(used) - 1)[local]
-                centers = centers[used]
-            lab[pts] = ncells + local
-            cen.append(centers)
-            par.append(np.full(centers.size, pid, np.int64))
-            ncells += centers.size
+        centers, near = _cover(space, 4.0 ** (-k) * Delta / 2.0, groups=lab)
+        par = lab[centers]
+        order = np.argsort(par, kind="stable")
+        cell = np.empty_like(order)
+        cell[order] = np.arange(order.size)
+        lab = cell[near]
         tree.labels.append(lab)
-        tree.centers.append(np.concatenate(cen))
-        tree.parents.append(np.concatenate(par))
-        prev_lab, nprev = lab, ncells
+        tree.centers.append(centers[order])
+        tree.parents.append(par[order])
     tree.verify()
     return tree
 

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from empwass.bound_catalog import (BoundError, BoundResult, _done, _main_exp,
                                    _na, classify_regime)
 from empwass.measures import DiscreteMeasure, MeasureError
-from empwass.metric_core import MetricError
+from empwass.metric_core import MetricError, diameter
 from empwass.multiscale import MultiscaleError, greedy_cover
 from empwass.ot_exact import OTError, WppValue
 
@@ -119,6 +119,51 @@ def _greedy_cover_oracle(pts, delta, stop=None):
 @pytest.fixture
 def greedy_cover_oracle():
     return _greedy_cover_oracle
+
+
+def _partition_tree_oracle(space, k_star):
+    """The per-parent tree builder: for each parent cell in turn, the
+    one-at-a-time greedy cover of its points at radius 4^-k diam / 2 and
+    each point's nearest center of that cell by a full distance block
+    (squared distances for point clouds), ties to the lowest center.
+    Cells are numbered by parent, then by center order. Returns the
+    per-level (labels, centers, parents) lists."""
+    Delta = diameter(space)
+    prev, nprev = np.zeros(space.n, np.int64), 1
+    labels, centers, parents = [], [], []
+    for k in range(1, k_star + 1):
+        radius = 4.0 ** (-k) * Delta / 2.0
+        lab = np.empty(space.n, np.int64)
+        cen, par = [], []
+        for pid in range(nprev):
+            pts = np.flatnonzero(prev == pid)
+            if space.kind == "euclidean":
+                x = space.points[pts]
+                chosen = pts[_greedy_cover_oracle(x, radius)]
+                diff = x[:, None, :] - space.points[chosen][None, :, :]
+                dist = np.einsum("ijk,ijk->ij", diff, diff)
+            else:
+                D = space.submatrix(pts)
+                covered = np.zeros(pts.size, bool)
+                local = []
+                while not covered.all():
+                    local.append(int(np.argmin(covered)))
+                    covered |= D[local[-1]] <= radius * (1.0 + 1e-12)
+                chosen = pts[local]
+                dist = space.distance_block(pts, chosen)
+            lab[pts] = len(cen) + np.argmin(dist, axis=1)
+            cen.extend(chosen)
+            par.extend([pid] * chosen.size)
+        labels.append(lab)
+        centers.append(np.asarray(cen, np.int64))
+        parents.append(np.asarray(par, np.int64))
+        prev, nprev = lab, len(cen)
+    return labels, centers, parents
+
+
+@pytest.fixture
+def partition_tree_oracle():
+    return _partition_tree_oracle
 
 
 def _verify_tree_oracle(tree):

@@ -56,6 +56,20 @@ def test_unknown_subcommand_exit_2():
     assert _run(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["cover", "--points", "p.csv", "--delta", "abc"],
+     "empwass cover: error: argument --delta: invalid float value: 'abc'"),
+    (["rate"], "empwass rate: error: the following arguments are required: "
+               "--sampler, --p, --ngrid, --reps, --seed"),
+    ([], "empwass: error: the following arguments are required: cmd"),
+])
+def test_usage_error_is_one_line(capsys, argv, line):
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
+
+
 def test_help_exits_zero():
     assert _run(["--help"]) == 0
 

@@ -198,6 +198,24 @@ def test_greedy_cover_matches_oracle(greedy_cover_oracle, case, data):
     stop = data.draw(st.integers(1, want.size + 1))
     assert np.array_equal(K.greedy_cover_pts(pts, delta, stop=stop),
                           greedy_cover_oracle(pts, delta, stop=stop))
+    # grouped walk: each group's centers are the greedy cover of the group
+    # alone, and each point's label is its nearest center of its group
+    ngroups = data.draw(st.integers(1, 4))
+    groups = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))) \
+        .integers(0, ngroups, pts.shape[0])
+    centers, labels = K.greedy_cover_pts(pts, delta, groups=groups)
+    members = [np.flatnonzero(groups == g) for g in range(ngroups)]
+    assert np.array_equal(centers, np.sort(np.concatenate(
+        [m[greedy_cover_oracle(pts[m], delta)] for m in members])))
+    if ngroups == 1:
+        assert np.array_equal(centers, want)
+    for s in range(0, pts.shape[0], 256):
+        diff = pts[s:s + 256, None, :] - pts[centers][None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        same = groups[s:s + 256, None] == groups[centers][None, :]
+        # np.argmin takes the first, so the lowest, of tied centers
+        assert np.array_equal(labels[s:s + 256],
+                              np.argmin(np.where(same, d2, np.inf), axis=1))
 
 
 def test_greedy_packing_matches_definition(rng):
@@ -234,8 +252,26 @@ def test_assign_nearest_matches_brute_force(rng):
         centers = pts[rng.choice(n, size=min(6, n), replace=False)]
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
         assert list(K.assign_nearest_pts(pts, centers)) == _brute_argmin(d2)
-        block = np.sqrt(d2)
-        assert list(K.assign_nearest_mat(block)) == _brute_argmin(block)
+        # the grouped cover walks label each point with its nearest center
+        # of its own group, ties to the lowest center
+        groups = rng.integers(0, 3, n)
+        same = groups[:, None] == groups[None, :]
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        if trial % 2:
+            # integer squared radius and integer L1 distances: exact ties
+            r2 = int(rng.integers(1, 6))
+            delta = float(np.sqrt(r2))
+            D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
+            r = float(rng.integers(1, 4))
+        else:
+            delta = r = float(rng.uniform(0.05, 0.6))
+            r2, D = delta * delta, np.sqrt(d2)
+        for (got, lab), dist, close in (
+                (K.greedy_cover_pts(pts, delta, groups=groups), d2, d2 <= r2),
+                (K.greedy_cover_mat(D, r, groups=groups), D, D <= r)):
+            assert list(got) == _sequential_greedy(close & same)
+            masked = np.where(same[:, got], dist[:, got], np.inf)
+            assert list(lab) == _brute_argmin(masked)
 
 
 def test_radius_comparison_uses_relative_epsilon():

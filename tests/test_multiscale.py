@@ -322,6 +322,58 @@ def test_partition_tree_golden():
         "6cce22e0fd43d1286a62e9f315438f9d6f36c967b0756b51cf9b2e6dc3a3a1f4"
 
 
+def test_matrix_partition_tree_golden():
+    # sha256 of the tree.json payload as the per-parent builder produced
+    # it; L1 distances on an integer grid with diameter 96 give radii 12
+    # and 3 at levels 1 and 2, so exact ties at the radius and between
+    # centers occur
+    pts = np.random.default_rng(2025).integers(0, 49, (300, 2)).astype(float)
+    pts[:2] = [[0.0, 0.0], [48.0, 48.0]]
+    D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)
+    tree = build_partition_tree(FiniteMetricSpace.from_matrix(D), 3)
+    assert tree.cell_counts == [17, 127, 281]
+    blob = json.dumps(tree.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "b422f22b3803232aa97f68f2af31ba0f9096121665a70f9710c9f1af75f1ba56"
+
+
+@st.composite
+def _tree_spaces(draw):
+    """Point clouds in d = 1..3 on coarse grids (duplicate points, exact
+    distance ties) or uniform, big enough for several blocks of the cover
+    walk; or explicit matrices of their Euclidean or integer L1
+    distances."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300))
+    grid = draw(st.sampled_from([2, 3, 8, 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.integers(0, grid, (n, d)).astype(float) if grid else \
+        rng.random((n, d))
+    space = FiniteMetricSpace.from_points(pts)
+    kind = draw(st.sampled_from(["points", "euclidean-matrix", "l1-matrix"]))
+    if kind == "euclidean-matrix":
+        space = FiniteMetricSpace.from_matrix(space.submatrix(np.arange(n)))
+    elif kind == "l1-matrix":
+        space = FiniteMetricSpace.from_matrix(
+            np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1))
+    return space, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_tree_spaces())
+def test_partition_tree_matches_per_parent_builder(partition_tree_oracle,
+                                                   case):
+    space, k_star = case
+    tree = _build_unchecked(space, k_star)
+    labels, centers, parents = partition_tree_oracle(space, k_star)
+    for got, want in ((tree.labels, labels), (tree.centers, centers),
+                      (tree.parents, parents)):
+        assert len(got) == len(want) == k_star
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 @pytest.mark.xfail(strict=True, raises=MultiscaleError,
                    reason="per-parent greedy covers can place more level-2 "
                           "cells (64) than one global greedy cover at the "
