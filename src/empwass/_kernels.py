@@ -6,12 +6,11 @@ re-checked here against a dual certificate.
 
 Each scipy submodule is imported inside the kernel that calls it: loading
 ``scipy.optimize`` alone takes most of a second, and a subcommand that
-never solves an LP or builds a kd-tree should not pay for it.
+never solves an LP should not pay for it. The greedy cover finds its
+neighbour candidates in a numpy cell grid and loads no scipy module.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -42,10 +41,59 @@ def wpp_staircase(xa, ca, xb, cb, p):
 # ---------------------------------------------------------------------------
 
 # Candidate pairs a block of the cover walk aims at: enough that the fixed
-# cost of a block (one tree query, a dozen numpy calls) is a small share
-# of its pair work, few enough that a block of dense tentatives that
+# cost of a block (one grid lookup, a few dozen numpy calls) is a small
+# share of its pair work, few enough that a block of dense tentatives that
 # mostly cover each other wastes little.
 _BLOCK_PAIRS = 4096
+
+# Most cells per axis of the neighbour grid, so that the packed cell keys
+# of three axes fit an int64 however small the radius.
+_GRID_CELLS = 2 ** 20
+
+
+def _grid_neighbours(pts, reach):
+    """A lookup ``near(tent) -> (nbr, sizes)``: for each index in ``tent``,
+    a superset of the points within ``reach`` of it in every coordinate,
+    ``sizes[i]`` of them per tentative, concatenated in ``nbr``.
+
+    The points are bucketed into a grid over the (up to) three coordinates
+    of widest extent, with cells of side at least ``reach`` (a relative
+    1e-6 more, so rounding in the cell index cannot put two coordinates
+    ``reach`` apart two cells apart) and at most ``_GRID_CELLS`` cells per
+    axis. A point's neighbours then lie in the 3^k cells around its own.
+    Each axis gets an empty cell past either end, so the packed key of
+    every cell around a point stays in its row's key range. The points
+    are sorted once by key; the cells around a tentative are 3^(k-1) runs
+    of consecutive keys (the last axis varies fastest), found for a whole
+    block with two ``searchsorted`` calls.
+    """
+    lo = pts.min(axis=0)
+    ext = pts.max(axis=0) - lo
+    side = np.maximum(reach * (1.0 + 1e-6), ext / _GRID_CELLS)
+    # an axis narrower than one cell separates nothing; keep at least one
+    k = max(1, min(3, int(np.count_nonzero(ext >= side))))
+    axes = np.argsort(-ext, kind="stable")[:k]
+    cells = np.floor((pts[:, axes] - lo[axes]) / side[axes]).astype(np.int64)
+    width = cells.max(axis=0) + 3
+    stride = np.cumprod(np.r_[1, width[:0:-1]])[::-1]
+    key = (cells + 1) @ stride
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # key offsets of the 3^(k-1) rows around a cell
+    rows = np.zeros(1, np.int64)
+    for a in range(k - 1):
+        rows = (rows[:, None] + np.array([-1, 0, 1]) * stride[a]).ravel()
+
+    def near(tent):
+        mid = key[tent, None] + rows
+        first = np.searchsorted(sorted_key, mid - 1).ravel()
+        count = np.searchsorted(sorted_key, mid + 1, side="right").ravel()
+        count -= first
+        ends = np.cumsum(count)
+        pos = np.arange(ends[-1]) + np.repeat(first - ends + count, count)
+        return order[pos], count.reshape(tent.size, -1).sum(axis=1)
+
+    return near
 
 
 def greedy_cover_pts(pts, delta, stop=None, groups=None):
@@ -55,15 +103,15 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None):
 
     "Within" is ``sum((x - c)**2) <= delta**2 * (1 + 1e-12)`` over the
     coordinates, summed in order. The walk takes the next block of
-    uncovered points in index order as tentative centers, finds their
-    neighbours with one kd-tree ball query at a radius 1e-9 above delta,
+    uncovered points in index order as tentative centers, finds a superset
+    of their neighbours with one lookup in a cell grid (``_grid_neighbours``),
     keeps the pairs that pass the test above, and accepts the tentatives
     in index order unless an earlier acceptance covered them. Every
     point before the block is covered and the points between tentatives
     are too, so these are the centers of the one-at-a-time loop. The next
     block has twice as many tentatives as the last one gave centers, but
     no more than would bring about ``_BLOCK_PAIRS`` candidate pairs at the
-    last query's rate per tentative (the first block assumes every point
+    last lookup's rate per tentative (the first block assumes every point
     is a neighbour).
 
     With ``groups`` (one integer label per point) a center covers only
@@ -75,12 +123,13 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None):
     the exact test, and a point's nearest center is no farther than the
     one covering it, so that center is among the kept pairs.
     """
-    from scipy.spatial import cKDTree
-
     n = pts.shape[0]
     # relative epsilon keeps points at exactly distance delta covered
     d2max = delta * delta * (1.0 + 1e-12)
-    tree = cKDTree(pts)
+    # A pair that passes the test is at most sqrt(d2max) apart in each
+    # coordinate, up to the rounding of its square: relative where the
+    # square is normal, 2^-1074 absolute where it is subnormal.
+    near = _grid_neighbours(pts, np.sqrt(d2max + 2.0 ** -1074) * (1.0 + 1e-9))
     # covered[n] is the sink for candidates that fail the exact test
     covered = np.zeros(n + 1, bool)
     centers, pairs = [], []
@@ -89,10 +138,7 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None):
         tent = cursor + np.flatnonzero(~covered[cursor:n])[:block]
         if tent.size == 0:
             break
-        near = tree.query_ball_point(pts[tent], delta * (1.0 + 1e-9),
-                                      return_sorted=False)
-        sizes = np.fromiter(map(len, near), np.intp, tent.size)
-        nbr = np.fromiter(chain.from_iterable(near), np.intp)
+        nbr, sizes = near(tent)
         owner = np.repeat(tent, sizes)
         diff = pts[nbr] - pts[owner]
         d2 = np.einsum("ij,ij->i", diff, diff)

@@ -572,20 +572,18 @@ def test_readme_cli_examples_parse():
         build_parser().parse_args(argv)   # exits 2 on a bad example
 
 
-# Run in a fresh interpreter: which scipy solver modules are loaded after
+# Run in a fresh interpreter: which scipy modules are loaded after
 # importing the CLI, after a 1-D tail run, and when each rate run's pool of
 # workers is built (recorded by wrapping ProcessPoolExecutor.__init__):
 # first a 1-D mcf-two-sample run, which never solves, then a 3-D one.
-_IMPORT_PROBE = """
+_PROBE_HEAD = """
 import json, sys
 from concurrent.futures import process
 
-SOLVERS = ("scipy.optimize", "scipy.sparse", "scipy.spatial",
-           "scipy.integrate")
 seen = {}
 
 def loaded():
-    return sorted(m for m in SOLVERS if m in sys.modules)
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 init = process.ProcessPoolExecutor.__init__
 def probe(self, *args, **kwargs):
@@ -596,6 +594,8 @@ process.ProcessPoolExecutor.__init__ = probe
 from empwass.cli import main
 seen["import"] = loaded()
 out = sys.argv[1]
+"""
+_IMPORT_PROBE = _PROBE_HEAD + """
 assert main(["tail", "--sampler", "uniform-cube:1", "--p", "1",
              "--estimator", "1d-quantile", "--ngrid", "16:32",
              "--reps", "1000", "--xgrid", "0.1", "--seed", "0",
@@ -612,14 +612,18 @@ print(json.dumps(seen))
 """
 
 
-def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
+def _run_probe(script, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+        [sys.executable, "-c", script, str(tmp_path)], env=env,
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
+    seen = _run_probe(_IMPORT_PROBE, tmp_path)
     assert seen["import"] == []
     assert seen["tail"] == []
     # a 1-D two-sample replicate never solves, so nothing is loaded
@@ -627,6 +631,34 @@ def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
     # the parent's warm-up replicate loads the solver before the pool forks
     assert "scipy.optimize" in seen["pool"][1]
     assert "scipy.sparse" in seen["pool"][1]
+
+
+# The covering-number subcommands and the dyadic estimator (its pool and
+# the parent after the run) load no scipy module at all: the greedy cover
+# and the partition tree are numpy only.
+_COVER_PROBE = _PROBE_HEAD + """
+import numpy as np
+from empwass.metric_core import save_points_csv
+
+pts = out + "/pts.csv"
+save_points_csv(pts, np.random.default_rng(0).random((300, 2)))
+for argv in (["cover", "--points", pts, "--delta", "0.1"],
+             ["dim", "--points", pts],
+             ["tree", "--points", pts, "--kstar", "3"],
+             ["rate", "--sampler", "uniform-cube:2", "--p", "1",
+              "--estimator", "dyadic", "--ngrid", "8:32", "--reps", "30",
+              "--seed", "0", "--workers", "2"]):
+    assert main(argv + ["--out", out + "/" + argv[0]]) == 0
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cover_subcommands_load_no_scipy(tmp_path):
+    seen = _run_probe(_COVER_PROBE, tmp_path)
+    assert seen.pop("pool") == [[]]
+    assert seen == dict.fromkeys(("import", "cover", "dim", "tree", "rate"),
+                                 [])
 
 
 def test_rings_subcommand(tmp_path):

@@ -162,14 +162,19 @@ def test_greedy_cover_matches_definition(rng):
 
 @st.composite
 def _cover_inputs(draw):
-    """Point sets in d = 1..4 and a radius: uniform points, integer points
+    """Point sets in d = 1..7 and a radius: uniform points, integer points
     with a radius whose square is an integer (ties exactly at delta), a
-    sorted line (each center covers a run of consecutive indices) and a
-    row-major grid. Sizes reach past one block of the cover walk."""
-    d = draw(st.integers(1, 4))
+    sorted line (each center covers a run of consecutive indices), a
+    row-major grid, and shapes aimed at the cover's cell grid: a lattice
+    offset by 1e8 with delta a few ulps of the offset, a cloud scaled by
+    1e-150, one axis stretched to 2e9, clusters with delta far below
+    extent / 2^20 (the cap on cells per axis) and delta above the extent.
+    Sizes reach past one block of the cover walk."""
+    d = draw(st.integers(1, 7))
     n = draw(st.integers(1, 2500))
     shape = draw(st.sampled_from(["uniform", "integer", "sorted-line",
-                                  "grid"]))
+                                  "grid", "offset", "tiny", "stretched",
+                                  "clusters", "wide"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if shape == "uniform":
         pts = rng.random((n, d))
@@ -180,11 +185,32 @@ def _cover_inputs(draw):
     elif shape == "sorted-line":
         pts = np.sort(rng.random(n))[:, None] * np.ones(d)
         delta = float(rng.choice([1e-3, 1e-2, 0.1]))
-    else:
+    elif shape == "grid":
         side = int(np.ceil(n ** (1.0 / d)))
         axes = np.meshgrid(*[np.arange(side, dtype=float)] * d, indexing="ij")
         pts = np.stack(axes, axis=-1).reshape(-1, d)[:n]
         delta = float(rng.choice([1.0, np.sqrt(2.0), 2.0]))
+    elif shape == "offset":
+        # 2^-26 is one ulp at 1e8, so every coordinate is exact; a long
+        # lattice puts pairs exactly delta apart across many cell borders
+        span = int(rng.choice([8, 4096]))
+        pts = 1e8 + rng.integers(0, span, (n, d)) * 2.0 ** -26
+        delta = float(rng.integers(1, 4)) * 2.0 ** -26
+    elif shape == "tiny":
+        pts = rng.random((n, d)) * 1e-150
+        delta = float(rng.choice([0.01, 0.05, 0.2])) * 1e-150
+    elif shape == "stretched":
+        pts = rng.random((n, d))
+        pts[:, rng.integers(d)] += rng.integers(0, 3, n) * 1e9
+        delta = float(rng.choice([0.05, 0.2, 0.6]))
+    elif shape == "clusters":
+        base = rng.random((max(1, n // 4), d))
+        pts = base[rng.integers(0, base.shape[0], n)] \
+            + rng.integers(0, 3, (n, d)) * 1e-8
+        delta = float(rng.choice([1e-8, 1.5e-8, 3e-8]))
+    else:
+        pts = rng.random((n, d))
+        delta = float(rng.choice([1.5, 10.0, 1e300]) * np.sqrt(d))
     return pts, delta
 
 
