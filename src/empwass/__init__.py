@@ -1,6 +1,6 @@
 """empwass: exact empirical transport distances, multiscale upper bounds,
-tail calculus, a catalog of concentration bounds, and seeded Monte Carlo
-experiments confronting the two.
+samplers with closed-form tails, a catalog of concentration bounds, and
+seeded Monte Carlo experiments confronting the two.
 """
 
 __version__ = "0.1.0"
@@ -19,8 +19,6 @@ from .multiscale import (CoveringEstimate, DimensionFit, MultiscaleError,
 from .decomposition import (MixtureBound, RingDecomposition, mixture_bound,
                             ring_decompose, verify_mixture_convexity,
                             verify_reconstruction)
-from .tail_calculus import (ExpMomentEstimate, IntegralValue, TailProfile,
-                            exp_moment, i_integral, weak_moment)
 from .bound_catalog import (BoundResult, as_rate_normalizer, bernstein_bound,
                             classify_regime, fuk_nagaev_bound,
                             hoeffding_bound, main_term_bound,

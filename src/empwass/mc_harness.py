@@ -4,7 +4,6 @@ almost-sure checks, and verification of the partial-sum inequalities."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -201,9 +200,6 @@ class ExperimentReport:
             "corrected_r2": self.corrected_r2,
             "degenerate": self.degenerate,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _stats_row(n: int, vals: np.ndarray, x_grid: Sequence[float]) -> dict:

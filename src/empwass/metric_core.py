@@ -300,7 +300,3 @@ def load_matrix_csv(path) -> FiniteMetricSpace:
     if D.shape[0] != D.shape[1]:
         raise MetricError(f"{path}: matrix is not square (shape {D.shape})")
     return FiniteMetricSpace.from_matrix(D)
-
-
-def save_points_csv(path, points: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(points), delimiter=",", fmt="%.17g")

@@ -14,6 +14,12 @@ from empwass.multiscale import MultiscaleError, greedy_cover
 from empwass.ot_exact import OTError, WppValue
 
 
+def save_points_csv(path, points):
+    """One point per row; %.17g round-trips every float, so the golden
+    hashes of outputs read from these files stay fixed."""
+    np.savetxt(path, np.atleast_2d(points), delimiter=",", fmt="%.17g")
+
+
 def _replicated_assignment_cost(C, ka, kb):
     """Optimal transport cost between weights ka/K and kb/K (integer counts,
     equal totals K): replicate atom i ka[i] times and atom j kb[j] times,

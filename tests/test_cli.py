@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import save_points_csv
 
 from empwass.cli import _Finite, build_parser, main
-from empwass.metric_core import save_points_csv
 
 
 @pytest.fixture
@@ -638,10 +638,9 @@ def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
 # and the partition tree are numpy only.
 _COVER_PROBE = _PROBE_HEAD + """
 import numpy as np
-from empwass.metric_core import save_points_csv
 
 pts = out + "/pts.csv"
-save_points_csv(pts, np.random.default_rng(0).random((300, 2)))
+np.savetxt(pts, np.random.default_rng(0).random((300, 2)), delimiter=",")
 for argv in (["cover", "--points", pts, "--delta", "0.1"],
              ["dim", "--points", pts],
              ["tree", "--points", pts, "--kstar", "3"],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -121,7 +122,8 @@ def test_workers_give_identical_report():
     s4 = _spec(workers=4)
     r1 = run_rate_experiment(s1)
     r4 = run_rate_experiment(s4)
-    assert r1.to_json() == r4.to_json()
+    assert (json.dumps(r1.to_dict(), sort_keys=True)
+            == json.dumps(r4.to_dict(), sort_keys=True))
 
 
 def test_rate_slope_one_dimensional():

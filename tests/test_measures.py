@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from empwass.measures import (DiscreteMeasure, MeasureError, mix, restrict,
                               sampler_from_string)
 from empwass.metric_core import FiniteMetricSpace
-from empwass.tail_calculus import TailError, TailProfile
 
 
 @pytest.fixture
@@ -86,15 +86,16 @@ def test_pareto_tail_function():
 def test_exp_radial_tail_function():
     s = sampler_from_string("exp-radial:2:0.5:2")
     assert s.tail(1.0) == pytest.approx(math.exp(-0.5))
-    assert TailProfile.from_sampler(s).H(1.0) == s.tail(1.0)
 
 
 def test_no_closed_form_tail_is_refused():
     # the uniform square has no closed-form tail about the origin
     s = sampler_from_string("uniform-cube:2")
     assert s.tail(1.0) is None
-    with pytest.raises(TailError, match="no closed-form tail"):
-        TailProfile.from_sampler(s)
+    with pytest.raises(MeasureError, match="no closed-form tail"):
+        s.tail_integral(0.5, 1.0)
+    with pytest.raises(MeasureError, match="no closed-form tail"):
+        s.weak_moment(1.0)
 
 
 def test_quantile_closed_forms():
@@ -104,3 +105,126 @@ def test_quantile_closed_forms():
     p = sampler_from_string("pareto-radial:2:1")
     # symmetric two-sided construction: right tail mass 2(1-u)
     assert p.quantile(0.75) == pytest.approx((2 * (1 - 0.75)) ** (-1 / 2))
+
+
+def test_pareto_closed_forms_against_quadrature():
+    s = sampler_from_string("pareto-radial:3:1")
+    # strong p-th moment: a/(a-p) for p < a, infinite otherwise
+    assert s.strong_moment(1.0) == pytest.approx(1.5)
+    assert s.strong_moment(3.0) == math.inf
+    # weak moment: sup t^q min(1, t^-a) = 1 for q <= a, infinite above
+    assert s.weak_moment(2.0) == pytest.approx(1.0)
+    assert s.weak_moment(3.5) == math.inf
+    # I-integral vs numeric quadrature of H^s d(t^p)
+    sexp, p = 0.7, 1.0
+    want, _ = integrate.quad(
+        lambda t: min(1.0, t ** -3.0) ** sexp * t ** (p - 1), 0, np.inf,
+        limit=200)
+    got, _ = s.tail_integral(sexp, p)
+    assert got == pytest.approx(want, rel=1e-6)
+    # divergent case: a*s <= p
+    div, _ = s.tail_integral(0.3, 1.0)
+    assert not math.isfinite(div)
+
+
+def test_exp_radial_weak_moment_and_integral():
+    s = sampler_from_string("exp-radial:2:1:1")
+    # sup t^q exp(-t^2) attained at t* = sqrt(q/2)
+    q = 2.0
+    tstar = math.sqrt(q / 2.0)
+    assert s.weak_moment(q) == pytest.approx(tstar ** q * math.exp(-tstar ** 2))
+    want, _ = integrate.quad(lambda t: math.exp(-t * t) ** 0.5 * t, 0, 50)
+    got, _ = s.tail_integral(0.5, 2.0)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_tail_integral_rejects_bad_arguments():
+    s = sampler_from_string("uniform-cube:1")
+    with pytest.raises(MeasureError, match="exponent"):
+        s.tail_integral(0.0, 1.0)
+    with pytest.raises(MeasureError, match="exponent"):
+        s.tail_integral(1.5, 1.0)
+    # the strong moment is p times a tail integral, so it refuses p < 1 too
+    with pytest.raises(MeasureError, match="p must be >= 1"):
+        s.strong_moment(0.5)
+
+
+def test_bounded_families_against_closed_forms():
+    # uniform on [0, 1]: H(t) = 1 - t, so the strong moment is 1/(p+1),
+    # I = B(p, s+1) and sup t^q (1 - t) = q^q / (q+1)^(q+1) at q/(q+1)
+    cube = sampler_from_string("uniform-cube:1")
+    for p in (1.0, 1.5, 2.0, 3.0):
+        assert cube.strong_moment(p) == pytest.approx(1.0 / (p + 1.0),
+                                                      rel=1e-12)
+        for s in (0.5, 1.0):
+            beta = (math.gamma(p) * math.gamma(s + 1.0)
+                    / math.gamma(p + s + 1.0))
+            got, _ = cube.tail_integral(s, p)
+            assert got == pytest.approx(beta, rel=1e-9)
+    for q in (1.0, 2.5, 4.0):
+        assert cube.weak_moment(q) == pytest.approx(
+            q ** q / (q + 1.0) ** (q + 1.0), rel=1e-9)
+    # the two points +-1: H = 1 on [0, 1), 0 beyond
+    sphere = sampler_from_string("uniform-sphere:1")
+    for p in (1.0, 2.0):
+        assert sphere.strong_moment(p) == pytest.approx(1.0, rel=1e-9)
+        assert sphere.tail_integral(0.5, p)[0] == pytest.approx(1.0 / p,
+                                                                rel=1e-9)
+    assert sphere.weak_moment(2.0) == 1.0
+    point = sampler_from_string("point-mass:1")
+    assert point.strong_moment(2.0) == 0.0
+    assert point.tail_integral(0.5, 1.0)[0] == 0.0
+    assert point.weak_moment(1.0) == 0.0
+    # Cantor measure of ratio r: mean 1/2, variance (1 - r) / (4 (1 + r)),
+    # so E X^2 = 0.15 + 0.25 at r = 1/4
+    cantor = sampler_from_string("uniform-cantor:0.25")
+    assert cantor.strong_moment(2.0) == pytest.approx(0.4, rel=1e-9)
+
+
+# (sampler, p, s, q) -> float.hex of strong_moment(p), the value and
+# error of tail_integral(s, p) and weak_moment(q), as computed when a
+# separate tail profile class also held empirical step tails
+_PINNED = [
+    ("point-mass:2", 1.0, 0.5, 1.0,
+     ("0x0.0p+0", "0x0.0p+0",
+      "0x0.0p+0", "0x0.0p+0")),
+    ("uniform-cube:1", 1.0, 0.5, 1.0,
+     ("0x1.0000000000000p-1", "0x1.5555555555557p-1",
+      "0x1.aaaaaaaaaaaadp-51", "0x1.0000000000000p-2")),
+    ("uniform-cube:1", 2.0, 1.0, 2.5,
+     ("0x1.5555555555556p-2", "0x1.5555555555556p-3",
+      "0x1.0aaaaaaaaaaabp-49", "0x1.f8a0e8686defap-4")),
+    ("uniform-cantor:0.25", 2.0, 1.0, 2.5,
+     ("0x1.9999999999999p-2", "0x1.9999999999999p-3",
+      "0x1.fffffffffffffp-53", "0x1.f2d4a45635522p-3")),
+    ("uniform-sphere:1", 1.0, 0.5, 1.0,
+     ("0x1.0000000000000p+0", "0x1.0000000000000p+0",
+      "0x1.9000000000000p-47", "0x1.0000000000000p+0")),
+    ("uniform-sphere:3", 2.0, 1.0, 2.5,
+     ("0x1.0000000000000p+0", "0x1.0000000000000p-1",
+      "0x1.9000000000000p-48", "0x1.0000000000000p+0")),
+    ("pareto-radial:3:1", 1.0, 0.5, 2.5,
+     ("0x1.8000000000000p+0", "0x1.8000000000000p+1",
+      "0x0.0p+0", "0x1.0000000000000p+0")),
+    ("pareto-radial:3:1", 2.0, 0.5, 1.0,
+     ("0x1.8000000000000p+1", "inf",
+      "0x0.0p+0", "0x1.0000000000000p+0")),
+    ("exp-radial:2:1:1", 1.0, 0.5, 1.0,
+     ("0x1.c5bf891b4ef6cp-1", "0x1.40d931ff62706p+0",
+      "0x1.bad1a0ab00000p-31", "0x1.b72cd3f331397p-2")),
+    ("exp-radial:2:1:1", 2.0, 1.0, 2.5,
+     ("0x1.fffffffffffffp-1", "0x1.fffffffffffffp-2",
+      "0x1.42004e1000000p-28", "0x1.83c403bbc592dp-2")),
+    ("exp-radial:1:0.5:2", 2.0, 0.5, 2.5,
+     ("0x1.0000000000000p+3", "0x1.0000000000000p+4",
+      "0x1.3bd34e8800000p-30", "0x1.25ad1cafb7774p+2")),
+]
+
+
+@pytest.mark.parametrize("spec, p, s, q, want", _PINNED,
+                         ids=[f"{r[0]}-p{r[1]}" for r in _PINNED])
+def test_closed_form_tails_bit_identical(spec, p, s, q, want):
+    sampler = sampler_from_string(spec)
+    value, error = sampler.tail_integral(s, p)
+    assert (sampler.strong_moment(p).hex(), value.hex(), error.hex(),
+            float(sampler.weak_moment(q)).hex()) == want

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from conftest import save_points_csv
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from empwass import metric_core
 from empwass.metric_core import (FiniteMetricSpace, MetricError, diameter,
                                  load_matrix_csv, load_points_csv,
-                                 save_points_csv, validate_metric)
+                                 validate_metric)
 
 
 def test_from_points_euclidean():
