@@ -146,7 +146,8 @@ _FORMULAS = {
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # v != v only for NaN, which a JSON grid may spell; infinities pass
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v
 
 
 def _read_grid(path: str):

@@ -5,6 +5,7 @@ almost-sure checks, and verification of the partial-sum inequalities."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -133,10 +134,9 @@ def _run_block(task) -> np.ndarray:
     if spec.estimator == "1d-quantile":
         rows = [spec.sampler.draw(n, replicate_seed(spec.seed, n, rep))[:, 0]
                 for rep in reps]
-        values, _ = wpp_rows_vs_quantile(
+        return wpp_rows_vs_quantile(
             np.sort(np.stack(rows), axis=1), spec.sampler.quantile, spec.p,
             _quantile_antideriv(spec.sampler, spec.p))
-        return values
     return np.asarray([_one_replicate(spec, n, rep) for rep in reps])
 
 
@@ -148,10 +148,10 @@ _BLOCK_VALUES = 1 << 17
 def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
     """Per-n arrays of W_p^p samples, reproducible for any worker count.
 
-    Each n's replicates are cut into contiguous blocks of
-    ceil(R / (4 workers)) replicates, at least 8, at most
-    _BLOCK_VALUES / n; one process pool serves every block of the
-    experiment and returns them in order.
+    Each n's replicates are cut into contiguous blocks of ceil(R / (4
+    workers)) replicates, at least 8, at most _BLOCK_VALUES / n; one
+    process pool, of no more processes than blocks or usable cores,
+    serves every block of the experiment and returns them in order.
     """
     R = spec.replicates
     size = max(8, -(-R // (4 * spec.workers)))
@@ -160,7 +160,8 @@ def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
         step = max(1, min(size, _BLOCK_VALUES // n))
         tasks += [(spec, n, range(s, min(s + step, R)))
                   for s in range(0, R, step)]
-    if spec.workers > 1:
+    workers = min(spec.workers, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         if spec.estimator != "1d-quantile":
             # One replicate in the parent (value discarded) loads the scipy
@@ -170,7 +171,7 @@ def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
             # replicate would only add numpy.random and, through
             # `secrets`, OpenSSL to the parent (+6 MB peak RSS).
             _one_replicate(spec, spec.n_grid[0], 0)
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
         blocks = [_run_block(t) for t in tasks]
@@ -388,9 +389,8 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
         checkpoints.append(n_max)
     rows = []
     for k in checkpoints:
-        values, _ = wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
-                                         sampler.quantile, p, anti)
-        w = float(values[0])
+        w = float(wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
+                                       sampler.quantile, p, anti)[0])
         norm = as_rate_normalizer(k, p, alpha) * w if alpha else None
         rows.append({"k": int(k), "wpp": w, "normalized": norm})
     return {"sampler": md, "p": p, "seed": seed, "rows": rows,

@@ -119,10 +119,13 @@ def fit_dimension(space: FiniteMetricSpace,
 
 def auto_delta_grid(space: FiniteMetricSpace, n_scales: int = 6) -> np.ndarray:
     """n_scales dyadic scales diam/8, diam/16, ... for dimension fitting
-    (`fit_dimension` needs at least 5 of them to span a decade)."""
+    (`fit_dimension` needs at least 5 of them to span a decade); refused
+    before allocating when the last scale underflows to 0."""
     Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
+    if n_scales > 0 and Delta / 8.0 * 0.5 ** (n_scales - 1) == 0.0:
+        raise MultiscaleError(f"{n_scales} scales halve diam/8 to 0")
     return Delta / 8.0 * 0.5 ** np.arange(n_scales)
 
 

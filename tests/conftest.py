@@ -212,14 +212,13 @@ def verify_tree_oracle():
 
 _UEPS = 1e-13
 _GL32 = np.polynomial.legendre.leggauss(32)
-_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def _wpp_vs_quantile_oracle(sample_positions, quantile_fn, p, grid=2048,
                             quantile_antideriv=None):
     """One replicate at a time: the monotonicity check, the crossing
     bisection over this sample's cells, then the closed form (p = 1 with
-    an antiderivative) or 32- and 16-node Gauss-Legendre panels."""
+    an antiderivative) or 32-node Gauss-Legendre panels."""
     if p < 1:
         raise OTError("p must be >= 1")
     if grid < 1000:
@@ -263,27 +262,21 @@ def _wpp_vs_quantile_oracle(sample_positions, quantile_fn, p, grid=2048,
         cross = (xs * (us - lo) - (Q(us) - Q(lo))) \
             + ((Q(hi) - Q(us)) - xs * (hi - us))
         total = float(np.sum(np.where(crossing, cross, base)))
-        return WppValue(total, 1.0, "quantile-integral", 0.0)
+        return WppValue(total, 1.0, "quantile-integral")
 
-    def integrate(nodes):
-        gx, gw = nodes
+    gx, gw = _GL32
 
-        def panel(a, b, xv):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            u = mid[:, None] + half[:, None] * gx[None, :]
-            f = np.abs(xv[:, None] - q(u.ravel()).reshape(u.shape)) ** p
-            return float(np.sum(half * (f @ gw)))
+    def panel(a, b, xv):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        u = mid[:, None] + half[:, None] * gx[None, :]
+        f = np.abs(xv[:, None] - q(u.ravel()).reshape(u.shape)) ** p
+        return float(np.sum(half * (f @ gw)))
 
-        total = panel(lo, np.where(crossing, us, hi), xs)
-        if np.any(crossing):
-            total += panel(us[crossing], hi[crossing], xs[crossing])
-        return total
-
-    v32 = integrate(_GL32)
-    v16 = integrate(_GL16)
-    return WppValue(float(v32), float(p), "quantile-integral",
-                    abs(v32 - v16))
+    total = panel(lo, np.where(crossing, us, hi), xs)
+    if np.any(crossing):
+        total += panel(us[crossing], hi[crossing], xs[crossing])
+    return WppValue(total, float(p), "quantile-integral")
 
 
 @pytest.fixture

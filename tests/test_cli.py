@@ -361,6 +361,24 @@ def test_hoeffding_bad_constants_are_row_errors(tmp_path):
         assert row["error"] == reason
 
 
+@pytest.mark.parametrize("reason, grid", [
+    ("x_grid is not a list of numbers",
+     {"x_grid": [float("nan"), 0.5], "n_grid": [10],
+      "params": {"p": 1, "alpha": 1, "Delta": 1}}),
+    ("n_grid is not a list of numbers",
+     {"n_grid": [float("nan")], "params": {"p": 1, "Delta": 1}}),
+    ("params is not an object of numbers/nulls",
+     {"params": {"p": float("nan"), "Delta": 1}}),
+])
+def test_bound_grid_nan_exit_2(tmp_path, capsys, reason, grid):
+    # a NaN used to become a nan row and exit 0
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(grid))
+    err = _no_output(tmp_path, capsys, ["bound", "--formula", "hoeffding",
+                                        "--grid", str(spec)])
+    assert err == f"error: {spec}: {reason}\n"
+
+
 def test_fuk_nagaev_without_n_grid_is_a_row_error(tmp_path):
     # the default n_grid is [0], and both integral bullets divided by n
     for k, params in enumerate(({"p": 1, "alpha": 1, "i2pp": 1.0},
@@ -463,6 +481,9 @@ _EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
       "--seed", "0"], "p must be"),
     (["asrun", "--sampler", "uniform-cube:1", "--p", "1", "--nmax", "2",
       "--seed", "0"], "first checkpoint"),
+    # past about 1,075 halvings the last scale is 0; refused before the
+    # grid is allocated
+    (["dim", "--points", "{pts}", "--scales", str(2 ** 40)], "to 0"),
 ])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
     rng = np.random.default_rng(1)

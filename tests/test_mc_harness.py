@@ -109,6 +109,43 @@ def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
                     (text, R, workers)
 
 
+def test_pool_is_capped_by_tasks_and_cores(monkeypatch):
+    # workers=10**6 sizes the pool by the tasks and the cores; an executor
+    # that records its size and maps in this process starts no process
+    import concurrent.futures
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    spec = _spec(n_grid=(8, 16), replicates=16)
+    want = _run_replicates(spec)
+    cores = len(mc_harness.os.sched_getaffinity(0))
+    got = _run_replicates(dataclasses.replace(spec, workers=10 ** 6))
+    assert all(w <= cores for w in sizes)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # with 3 cores: 4 blocks of 8 replicates get 3 processes, 2 blocks get
+    # 2, and one block runs without a pool
+    monkeypatch.setattr(mc_harness.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    for grid, R, size in (((8, 16), 16, [3]), ((8,), 16, [2]), ((8,), 8, [])):
+        sizes.clear()
+        _run_replicates(dataclasses.replace(spec, n_grid=grid, replicates=R,
+                                            workers=10 ** 6))
+        assert sizes == size
+
+
 def test_replicate_seed_is_order_free():
     a = replicate_seed(7, 64, 3).random(4)
     b = replicate_seed(7, 64, 3).random(4)

@@ -135,6 +135,25 @@ def test_auto_delta_grid_takes_the_count_as_given():
     assert fit_dimension(space, auto_delta_grid(space, 5)).scales.size == 5
 
 
+def test_auto_delta_grid_refuses_scales_that_reach_zero():
+    # past about 1,075 halvings diam/8 is 0; refused before any array is
+    # allocated, so 2**40 scales cost nothing
+    space = FiniteMetricSpace.from_points(
+        np.random.default_rng(0).random((50, 2)))
+    with pytest.raises(MultiscaleError, match="to 0"):
+        auto_delta_grid(space, 2 ** 40)
+    # every grid it returns ends above 0; from the first refusal on, all
+    # longer grids are refused
+    refused = []
+    for k in range(1000, 1100):
+        try:
+            assert auto_delta_grid(space, k)[-1] > 0.0
+            refused.append(False)
+        except MultiscaleError:
+            refused.append(True)
+    assert 0 < refused.index(True) and all(refused[refused.index(True):])
+
+
 def test_partition_tree_invariants_checked_by_verify():
     rng = np.random.default_rng(13)
     for d in (1, 2):

@@ -11,8 +11,8 @@ from empwass.measures import DiscreteMeasure
 from empwass.metric_core import FiniteMetricSpace
 from empwass.measures import sampler_from_string
 from empwass.mc_harness import replicate_seed
-from empwass.ot_exact import (MAX_MCF_ATOMS, OTError, wpp_1d, wpp_1d_arrays,
-                              wpp_1d_vs_quantile, wpp_mcf,
+from empwass.ot_exact import (_GL_VALUES, MAX_MCF_ATOMS, OTError, wpp_1d,
+                              wpp_1d_arrays, wpp_1d_vs_quantile, wpp_mcf,
                               wpp_rows_vs_quantile, wpp_to_point)
 
 
@@ -291,16 +291,33 @@ def _bits(x):
 def test_rows_vs_quantile_match_oracle(wpp_vs_quantile_oracle, case):
     # each row of the block equals a one-replicate evaluation bit for bit
     sampler, p, xs, anti = case
-    values, errors = wpp_rows_vs_quantile(xs, sampler.quantile, p, anti)
-    assert values.shape == errors.shape == (xs.shape[0],)
-    for row, v, e in zip(xs, values, errors):
+    values = wpp_rows_vs_quantile(xs, sampler.quantile, p, anti)
+    assert values.shape == (xs.shape[0],)
+    for row, v in zip(xs, values):
         want = wpp_vs_quantile_oracle(row, sampler.quantile, p,
                                       quantile_antideriv=anti)
-        assert (_bits(v), _bits(e)) == (_bits(want.value), _bits(want.error))
+        assert _bits(v) == _bits(want.value)
         got = wpp_1d_vs_quantile(row[::-1], sampler.quantile, p,
                                  quantile_antideriv=anti)
         assert got == want
-        assert (_bits(got.value), _bits(got.error)) == (_bits(v), _bits(e))
+        assert _bits(got.value) == _bits(v)
+
+
+@pytest.mark.parametrize("family, p", [("pareto-radial:3:1", 1.5),
+                                       ("uniform-cube:1", 1.0)])
+def test_rows_vs_quantile_block_crosses_chunks(family, p):
+    # n = 1024 gives 8 rows per Gauss-Legendre chunk, so 20 rows span three
+    # chunks; on both paths every row equals its one-row call bit for bit
+    s = sampler_from_string(family)
+    n = 1024
+    assert _GL_VALUES // (32 * n) == 8
+    anti = s.quantile_antideriv if p == 1.0 else None
+    xs = np.sort(np.stack([s.draw(n, replicate_seed(5, n, r))[:, 0]
+                           for r in range(20)]), axis=1)
+    values = wpp_rows_vs_quantile(xs, s.quantile, p, anti)
+    for row, v in zip(xs, values):
+        one = wpp_rows_vs_quantile(row[None, :], s.quantile, p, anti)
+        assert _bits(one[0]) == _bits(v)
 
 
 def test_rows_vs_quantile_rejects_bad_input():
@@ -338,33 +355,56 @@ def test_wpp_1d_requires_sorted_or_handles_weights():
     assert got == pytest.approx(0.25)
 
 
-# sha256 of the float.hex of the values, then the errors, of
-# wpp_rows_vs_quantile at p = 1 (closed form) on four rows of each
-# n in (1, 2, 7, 64, 1000), recorded while non-crossing cells still had a
-# formula of their own
-_P1_PINS = {
-    "pareto-radial:3:1":
-        "6234005ff42ae9a633248d50b10ee2ad9800d6fcfac4f2aa8ebcd219f4d39646",
-    "uniform-cube:1":
-        "87fb802bf71a1287c8adcd9d83bfaaacebb2d87c68d70b9b6731f85c75b9e3da",
-    "uniform-sphere:1":
-        "9bc5d52bc3fa8a2b8d9d2d7eb69f20f17ad2955a087a06d7c9f45afa65ddb336",
-    "pareto-radial:1.5:1":
-        "884a359b8a66bd70959a234f6910c3c2d154df5188fe9c539bf9e784a7c437e6",
-    "point-mass:1":
-        "bb4ded24ee6028326900a776a84337270e3ee505407315abb6b39f371fd9a8a2",
-}
-
-
-@pytest.mark.parametrize("family", sorted(_P1_PINS))
-def test_rows_vs_quantile_p1_pinned(family):
+def _digest(family, p, anti):
+    """sha256 of the float.hex of wpp_rows_vs_quantile's values on four
+    rows of each n in (1, 2, 7, 64, 1000)."""
     s = sampler_from_string(family)
     hexes = []
     for n in (1, 2, 7, 64, 1000):
         rows = np.sort(np.stack([s.draw(n, replicate_seed(0, n, r))[:, 0]
                                  for r in range(4)]), axis=1)
-        for arr in wpp_rows_vs_quantile(rows, s.quantile, 1.0,
-                                        s.quantile_antideriv):
-            hexes += [float.hex(float(v)) for v in arr]
-    digest = hashlib.sha256("\n".join(hexes).encode()).hexdigest()
-    assert digest == _P1_PINS[family]
+        hexes += [float.hex(float(v)) for v in wpp_rows_vs_quantile(
+            rows, s.quantile, p, s.quantile_antideriv if anti else None)]
+    return hashlib.sha256("\n".join(hexes).encode()).hexdigest()
+
+
+# p = 1 (closed form), recorded while each cell still took a 16-node
+# Gauss-Legendre pass besides its 32-node one
+_P1_PINS = {
+    "pareto-radial:3:1":
+        "9b7a4349d568b63554ab206bca6b1ac401993a5b2c67c7200ae6ca6db0ec5f28",
+    "uniform-cube:1":
+        "188115ee161135c66daaaaa78daf3c78ca59e7b3b7676ef13b7b22eaa694c701",
+    "uniform-sphere:1":
+        "703ea250f41ecb242254d10d6bd8d5d9ffcba95917a69d93248c918b3c9b0786",
+    "pareto-radial:1.5:1":
+        "d5dbde16e47689ead9662475e53ffba68fa1261a006a6a405c1baf6063affbee",
+    "point-mass:1":
+        "baeb223984c430574c5f71da28415c7529c9d529c36e2a1fb3970136ab26a4e5",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_P1_PINS))
+def test_rows_vs_quantile_p1_pinned(family):
+    assert _digest(family, 1.0, anti=True) == _P1_PINS[family]
+
+
+# Gauss-Legendre panels, recorded at the same point as _P1_PINS, while
+# every row still evaluated q at the nodes of every cell itself
+_GL_PINS = {
+    ("pareto-radial:3:1", 1.5):
+        "afa3657bb9e8158a2c3a7668cf36b07ac95ea28b93dd33b6b6600529ba577a20",
+    ("uniform-sphere:1", 1.5):
+        "9a26983d0949c5110ea51967df0c563eb2936f984f6697e8a115f0cf897e76a3",
+    ("uniform-cube:1", 2.0):
+        "e3347773308ee157c2c8796f1f58a2fe9d7aa8b0225def6924f8e6d1b39e8b62",
+    ("pareto-radial:5:1", 2.0):
+        "2d1d4a5d796fc78bc4068cd3ae1413eb35960ab6d91f94054bc70b3d0e41100f",
+    ("exp-radial:1:1", 1.0):
+        "858afa8aee1ad42b76c72b3142ae910da4bc1ddc98e4a56bdd869536d0dd1e97",
+}
+
+
+@pytest.mark.parametrize("family, p", sorted(_GL_PINS))
+def test_rows_vs_quantile_gl_pinned(family, p):
+    assert _digest(family, p, anti=False) == _GL_PINS[family, p]
