@@ -2,7 +2,10 @@
 
 The transportation LP is solved by HiGHS's dual revised simplex
 (``scipy.optimize.linprog(method="highs-ds")``) and its optimum is
-re-checked here against a dual certificate.
+re-checked here against a dual certificate. ``ot_exact.wpp_mcf`` sends it
+non-uniform weights and uniform m x n instances past the replication
+limit ``ot_exact._MAX_REPLICATION`` (timings there); it solves every
+other uniform instance as one lcm(m, n)-sized assignment, which is faster.
 
 Each scipy submodule is imported inside the kernel that calls it: loading
 ``scipy.optimize`` alone takes most of a second, and a subcommand that

@@ -152,8 +152,9 @@ def _is_number(v) -> bool:
 
 def _read_grid(path: str):
     """(x_grid, n_grid, params) of a `bound` grid file. x_grid and n_grid
-    must be lists of numbers (default [1.0] and [0]) and params an object
-    of numbers or nulls; a null param counts as absent."""
+    must be lists of numbers (default [1.0] and [0]), every n a whole
+    number >= 0, and params an object of numbers or nulls; a null param
+    counts as absent."""
     with open(path) as f:
         grid = json.load(f)
     if not isinstance(grid, dict):
@@ -163,6 +164,11 @@ def _read_grid(path: str):
     for name, vals in (("x_grid", xs), ("n_grid", ns)):
         if not (isinstance(vals, list) and all(map(_is_number, vals))):
             raise ValueError(f"{path}: {name} is not a list of numbers")
+    # a formula takes int(n): 10.7 would be evaluated at 10
+    if not all((isinstance(n, int) or n.is_integer()) and n >= 0
+               for n in ns):
+        raise ValueError(f"{path}: n_grid holds an n that is not a whole "
+                         "number >= 0")
     if not (isinstance(params, dict)
             and all(v is None or _is_number(v) for v in params.values())):
         raise ValueError(f"{path}: params is not an object of numbers/nulls")

@@ -379,6 +379,38 @@ def test_bound_grid_nan_exit_2(tmp_path, capsys, reason, grid):
     assert err == f"error: {spec}: {reason}\n"
 
 
+@pytest.mark.parametrize("n", [10.7, -3, -0.5, 1e400, -1e400])
+def test_bound_grid_refuses_fractional_or_negative_n(tmp_path, capsys, n):
+    # each formula takes int(n): 10.7 used to be evaluated at n = 10, and
+    # n = -3 gave a hoeffding "probability" of 15.6, both with exit 0
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"n_grid": [10, n], "x_grid": [0.5],
+                                "params": {"p": 1, "Delta": 1}}))
+    err = _no_output(tmp_path, capsys, ["bound", "--formula", "hoeffding",
+                                        "--grid", str(spec)])
+    assert err == (f"error: {spec}: n_grid holds an n that is not a whole "
+                   "number >= 0\n")
+
+
+def test_bound_grid_takes_whole_float_n(tmp_path):
+    # n = 10.0 is still n = 10, and -0.0 is the default n = 0; each row
+    # reports n as the grid spells it
+    rows = {}
+    for name, ns in (("int", [0, 10]), ("float", [-0.0, 10.0])):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"n_grid": ns, "x_grid": [0.5],
+                                    "params": {"p": 1, "Delta": 1}}))
+        out = tmp_path / name
+        assert _run(["bound", "--formula", "hoeffding", "--grid", str(spec),
+                     "--out", str(out)]) == 0
+        with open(out / "bounds.csv", newline="") as f:
+            rows[name] = list(csv.DictReader(f))
+    assert [r["n"] for r in rows["float"]] == ["-0.0", "10.0"]
+    for r in (*rows["int"], *rows["float"]):
+        del r["n"]
+    assert rows["float"] == rows["int"]
+
+
 def test_fuk_nagaev_without_n_grid_is_a_row_error(tmp_path):
     # the default n_grid is [0], and both integral bullets divided by n
     for k, params in enumerate(({"p": 1, "alpha": 1, "i2pp": 1.0},

@@ -1,18 +1,19 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from empwass import _kernels
-from empwass.measures import DiscreteMeasure
+from empwass import _kernels, ot_exact
+from empwass.measures import DiscreteMeasure, sampler_from_string, uniform_pair
 from empwass.metric_core import FiniteMetricSpace
-from empwass.measures import sampler_from_string
 from empwass.mc_harness import replicate_seed
-from empwass.ot_exact import (_GL_VALUES, MAX_MCF_ATOMS, OTError, wpp_1d,
-                              wpp_1d_arrays, wpp_1d_vs_quantile, wpp_mcf,
+from empwass.ot_exact import (_GL_VALUES, _MAX_REPLICATION, MAX_MCF_ATOMS,
+                              OTError, wpp_1d, wpp_1d_arrays,
+                              wpp_1d_vs_quantile, wpp_mcf,
                               wpp_rows_vs_quantile, wpp_to_point)
 
 
@@ -184,21 +185,141 @@ def test_wpp_scale_equivariance():
     assert wpp_mcf(mu3, nu3, 2.0)[0].value == pytest.approx(9 * base, rel=1e-10)
 
 
-def test_uniform_equal_size_fast_path_matches_simplex():
+@pytest.mark.parametrize("m, n", [(20, 20), (16, 24), (32, 24), (25, 30)])
+def test_uniform_assignment_path_matches_simplex(m, n):
     rng = np.random.default_rng(8)
-    pa, pb = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
-    pts = np.vstack([pa, pb])
-    space = FiniteMetricSpace.from_points(pts)
-    mu = DiscreteMeasure(space, np.arange(20), np.full(20, 0.05))
-    # weights perturbed to defeat the assignment fast path
-    w = np.full(20, 0.05)
+    space, mu, nu_uniform = uniform_pair(rng.normal(size=(m, 2)),
+                                         rng.normal(size=(n, 2)))
+    # weights perturbed to defeat the assignment path
+    w = np.full(n, 1.0 / n)
     w[0] += 1e-9
     w[1] -= 1e-9
-    nu_uniform = DiscreteMeasure(space, 20 + np.arange(20), np.full(20, 0.05))
-    nu_perturbed = DiscreteMeasure(space, 20 + np.arange(20), w)
-    fast, _ = wpp_mcf(mu, nu_uniform, 2.0)
+    nu_perturbed = DiscreteMeasure(space, nu_uniform.idx, w)
+    fast, plan = wpp_mcf(mu, nu_uniform, 2.0)
     slow, _ = wpp_mcf(mu, nu_perturbed, 2.0)
     assert fast.value == pytest.approx(slow.value, rel=1e-6)
+    plan.validate(mu, nu_uniform, 2.0)
+
+
+# (m, n) with m, n <= 40 whose replication factor (L/m)(L/n) =
+# (m/g)(n/g), L = lcm(m, n), g = gcd(m, n), is within the limit
+_ASSIGNMENT_SHAPES = [(m, n) for m in range(1, 41) for n in range(1, 41)
+                      if m * n <= _MAX_REPLICATION * math.gcd(m, n) ** 2]
+
+
+def _simplex_cost(C):
+    m, n = C.shape
+    X, status = _kernels.transport_simplex(
+        np.full(m, 1.0 / m), np.full(n, 1.0 / n), C,
+        1e-12 * max(1.0, float(C.max())), 4000 * (m + n + 8))
+    assert status == 0
+    return float(np.sum(X * C))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(_ASSIGNMENT_SHAPES),
+       p=st.sampled_from([1.0, 2.0]), seed=st.integers(0, 2 ** 32 - 1),
+       d=st.integers(1, 3))
+@example(shape=(32, 1), p=1.0, seed=0, d=2)    # factor 32: at the limit
+@example(shape=(1, 32), p=2.0, seed=1, d=3)
+@example(shape=(25, 30), p=2.0, seed=2, d=2)   # factor 30
+@example(shape=(32, 24), p=1.0, seed=3, d=3)   # rate-lp-3d's shapes
+@example(shape=(16, 24), p=1.0, seed=4, d=3)
+def test_uniform_assignment_matches_simplex_oracle(shape, p, seed, d):
+    # the expanded assignment reaches the LP optimum, and its plan is a
+    # transport plan of the measures whose cost is the reported one
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    space, mu, nu = uniform_pair(rng.random((m, d)), rng.random((n, d)))
+    value, plan = wpp_mcf(mu, nu, p)
+    want = _simplex_cost(space.distance_block(mu.idx, nu.idx) ** p)
+    assert value.value == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert plan.cost == value.value
+    plan.validate(mu, nu, p)
+    # each entry is k/L for a whole k, in row-major order
+    L = math.lcm(m, n)
+    assert np.array_equal(plan.mass * L, np.round(plan.mass * L))
+    keys = plan.src * n + plan.dst
+    assert np.all(np.diff(keys) > 0)
+
+
+def _counted_solvers(monkeypatch):
+    """Counters of assignment and simplex solves in wpp_mcf; the simplex
+    is replaced by the product plan, so a large routed shape costs no
+    LP."""
+    calls = {"assignment": 0, "simplex": 0}
+    assign = ot_exact.linear_sum_assignment
+
+    def counted_assignment(C):
+        calls["assignment"] += 1
+        return assign(C)
+
+    def counted_simplex(a, b, C, tol, max_iter):
+        calls["simplex"] += 1
+        return np.outer(a, b), 0
+
+    monkeypatch.setattr(ot_exact, "linear_sum_assignment", counted_assignment)
+    monkeypatch.setattr(_kernels, "transport_simplex", counted_simplex)
+    return calls
+
+
+@pytest.mark.parametrize("m, n, weights, solver", [
+    (16, 24, "uniform", "assignment"),     # rate-lp-3d, --mref 24
+    (32, 24, "uniform", "assignment"),
+    (32, 1, "uniform", "assignment"),      # factor 32, the limit
+    (40, 40, "uniform", "assignment"),
+    (3, 11, "uniform", "simplex"),         # factor 33, past the limit
+    (14, 9, "uniform", "simplex"),         # factor 126
+    (2600, 1300, "uniform", "simplex"),    # factor 2, L past the cap
+    (16, 24, "dirichlet", "simplex"),
+    (20, 20, "dirichlet", "simplex"),
+])
+def test_wpp_mcf_routes_uniform_shapes(monkeypatch, m, n, weights, solver):
+    calls = _counted_solvers(monkeypatch)
+    rng = np.random.default_rng(11)
+    space, mu, nu = uniform_pair(rng.random((m, 3)), rng.random((n, 3)))
+    if weights == "dirichlet":
+        mu = DiscreteMeasure(space, mu.idx, rng.dirichlet(np.ones(m)))
+        nu = DiscreteMeasure(space, nu.idx, rng.dirichlet(np.ones(n)))
+    wpp_mcf(mu, nu, 1.0)
+    assert calls == {"assignment": int(solver == "assignment"),
+                     "simplex": int(solver == "simplex")}
+
+
+# Equal-size uniform instances: float.hex of the value and sha256 of the
+# plan's src, dst and mass bytes, recorded while only m = n took the
+# assignment path (before it expanded unequal sizes to lcm(m, n)).
+_EQUAL_SIZE_PINS = {
+    (0, 1, 2, 0, 1.0): ("0x1.4b8dcdca77ae0p-1",
+        "04ae04134c8318578c932394683055fea108f3f586ff5b055613752c5f03e6f5"),
+    (1, 7, 2, 0, 1.0): ("0x1.06a0227e2b5ffp-2",
+        "00937c4ec69d621b3b6d480a4aae48d8b4e02ef1c7f99d888ce31acf0f3cb35e"),
+    (2, 24, 3, 0, 1.0): ("0x1.27e4fec0b645ep-2",
+        "5c5f38f4dbf04d7cdae320d70a357252bd545172e4ff1f9681982582489e77da"),
+    (3, 32, 3, 0, 2.0): ("0x1.140036a0fb1aep-4",
+        "b7e8df56c5496c1346629eb4d744a3006b30bd987ac56922ed31d8455b9d9dce"),
+    (4, 40, 1, 0, 1.5): ("0x1.3ae5d698908cep-6",
+        "45dcf00063d352027b5a96b81797615767cbcbb2656889e991552c7e7f5c0872"),
+    (5, 6, 2, 2, 2.0): ("0x1.921ace97e1717p-3",
+        "2454e4b630408a8cc55bd6f78d6aa4bc693afe2ca0e8c3329f529fc8d5187199"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EQUAL_SIZE_PINS))
+def test_equal_size_assignment_pinned(case):
+    seed, n, d, zeros, p = case
+    rng = np.random.default_rng(seed)
+    space, mu, nu = uniform_pair(rng.random((n + zeros, d)),
+                                 rng.random((n, d)))
+    if zeros:   # mu carries `zeros` atoms of weight 0 between its others
+        w = np.full(n + zeros, 1.0 / n)
+        w[1:1 + 2 * zeros:2] = 0.0
+        mu = DiscreteMeasure(space, mu.idx, w)
+    value, plan = wpp_mcf(mu, nu, p)
+    digest = hashlib.sha256(b"".join(
+        a.tobytes() for a in (plan.src, plan.dst, plan.mass))).hexdigest()
+    assert (float.hex(value.value), digest) == _EQUAL_SIZE_PINS[case]
+    assert float.hex(plan.cost) == float.hex(value.value)
 
 
 def test_transport_plan_marginals_validate():
