@@ -83,12 +83,13 @@ def _joint_measures(path_a: str, path_b: str):
 
 def _cmd_wpp(args):
     space, mu, nu = _joint_measures(args.a, args.b)
-    if args.method == "1d" or (args.method == "auto" and space.dim == 1):
+    # the closed form on the line, unless a plan (only a solve gives one)
+    if space.dim == 1 and not args.plan:
         v, plan = wpp_1d(mu, nu, args.p), None
     else:
         v, plan = wpp_mcf(mu, nu, args.p)
     files = {"wpp.json": v.to_dict()}
-    if plan is not None and args.plan:
+    if args.plan:
         files["plan.csv"] = [{"i": i, "j": j, "mass": m, "cost": c}
                              for i, j, m, c in plan.to_rows(mu, nu, args.p)]
     return 0, files, str(v.value)
@@ -263,12 +264,8 @@ def _cmd_verify_appendix(args):
 
 
 def _cmd_validate_metric(args):
-    if args.matrix:
-        space = load_matrix_csv(args.matrix)
-    elif args.points:
-        space = load_points_csv(args.points)
-    else:
-        raise ValueError("provide --points or --matrix")
+    space = (load_points_csv(args.points) if args.matrix is None
+             else load_matrix_csv(args.matrix))
     report = validate_metric(space, trials=args.trials,
                              seed=args.seed).to_dict()
     return (0 if report["passed"] else 1, {"validate.json": report},
@@ -328,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--p", type=float, action=_Finite, required=True)
-    sp.add_argument("--method", default="auto", choices=["auto", "1d", "mcf"])
     sp.add_argument("--plan", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=_cmd_wpp)
@@ -407,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify_appendix)
 
     sp = sub.add_parser("validate-metric", help="check metric axioms")
-    sp.add_argument("--points", default=None)
-    sp.add_argument("--matrix", default=None)
+    given = sp.add_mutually_exclusive_group(required=True)
+    given.add_argument("--points")
+    given.add_argument("--matrix")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
@@ -417,41 +414,43 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(argv, ap):
-    """Insert values from --config as defaults (flags still override)."""
-    if "--config" not in argv:
+def _apply_config(argv):
+    """Put the --config section of the subcommand right after it, so that
+    the command line's flags come later and win. A key set to true becomes
+    its flag; one set to false adds nothing."""
+    if not argv or argv[0].startswith("-"):
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
+    pre = _Parser(prog=f"empwass {argv[0]}", add_help=False)
+    pre.add_argument("--config", nargs="?", const="")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    if not path:
         raise ValueError("--config needs a path")
-    path = argv[i + 1]
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ValueError(f"config file not found: {path}")
     extra = []
-    section = argv[0] if argv and not argv[0].startswith("-") else None
-    if section and cp.has_section(section):
-        for key, val in cp.items(section):
-            flag = "--" + key.replace("_", "-")
-            if flag not in argv:
-                if val.lower() == "true":
-                    extra.append(flag)
-                else:
-                    extra.extend([flag, val])
-    return argv + extra
+    for key, val in cp.items(argv[0]) if cp.has_section(argv[0]) else ():
+        flag = "--" + key.replace("_", "-")
+        if val.lower() == "true":
+            extra.append(flag)
+        elif val.lower() != "false":
+            extra += [flag, val]
+    return [argv[0], *extra, *argv[1:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(argv, ap)
+        argv = _apply_config(argv)
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, configparser.Error) as exc:
+        # a configparser message spans lines: its first one is the reason
+        print("error:", str(exc).partition("\n")[0], file=sys.stderr)
         return 2
     try:
         code, files, summary = args.func(args)

@@ -97,8 +97,15 @@ def restrict(mu: DiscreteMeasure, subset):
 # Synthetic samplers
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("point-mass", "uniform-cube", "uniform-cantor", "uniform-sphere",
-             "pareto-radial", "exp-radial")
+# each family's spec fields in order, (name, type) when required and
+# (name, type, default) when not
+_SPEC_FIELDS = {
+    "point-mass": (("d", int, 1),), "uniform-cube": (("d", int, 1),),
+    "uniform-cantor": (("ratio", float, 1.0 / 3.0),),
+    "uniform-sphere": (("d", int, 2),),
+    "pareto-radial": (("a", float), ("d", int, 1)),
+    "exp-radial": (("kappa", float), ("lam", float), ("d", int, 1)),
+}
 
 _CANTOR_DEPTH = 40
 
@@ -120,15 +127,15 @@ class SyntheticSampler:
     ratio: float = 0.0    # cantor contraction ratio
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _SPEC_FIELDS:
             raise MeasureError(f"unknown sampler family {self.family!r}")
         if self.d < 1:
             raise MeasureError("dimension must be >= 1")
-        if self.family == "pareto-radial" and not self.a > 0:
-            raise MeasureError("pareto-radial needs tail index a > 0")
-        if self.family == "exp-radial" and not (self.kappa > 0
-                                                and self.lam > 0):
-            raise MeasureError("exp-radial needs kappa > 0 and lam > 0")
+        if self.family == "pareto-radial" and not 0 < self.a < math.inf:
+            raise MeasureError("pareto-radial needs a finite a > 0")
+        if self.family == "exp-radial" and not (0 < self.kappa < math.inf
+                                                and 0 < self.lam < math.inf):
+            raise MeasureError("exp-radial needs finite kappa > 0, lam > 0")
         if self.family == "uniform-cantor" and not (0 < self.ratio < 0.5):
             raise MeasureError("cantor ratio must lie in (0, 1/2)")
 
@@ -375,27 +382,19 @@ class SyntheticSampler:
 
 
 def sampler_from_string(text: str) -> SyntheticSampler:
-    """Parse forms like 'uniform-cube:3', 'pareto-radial:3.0:1', 'point-mass'."""
-    parts = text.split(":")
-    fam = parts[0]
-    args = parts[1:]
+    """Parse forms like 'uniform-cube:3', 'pareto-radial:3.0:1',
+    'point-mass'; a field that the family does not take is refused."""
+    fam, *args = text.split(":")
+    if fam not in _SPEC_FIELDS:
+        raise MeasureError(f"unknown sampler family {fam!r}")
+    fields = _SPEC_FIELDS[fam]
+    if not sum(len(f) == 2 for f in fields) <= len(args) <= len(fields):
+        form = "".join(f":{f[0]}" if len(f) == 2 else f"[:{f[0]}]"
+                       for f in fields)
+        raise MeasureError(f"bad sampler spec {text!r}: not {fam}{form}")
     try:
-        if fam == "point-mass":
-            return SyntheticSampler("point-mass", d=int(args[0]) if args else 1)
-        if fam == "uniform-cube":
-            return SyntheticSampler("uniform-cube", d=int(args[0]) if args else 1)
-        if fam == "uniform-sphere":
-            return SyntheticSampler("uniform-sphere", d=int(args[0]) if args else 2)
-        if fam == "uniform-cantor":
-            return SyntheticSampler("uniform-cantor",
-                                    ratio=float(args[0]) if args else 1.0 / 3.0)
-        if fam == "pareto-radial":
-            return SyntheticSampler("pareto-radial", a=float(args[0]),
-                                    d=int(args[1]) if len(args) > 1 else 1)
-        if fam == "exp-radial":
-            return SyntheticSampler("exp-radial", kappa=float(args[0]),
-                                    lam=float(args[1]),
-                                    d=int(args[2]) if len(args) > 2 else 1)
-    except (IndexError, ValueError) as exc:
+        kw = {f[0]: f[1](a) for f, a in zip(fields, args)}
+    except ValueError as exc:
         raise MeasureError(f"bad sampler spec {text!r}: {exc}") from None
-    raise MeasureError(f"unknown sampler family {fam!r}")
+    kw.update((f[0], f[2]) for f in fields[len(args):])
+    return SyntheticSampler(fam, **kw)

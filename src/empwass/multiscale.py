@@ -3,6 +3,7 @@ and the dyadic multiscale upper bound on W_p^p."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -66,9 +67,6 @@ class DimensionFit:
     r2: float
     diam: float
 
-    def envelope(self, delta) -> np.ndarray:
-        return self.beta * (self.diam / np.asarray(delta)) ** self.alpha
-
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta,
                 "scales": list(map(float, self.scales)),
@@ -124,9 +122,9 @@ def auto_delta_grid(space: FiniteMetricSpace, n_scales: int = 6) -> np.ndarray:
     Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
-    if n_scales > 0 and Delta / 8.0 * 0.5 ** (n_scales - 1) == 0.0:
-        raise MultiscaleError(f"{n_scales} scales halve diam/8 to 0")
-    return Delta / 8.0 * 0.5 ** np.arange(n_scales)
+    if n_scales > 0 and math.ldexp(Delta / 8.0, 1 - n_scales) == 0.0:
+        raise MultiscaleError("too many scales: they halve diam/8 to 0")
+    return np.ldexp(Delta / 8.0, -np.arange(n_scales))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +240,15 @@ def build_partition_tree(space: FiniteMetricSpace,
     if k_star < 1:
         raise MultiscaleError("k_star must be >= 1")
     Delta = diameter(space)
+    # the last radius, or 4^-k_star at zero diameter, must not underflow
+    if math.ldexp(Delta / 2.0 if Delta > 0 else 1.0, -2 * k_star) == 0.0:
+        raise MultiscaleError("k_star too large: the radius "
+                              "4^-k_star*diam/2 underflows to 0")
     tree = PartitionTree(space, Delta, int(k_star))
     lab = np.zeros(space.n, np.int64)
     for k in range(1, k_star + 1):
-        centers, near = _cover(space, 4.0 ** (-k) * Delta / 2.0, groups=lab)
+        centers, near = _cover(space, math.ldexp(Delta / 2.0, -2 * k),
+                               groups=lab)
         par = lab[centers]
         order = np.argsort(par, kind="stable")
         cell = np.empty_like(order)

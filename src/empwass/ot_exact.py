@@ -69,9 +69,9 @@ class TransportPlan:
         col = np.zeros(nu.n_atoms)
         np.add.at(col, self.dst, self.mass)
         if np.max(np.abs(row - mu.weights)) > tol:
-            raise OTError("plan row sums do not match source weights")
+            raise OTError("plan row sums miss the source marginals")
         if np.max(np.abs(col - nu.weights)) > tol:
-            raise OTError("plan column sums do not match target weights")
+            raise OTError("plan column sums miss the target marginals")
         c = float(np.sum(self._costs(mu, nu, p)))
         if abs(c - self.cost) > tol * max(1.0, abs(self.cost)):
             raise OTError("plan cost does not match recomputation")
@@ -259,7 +259,8 @@ def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
     is the transport optimum. Its plan gives each (row, column) pair
     count/L, in row-major order. Everything else goes to HiGHS's dual
     simplex, whose optimum must pass a dual certificate (reduced costs
-    >= -tol). Returns (WppValue, TransportPlan).
+    >= -tol). Either plan must pass `TransportPlan.validate`. Returns
+    (WppValue, TransportPlan).
     """
     if not p >= 1:
         raise OTError("p must be >= 1")
@@ -292,21 +293,18 @@ def wpp_mcf(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float):
                                   return_counts=True)
         plan = TransportPlan(pos_a[pairs // n], pos_b[pairs % n],
                              counts / L, cost)
-        return WppValue(cost, float(p), "min-cost-flow"), plan
-
-    b = wb * (wa.sum() / wb.sum())
-    tol = 1e-12 * max(1.0, float(C.max()))
-    X, status = _kernels.transport_simplex(wa, b, C, tol, 4000 * (m + n + 8))
-    if status != 0:
-        raise OTError("HiGHS transport solve failed or its optimum failed "
-                      "the dual certificate")
-    if (X.min() < -1e-9 or np.max(np.abs(X.sum(axis=1) - wa)) > 1e-9
-            or np.max(np.abs(X.sum(axis=0) - b)) > 1e-9):
-        raise OTError("HiGHS transport plan is negative or misses the "
-                      "marginals")
-    ii, jj = np.nonzero(X > 1e-16)
-    cost = float(np.sum(X * C))
-    plan = TransportPlan(pos_a[ii], pos_b[jj], X[ii, jj], cost)
+    else:
+        b = wb * (wa.sum() / wb.sum())
+        tol = 1e-12 * max(1.0, float(C.max()))
+        X, status = _kernels.transport_simplex(wa, b, C, tol,
+                                               4000 * (m + n + 8))
+        if status != 0:
+            raise OTError("HiGHS transport solve failed or its optimum "
+                          "failed the dual certificate")
+        ii, jj = np.nonzero(X > 1e-16)
+        cost = float(np.sum(X * C))
+        plan = TransportPlan(pos_a[ii], pos_b[jj], X[ii, jj], cost)
+    plan.validate(mu, nu, p)
     return WppValue(cost, float(p), "min-cost-flow"), plan
 
 

@@ -89,15 +89,28 @@ def test_cover_and_dim(tmp_path, pts_file):
     assert "alpha" in payload or payload.get("degenerate")
 
 
-def test_wpp_method_1d_refuses_points_off_the_line(tmp_path, capsys):
-    cloud = tmp_path / "cloud.csv"
-    save_points_csv(cloud, np.random.default_rng(1).random((6, 3)))
-    rc = _run(["wpp", "--a", str(cloud), "--b", str(cloud), "--p", "1",
-               "--method", "1d", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert capsys.readouterr().err == \
-        "error: measure is not supported on the line\n"
-    assert not (tmp_path / "o" / "wpp.json").exists()
+def test_wpp_plan_on_the_line(tmp_path):
+    # the closed form yields no plan, so --plan takes the transport solve
+    # (which used to be skipped, writing no plan.csv)
+    rng = np.random.default_rng(5)
+    a, b = tmp_path / "a1.csv", tmp_path / "b1.csv"
+    save_points_csv(a, rng.random((7, 1)))
+    save_points_csv(b, rng.random((5, 1)))
+    values = {}
+    for extra in ([], ["--plan"]):
+        out = tmp_path / f"o{len(extra)}"
+        assert _run(["wpp", "--a", str(a), "--b", str(b), "--p", "2",
+                     *extra, "--out", str(out)]) == 0
+        values[len(extra)] = json.loads((out / "wpp.json").read_text())
+        assert (out / "plan.csv").exists() == bool(extra)
+    assert values[0]["method"] == "closed-form-1d"
+    assert values[1]["method"] == "min-cost-flow"
+    assert values[1]["value"] == pytest.approx(values[0]["value"],
+                                               rel=1e-12)
+    with open(tmp_path / "o1" / "plan.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert sum(float(r["cost"]) for r in rows) == pytest.approx(
+        values[1]["value"], rel=1e-12)
 
 
 @pytest.mark.parametrize("grid", [[], ["--delta-grid", "0.1,0.01,0.001,1"]])
@@ -170,6 +183,19 @@ def test_pareto_without_finite_moment_exit_2(tmp_path, capsys, a, p):
         assert not (tmp_path / argv[0] / f"{argv[0]}.json").exists()
 
 
+@pytest.mark.parametrize("given, reason", [
+    # both used to validate the matrix alone and exit 0
+    (["--points", "{pts}", "--matrix", "{pts}"],
+     "argument --matrix: not allowed with argument --points"),
+    ([], "one of the arguments --points --matrix is required"),
+])
+def test_validate_metric_takes_exactly_one_input(tmp_path, capsys, pts_file,
+                                                 given, reason):
+    err = _no_output(tmp_path, capsys, ["validate-metric", *(
+        pts_file if a == "{pts}" else a for a in given)])
+    assert err == f"empwass validate-metric: error: {reason}\n"
+
+
 def test_validate_metric_exit_codes(tmp_path, pts_file):
     assert _run(["validate-metric", "--points", pts_file,
                  "--trials", "500", "--out", str(tmp_path / "ok")]) == 0
@@ -212,6 +238,73 @@ def test_rate_deterministic_across_workers(tmp_path):
     assert (a / "rate.json").read_bytes() == (b / "rate.json").read_bytes()
 
 
+@pytest.mark.parametrize("flag", [["--delta", "0.5"], ["--delta=0.5"],
+                                  ["--del", "0.5"], ["--del=0.5"]])
+@pytest.mark.parametrize("before", [False, True])
+def test_config_loses_to_every_spelling_of_a_flag(tmp_path, pts_file, flag,
+                                                  before):
+    # --delta=0.5 and the abbreviation --del used to lose to the config
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[cover]\ndelta = 0.3\n")
+    config = ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert _run(["cover", "--points", pts_file,
+                 *(flag + config if before else config + flag),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "cover.json").read_text())["delta"] == 0.5
+
+
+@pytest.mark.parametrize("config", [["--config={cfg}"], ["--conf", "{cfg}"],
+                                    ["--conf={cfg}"], ["--config", "{cfg}"]])
+def test_config_read_under_every_spelling(tmp_path, pts_file, config):
+    # --config=path and --conf path were accepted but never read
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[cover]\ndelta = 0.3\n")
+    out = tmp_path / "o"
+    assert _run(["cover", "--points", pts_file,
+                 *(a.format(cfg=cfg) for a in config),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "cover.json").read_text())["delta"] == 0.3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("flag", [[], ["--plan"]])
+@pytest.mark.parametrize("value, plan", [("false", False), ("False", False),
+                                         ("true", True), ("TRUE", True)])
+def test_config_boolean_keys(tmp_path, dim, flag, value, plan):
+    # plan = false exited 2 with "unrecognized arguments: false"; a false
+    # key leaves the flag to the command line
+    rng = np.random.default_rng(2)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_points_csv(a, rng.random((6, dim)))
+    save_points_csv(b, rng.random((4, dim)))
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[wpp]\nplan = {value}\n")
+    out = tmp_path / "o"
+    assert _run(["wpp", "--a", str(a), "--b", str(b), "--p", "1", *flag,
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    plan = plan or bool(flag)
+    assert (out / "plan.csv").exists() == plan
+    assert json.loads((out / "effective-config.json").read_text())[
+        "plan"] == plan
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("delta = 0.3\n", "File contains no section headers."),
+    ("[cover]\ndelta = 0.3\ndelta = 0.4\n", "already exists"),
+    ("[cover]\ndelta = 3%\n", "'%' must be followed by"),
+])
+def test_malformed_config_exit_2_one_line(tmp_path, capsys, pts_file, text,
+                                          reason):
+    # configparser's errors were tracebacks
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(text)
+    err = _no_output(tmp_path, capsys, ["cover", "--points", pts_file,
+                                        "--delta", "0.1",
+                                        "--config", str(cfg)])
+    assert err.startswith("error: ") and reason in err, err
+
+
 def test_config_file_supplies_defaults_flags_override(tmp_path, pts_file):
     cfg = tmp_path / "conf.ini"
     cfg.write_text("[cover]\ndelta = 0.3\n")
@@ -246,6 +339,7 @@ _MINIMAL_ARGV = {
 
 
 @pytest.mark.parametrize("cmd, flag", [
+    ("wpp", "--method"),
     *((c, "--workers") for c in _MINIMAL_ARGV),
     *((c, "--seed") for c in ("wpp", "cover", "dim", "tree", "rings",
                               "bound"))])
@@ -288,6 +382,29 @@ def test_bad_ngrid_exit_2(tmp_path, ngrid):
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: grid")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--points", "{pts}", "--kstar", str(10 ** 9)],
+    ["tree", "--points", "{pts}", "--kstar", str(10 ** 400)],
+    ["rate", "--sampler", "uniform-cube:2", "--p", "1", "--estimator",
+     "dyadic", "--ngrid", "8:16", "--reps", "30", "--seed", "0",
+     "--kstar", str(10 ** 9)]])
+def test_unbounded_depth_exit_2(tmp_path, pts_file, argv):
+    # these depths used to run without end; a child process under a
+    # memory cap and a timeout fails the test instead of hanging the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "empwass.cli",
+         *(pts_file if a == "{pts}" else a for a in argv),
+         "--out", str(tmp_path / "o")],
+        env=env, preexec_fn=_limit_memory, capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: k_star too large: the radius "
+                           "4^-k_star*diam/2 underflows to 0\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("ngrid", ["64:64", "1:1"])
@@ -514,8 +631,24 @@ _EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
     (["asrun", "--sampler", "uniform-cube:1", "--p", "1", "--nmax", "2",
       "--seed", "0"], "first checkpoint"),
     # past about 1,075 halvings the last scale is 0; refused before the
-    # grid is allocated
+    # grid is allocated, and a count of hundreds of digits raised an
+    # OverflowError
     (["dim", "--points", "{pts}", "--scales", str(2 ** 40)], "to 0"),
+    (["dim", "--points", "{pts}", "--scales", str(10 ** 400)], "to 0"),
+    # tree.json held 3,000 levels (15 MB)
+    (["tree", "--points", "{pts}", "--kstar", "3000"], "underflows to 0"),
+    # a field the family does not take, or an infinite parameter, was
+    # dropped or ran the whole experiment before failing to write
+    (["tail", "--sampler", "uniform-cantor:0.25:6", *_EXPERIMENT,
+      "--xgrid", "0.1"], "bad sampler spec"),
+    (["rate", "--sampler", "uniform-cube:2:7", "--p", "1", "--ngrid", "8:16",
+      "--reps", "30", "--seed", "0"], "bad sampler spec"),
+    (["asrun", "--sampler", "point-mass:1:zzz", "--p", "1", "--nmax", "64",
+      "--seed", "0"], "bad sampler spec"),
+    (["tail", "--sampler", "pareto-radial:inf:1", *_EXPERIMENT,
+      "--xgrid", "0.1"], "a > 0"),
+    (["tail", "--sampler", "exp-radial:1e400:1", *_EXPERIMENT,
+      "--xgrid", "0.1"], "kappa > 0"),
 ])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
     rng = np.random.default_rng(1)

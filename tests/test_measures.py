@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from empwass.measures import (DiscreteMeasure, MeasureError, mix, restrict,
+from empwass.measures import (DiscreteMeasure, MeasureError,
+                              SyntheticSampler, mix, restrict,
                               sampler_from_string)
 from empwass.metric_core import FiniteMetricSpace
 
@@ -42,6 +44,34 @@ def test_sampler_parsing():
         sampler_from_string("uniform-cantor:0.6")
     with pytest.raises(MeasureError):
         sampler_from_string("no-such-family:1")
+
+
+@pytest.mark.parametrize("spec, reason", [
+    # a field the family does not take was dropped: this ran as the 1-D
+    # dust, not the 6-D product dust the spec names
+    ("uniform-cantor:0.25:6", "not uniform-cantor[:ratio]"),
+    ("uniform-cube:2:7", "not uniform-cube[:d]"),
+    ("point-mass:1:zzz", "not point-mass[:d]"),
+    ("pareto-radial", "not pareto-radial:a[:d]"),
+    ("exp-radial:1", "not exp-radial:kappa:lam[:d]"),
+    ("uniform-sphere:2.5", "invalid literal"),
+    # infinite parameters ran the whole experiment, then failed to write
+    ("pareto-radial:inf:1", "finite a > 0"),
+    ("exp-radial:1e400:1", "finite kappa > 0, lam > 0"),
+    ("exp-radial:1:inf", "finite kappa > 0, lam > 0"),
+])
+def test_sampler_spec_refuses_what_it_would_not_run(spec, reason):
+    with pytest.raises(MeasureError, match=re.escape(reason)):
+        sampler_from_string(spec)
+
+
+def test_sampler_spec_defaults():
+    assert sampler_from_string("uniform-sphere") == SyntheticSampler(
+        "uniform-sphere", d=2)
+    assert sampler_from_string("uniform-cantor") == SyntheticSampler(
+        "uniform-cantor", ratio=1.0 / 3.0)
+    assert sampler_from_string("exp-radial:2:0.5") == SyntheticSampler(
+        "exp-radial", kappa=2.0, lam=0.5)
 
 
 def test_sampler_draw_shapes_and_determinism():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import resource
 import subprocess
@@ -104,8 +105,10 @@ def test_fit_dimension_line_and_square():
     grid2 = auto_delta_grid(s2, 5)
     fit2 = fit_dimension(s2, grid2)
     assert 1.7 <= fit2.alpha <= 2.2
-    # envelope is one-sided: dominates every observed count
-    assert np.all(fit2.envelope(fit2.scales) >= fit2.counts - 1e-9)
+    # envelope beta (diam/delta)^alpha is one-sided: dominates every
+    # observed count
+    envelope = fit2.beta * (fit2.diam / fit2.scales) ** fit2.alpha
+    assert np.all(envelope >= fit2.counts - 1e-9)
 
 
 def test_fit_dimension_argument_validation():
@@ -140,8 +143,9 @@ def test_auto_delta_grid_refuses_scales_that_reach_zero():
     # allocated, so 2**40 scales cost nothing
     space = FiniteMetricSpace.from_points(
         np.random.default_rng(0).random((50, 2)))
-    with pytest.raises(MultiscaleError, match="to 0"):
-        auto_delta_grid(space, 2 ** 40)
+    for n_scales in (2 ** 40, 10 ** 400):   # no OverflowError either
+        with pytest.raises(MultiscaleError, match="to 0"):
+            auto_delta_grid(space, n_scales)
     # every grid it returns ends above 0; from the first refusal on, all
     # longer grids are refused
     refused = []
@@ -152,6 +156,19 @@ def test_auto_delta_grid_refuses_scales_that_reach_zero():
         except MultiscaleError:
             refused.append(True)
     assert 0 < refused.index(True) and all(refused[refused.index(True):])
+
+
+def test_partition_tree_refuses_k_star_whose_radius_underflows():
+    # 2^-1074 is the smallest float: here 4^-537 * diam/2 (diam/2 is
+    # about 0.68, or 1 in place of a zero diameter) is above 0 and
+    # 4^-538 * diam/2 is not; refused before the first level, so a depth
+    # of hundreds of digits costs nothing
+    for pts in (np.random.default_rng(0).random((50, 2)), np.zeros((3, 2))):
+        space = FiniteMetricSpace.from_points(pts)
+        assert len(build_partition_tree(space, 537).cell_counts) == 537
+        for k_star in (538, 3000, 10 ** 9, 10 ** 400):
+            with pytest.raises(MultiscaleError, match="underflows to 0"):
+                build_partition_tree(space, k_star)
 
 
 def test_partition_tree_invariants_checked_by_verify():

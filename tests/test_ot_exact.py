@@ -136,6 +136,24 @@ def test_wpp_mcf_checks_plan_marginals(monkeypatch, defect):
         wpp_mcf(mu, nu, 2.0)
 
 
+def test_wpp_mcf_checks_assignment_plans(monkeypatch):
+    # the assignment branch's plan passes the same check as HiGHS's: an
+    # assignment that sends every row to column 0 misses nu's marginals
+    rng = np.random.default_rng(8)
+    _, mu, nu = uniform_pair(rng.random((4, 2)), rng.random((6, 2)))
+    monkeypatch.setattr(ot_exact, "linear_sum_assignment",
+                        lambda E: (np.arange(len(E)), np.zeros(len(E), int)))
+    with pytest.raises(OTError, match="target marginals"):
+        wpp_mcf(mu, nu, 1.0)
+
+
+def test_wpp_1d_refuses_points_off_the_line():
+    cloud = np.random.default_rng(1).random((6, 3))
+    _, mu, nu = uniform_pair(cloud, cloud)
+    with pytest.raises(OTError, match="measure is not supported on the line"):
+        wpp_1d(mu, nu, 1.0)
+
+
 def test_wpp_mcf_refuses_oversize_before_costs(monkeypatch):
     half = MAX_MCF_ATOMS // 2 + 1
     space = FiniteMetricSpace.from_points(np.zeros((2 * half, 1)))

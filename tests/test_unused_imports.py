@@ -11,8 +11,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src" / "empwass"
 # __init__.py imports names to re-export them: its imports define the
 # package's surface, they do not read it
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
-# the benchmark also names functions in strings ("FiniteMetricSpace.dist...")
-_READERS = [*_MODULES, *(_SRC.parents[1] / "perfbench").glob("*.py")]
+_PERFBENCH = sorted((_SRC.parents[1] / "perfbench").glob("*.py"))
 
 # Public names that nothing in src/ or perfbench/ reads, each with the
 # reason it stays. The test wants this exact set, so a name leaves the
@@ -44,9 +43,9 @@ def _unused_imports(source: str):
                   if name not in used)
 
 
-def _references(source: str):
-    """Names a module reads: loaded names, attributes, imported names and
-    the dotted words of string constants."""
+def _references(source: str, strings: bool = False):
+    """Names a module reads: loaded names, attributes, imported names and,
+    with `strings`, the dotted words of string constants."""
     refs = set()
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
@@ -55,9 +54,19 @@ def _references(source: str):
             refs.add(n.attr)
         elif isinstance(n, ast.alias):
             refs.add(n.name.split(".")[-1])
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str)):
             refs.update(n.value.replace(".", " ").split())
     return refs
+
+
+def _all_references():
+    """Names read in src/ or perfbench/. Only the benchmark's strings
+    count: it names functions in them ("FiniteMetricSpace.dist..."),
+    while the strings of src/ are docstrings, messages and file names."""
+    return set().union(
+        *(_references(p.read_text()) for p in _MODULES),
+        *(_references(p.read_text(), strings=True) for p in _PERFBENCH))
 
 
 def _private_definitions(source: str):
@@ -120,14 +129,16 @@ def test_checker_flags_an_orphaned_private_definition():
               "def _f():\n    return T()\n")
     assert _orphans(source, _references(source)) == [
         (2, "_B"), (8, "_step"), (12, "_f")]
-    assert _orphans(source, _references("x = '_B _f'\ny.T._step")) == [
-        (1, "_A"), (6, "_c")]
+    assert _orphans(source, _references("x = '_B _f'\ny.T._step",
+                                        strings=True)) == [(1, "_A"), (6, "_c")]
+    # a docstring or a file name in src/ reads nothing
+    assert _orphans(source, _references("'_B _f'\nx = '_A.json'")) == [
+        (1, "_A"), (2, "_B"), (6, "_c"), (8, "_step"), (12, "_f")]
 
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_orphaned_private_definitions(path):
-    refs = set().union(*(_references(p.read_text()) for p in _READERS))
-    assert _orphans(path.read_text(), refs) == []
+    assert _orphans(path.read_text(), _all_references()) == []
 
 
 def test_checker_flags_an_unread_public_definition():
@@ -136,12 +147,15 @@ def test_checker_flags_an_unread_public_definition():
               "    def _step(self):\n        return self.run()\n")
     assert _unread_public(source, _references(source)) == [
         (5, "g"), (9, "T")]
-    assert _unread_public(source, _references("x = 'g'\ny = T()")) == [
+    assert _unread_public(source, _references("x = 'g'\ny = T()",
+                                              strings=True)) == [
         (1, "f"), (10, "T.run")]
+    assert _unread_public(source, _references('"""g"""\ny = T()')) == [
+        (1, "f"), (5, "g"), (10, "T.run")]
 
 
 def test_no_unread_public_definitions():
-    refs = set().union(*(_references(p.read_text()) for p in _READERS))
+    refs = _all_references()
     unread = [name for path in _MODULES
               for _, name in _unread_public(path.read_text(), refs)]
     assert sorted(unread) == sorted(_UNREAD_PUBLIC)
