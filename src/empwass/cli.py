@@ -203,17 +203,11 @@ def _cmd_bound(args):
 
 def _spec_from_args(args, need_x: bool = False) -> mc.ExperimentSpec:
     return mc.ExperimentSpec(
-        sampler=sampler_from_string(args.sampler),
-        p=args.p,
-        estimator=args.estimator,
-        n_grid=_parse_grid(args.ngrid),
-        replicates=args.reps,
-        seed=args.seed,
-        x_grid=_parse_xgrid(args.xgrid) if need_x else (),
-        m_ref=args.mref,
-        k_star=args.kstar,
-        workers=args.workers,
-    )
+        sampler=sampler_from_string(args.sampler), p=args.p,
+        estimator=args.estimator, n_grid=_parse_grid(args.ngrid),
+        replicates=args.reps, seed=args.seed,
+        x_grid=_parse_xgrid(args.xgrid) if need_x else (), m_ref=args.mref,
+        k_star=args.kstar, workers=args.workers)
 
 
 def _cmd_rate(args):
@@ -237,12 +231,9 @@ def _cmd_fitc(args):
                   else md.get("alpha", 1.0))
     Delta = float(args.delta if args.delta is not None
                   else md.get("delta_diam", 1.0))
-    p = spec.p
-
-    def bound(x, n, C):
-        return bc.hoeffding_bound(x, n, p, alpha, Delta, C)
-
-    fit = mc.fit_bound_constant(rep, bound).to_dict()
+    fit = mc.fit_bound_constant(rep, lambda x, n, C: bc.hoeffding_bound(
+        x, n, spec.p, alpha, Delta, C)).to_dict()
+    fit["measures"] = mc._ESTIMATORS[spec.estimator].measures
     return 0 if fit["ok"] else 1, {"fitc.json": fit}, json.dumps(fit)
 
 
@@ -303,8 +294,8 @@ def _add_common(sp):
 def _add_experiment(sp):
     sp.add_argument("--sampler", required=True)
     sp.add_argument("--p", type=float, action=_Finite, required=True)
-    sp.add_argument("--estimator", default="mcf-two-sample",
-                    choices=["mcf-two-sample", "1d-quantile", "dyadic"])
+    names = list(mc._ESTIMATORS)
+    sp.add_argument("--estimator", default=names[0], choices=names)
     sp.add_argument("--ngrid", required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--mref", type=int, default=None)
@@ -414,11 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(argv):
+def _apply_config(argv, ap):
     """Put the --config section of the subcommand right after it, so that
-    the command line's flags come later and win. A key set to true becomes
-    its flag; one set to false adds nothing."""
-    if not argv or argv[0].startswith("-"):
+    the command line's flags come later and win. On a flag that takes no
+    value, a key set to true becomes the flag and one set to false adds
+    nothing; any other key goes in as the flag and its value."""
+    subs = next(a for a in ap._actions if a.dest == "cmd").choices
+    if not argv or argv[0] not in subs:
         return argv
     pre = _Parser(prog=f"empwass {argv[0]}", add_help=False)
     pre.add_argument("--config", nargs="?", const="")
@@ -430,12 +423,14 @@ def _apply_config(argv):
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError(f"config file not found: {path}")
+    switches = {flag for a in subs[argv[0]]._actions if a.nargs == 0
+                for flag in a.option_strings}
     extra = []
     for key, val in cp.items(argv[0]) if cp.has_section(argv[0]) else ():
         flag = "--" + key.replace("_", "-")
-        if val.lower() == "true":
-            extra.append(flag)
-        elif val.lower() != "false":
+        if flag in switches and val.lower() in ("true", "false"):
+            extra += [flag] * (val.lower() == "true")
+        else:
             extra += [flag, val]
     return [argv[0], *extra, *argv[1:]]
 
@@ -444,7 +439,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(argv)
+        argv = _apply_config(argv, ap)
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

@@ -3,7 +3,7 @@ unbounded support, and the resulting three-term transport bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,10 +147,7 @@ class MixtureBound:
     per_ring: Tuple[Tuple[int, float], ...]
 
     def to_dict(self) -> dict:
-        return {"total": self.total, "main": self.main,
-                "remainder_a": self.remainder_a,
-                "remainder_b": self.remainder_b,
-                "per_ring": [list(t) for t in self.per_ring]}
+        return asdict(self)
 
 
 def mixture_bound(dec: RingDecomposition, p: float) -> MixtureBound:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ _DROP_SMALL = 2   # smallest n values left out of the rate fits
 class ExperimentSpec:
     sampler: SyntheticSampler
     p: float
-    estimator: str                       # mcf-two-sample | 1d-quantile | dyadic
+    estimator: str                       # a key of _ESTIMATORS
     n_grid: Tuple[int, ...]
     replicates: int
     seed: int
@@ -51,10 +51,11 @@ class ExperimentSpec:
             raise HarnessError("workers must be >= 1")
         if not self.p >= 1:
             raise HarnessError("p must be >= 1")
-        if self.estimator not in ("mcf-two-sample", "1d-quantile", "dyadic"):
+        entry = _ESTIMATORS.get(self.estimator)
+        if entry is None:
             raise HarnessError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == "1d-quantile":
-            _check_quantile_sampler(self.sampler, self.p)
+        if entry.check:
+            entry.check(self.sampler, self.p)
         seen = {}
         for x in self.x_grid:
             if not math.isfinite(x):
@@ -66,13 +67,10 @@ class ExperimentSpec:
             seen[key] = x
 
     def to_dict(self) -> dict:
-        return {
-            "sampler": self.sampler.metadata(), "p": self.p,
-            "estimator": self.estimator, "n_grid": list(self.n_grid),
-            "replicates": self.replicates, "seed": self.seed,
-            "x_grid": list(self.x_grid), "m_ref": self.m_ref,
-            "k_star": self.k_star, "drop_small": _DROP_SMALL,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "workers"}   # no output depends on workers
+        return {**out, "sampler": self.sampler.metadata(),
+                "drop_small": _DROP_SMALL}
 
 
 def replicate_seed(master: int, n: int, rep: int) -> np.random.Generator:
@@ -84,8 +82,8 @@ def _check_quantile_sampler(sampler: SyntheticSampler, p: float) -> None:
     """Refuse a sampler that is not 1-D with a closed-form, monotone
     quantile, or with W_p^p to it infinite (Pareto(a) needs p < a)."""
     if sampler.quantile(np.asarray([0.5])) is None:
-        raise HarnessError("1d-quantile and trajectories need a 1D sampler "
-                           "with a closed-form quantile")
+        raise HarnessError("the quantile estimator and trajectories need a "
+                           "1D sampler with a closed-form quantile")
     if sampler.family == "pareto-radial" and sampler.a <= p:
         raise HarnessError(
             f"pareto-radial with a = {sampler.a:g} has no finite moment of "
@@ -102,47 +100,74 @@ def _quantile_antideriv(sampler: SyntheticSampler, p: float):
 
 
 def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
-    """Replicate `rep` of size n of a two-sample estimator (mcf-two-sample,
-    dyadic)."""
-    if spec.estimator == "1d-quantile":
-        raise HarnessError("1d-quantile replicates run as one row block")
-    sampler, p = spec.sampler, spec.p
+    """Replicate `rep` of size n of a two-sample estimator."""
     rng = replicate_seed(spec.seed, n, rep)
-    pts = sampler.draw(n, rng)
-    m = spec.m_ref if spec.m_ref is not None else n
-    ref = sampler.draw(m, rng)
-    if spec.estimator == "mcf-two-sample" and sampler.d == 1:
+    pts = spec.sampler.draw(n, rng)
+    ref = spec.sampler.draw(spec.m_ref if spec.m_ref is not None else n, rng)
+    return _ESTIMATORS[spec.estimator].value(spec, pts, ref)
+
+
+def _exact_value(spec: ExperimentSpec, pts, ref) -> float:
+    if spec.sampler.d == 1:   # the staircase on the line
+        n, m = len(pts), len(ref)
         return wpp_1d_arrays(pts[:, 0], np.full(n, 1.0 / n),
-                             ref[:, 0], np.full(m, 1.0 / m), p)
+                             ref[:, 0], np.full(m, 1.0 / m), spec.p)
+    return wpp_mcf(*uniform_pair(pts, ref)[1:], spec.p)[0].value
+
+
+def _dyadic_value(spec: ExperimentSpec, pts, ref) -> float:
     space, mu, nu = uniform_pair(pts, ref)
-    if spec.estimator == "mcf-two-sample":
-        return wpp_mcf(mu, nu, p)[0].value
-    # dyadic upper bound between sample and reference sample
-    k_star = spec.k_star
-    if not k_star:   # 0 or None: depth grows with n
-        alpha = sampler.metadata().get("alpha") or 2.0 * p
-        k_star = auto_k_star(n, alpha)
+    k_star = spec.k_star or auto_k_star(   # 0 or None: depth grows with n
+        len(pts), spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
     tree = build_partition_tree(space, k_star)
-    return dyadic_wpp_bound(tree, mu, nu, p)
+    return dyadic_wpp_bound(tree, mu, nu, spec.p)
 
 
-def _run_block(task) -> np.ndarray:
-    """W_p^p of the replicates `reps` of one n. For 1d-quantile every
-    replicate is one sorted row of an (R, n) block evaluated in one call;
-    the two-sample estimators run replicate by replicate."""
-    spec, n, reps = task
-    if spec.estimator == "1d-quantile":
-        rows = [spec.sampler.draw(n, replicate_seed(spec.seed, n, rep))[:, 0]
-                for rep in reps]
-        return wpp_rows_vs_quantile(
-            np.sort(np.stack(rows), axis=1), spec.sampler.quantile, spec.p,
-            _quantile_antideriv(spec.sampler, spec.p))
+def _two_sample_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
+    # the global lookup lets a tracer that rebinds _one_replicate count it
     return np.asarray([_one_replicate(spec, n, rep) for rep in reps])
 
 
-# Sample values per block at most, so a block's memory does not grow
-# with R * n.
-_BLOCK_VALUES = 1 << 17
+def _quantile_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
+    rows = [spec.sampler.draw(n, replicate_seed(spec.seed, n, rep))[:, 0]
+            for rep in reps]
+    return wpp_rows_vs_quantile(
+        np.sort(np.stack(rows), axis=1), spec.sampler.quantile, spec.p,
+        _quantile_antideriv(spec.sampler, spec.p))
+
+
+@dataclass(frozen=True)
+class _Estimator:
+    """`block(spec, n, reps)` returns the values of replicates `reps`, a
+    two-sample block each from `value(spec, sample, reference)`; `check`
+    refuses a sampler; with `warm_up`, one replicate in the parent loads
+    its kernels' scipy modules before a pool forks, for the workers."""
+    block: Callable
+    measures: str    # the quantity each value estimates
+    value: Optional[Callable] = None
+    check: Optional[Callable] = None
+    warm_up: bool = True
+
+
+# --estimator name -> entry; the first is the default. A quantile block
+# imports no scipy module, so a warm-up would only add numpy.random and,
+# through `secrets`, OpenSSL to the parent (+6 MB peak RSS).
+_ESTIMATORS = {
+    "mcf-two-sample": _Estimator(_two_sample_block, "W_p^p(mu_n, nu_m)",
+                                 value=_exact_value),
+    "1d-quantile": _Estimator(_quantile_block, "W_p^p(mu_n, mu)",
+                              check=_check_quantile_sampler, warm_up=False),
+    "dyadic": _Estimator(_two_sample_block,
+                         "an upper bound on W_p^p(mu_n, nu_m)",
+                         value=_dyadic_value),
+}
+
+
+def _run_block(task) -> np.ndarray:
+    return _ESTIMATORS[task[0].estimator].block(*task)   # (spec, n, reps)
+
+
+_BLOCK_VALUES = 1 << 17   # sample values per block at most
 
 
 def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
@@ -163,14 +188,9 @@ def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
     workers = min(spec.workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        if spec.estimator != "1d-quantile":
-            # One replicate in the parent (value discarded) loads the scipy
-            # modules its kernels import on first use, so the forked
-            # workers inherit them instead of each importing them again.
-            # A 1d-quantile block imports no scipy module: there the
-            # replicate would only add numpy.random and, through
-            # `secrets`, OpenSSL to the parent (+6 MB peak RSS).
-            _one_replicate(spec, spec.n_grid[0], 0)
+        entry = _ESTIMATORS[spec.estimator]
+        if entry.warm_up:
+            entry.block(spec, spec.n_grid[0], range(1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
@@ -191,16 +211,8 @@ class ExperimentReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "per_n": self.per_n,
-            "slope": self.slope,
-            "slope_ci": list(self.slope_ci) if self.slope_ci else None,
-            "slope_r2": self.slope_r2,
-            "corrected_slope": self.corrected_slope,
-            "corrected_r2": self.corrected_r2,
-            "degenerate": self.degenerate,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "spec": self.spec.to_dict()}
 
 
 def _stats_row(n: int, vals: np.ndarray, x_grid: Sequence[float]) -> dict:
@@ -260,8 +272,7 @@ def run_rate_experiment(spec: ExperimentSpec) -> ExperimentReport:
     report.slope_ci = (slope - 1.96 * se, slope + 1.96 * se)
     report.slope_r2 = r2
 
-    md = spec.sampler.metadata()
-    alpha = md.get("alpha")
+    alpha = spec.sampler.metadata().get("alpha")
     if alpha is not None and alpha > 0 and ns[keep].min() >= 2 \
             and classify_regime(alpha, spec.p) == "alpha_eq_2p":
         yc = y - 0.5 * np.log(np.log(ns[keep]))
@@ -412,12 +423,9 @@ def _xi_norm(dist: str, a: float, r: float) -> float:
         if r >= a:
             return math.inf
         mean = a / (a - 1.0)
-
-        def f(u):
-            return abs(u ** (-1.0 / a) - mean) ** r
-
         from scipy import integrate
-        val, _ = integrate.quad(f, 0.0, 1.0, limit=200)
+        val, _ = integrate.quad(lambda u: abs(u ** (-1.0 / a) - mean) ** r,
+                                0.0, 1.0, limit=200)
         return val ** (1.0 / r)
     raise HarnessError(f"unknown distribution {dist!r}")
 

@@ -289,6 +289,38 @@ def test_config_boolean_keys(tmp_path, dim, flag, value, plan):
         "plan"] == plan
 
 
+def test_config_false_on_a_value_flag_exit_2(tmp_path, capsys):
+    # kstar = false was dropped, so the run took the default --kstar 3
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text("[rate]\nkstar = false\n")
+    err = _no_output(tmp_path, capsys, [
+        "rate", "--config", str(cfg), "--sampler", "uniform-cube:2", "--p",
+        "1", "--estimator", "dyadic", "--ngrid", "8:16", "--reps", "30",
+        "--seed", "0"])
+    assert "argument --kstar: invalid int value: 'false'" in err
+
+
+@pytest.mark.parametrize("value, flag", [("false", []), ("true", ["--plan"])])
+def test_config_switch_writes_the_flags_bytes(tmp_path, value, flag):
+    # plan = true writes what --plan writes, plan = false what no flag does
+    rng = np.random.default_rng(4)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_points_csv(a, rng.random((6, 2)))
+    save_points_csv(b, rng.random((4, 2)))
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[wpp]\nplan = {value}\n")
+    wpp = ["wpp", "--a", str(a), "--b", str(b), "--p", "1"]
+    c, f = tmp_path / "c", tmp_path / "f"
+    assert _run([*wpp, "--config", str(cfg), "--out", str(c)]) == 0
+    assert _run([*wpp, *flag, "--out", str(f)]) == 0
+    names = ["wpp.json", *(["plan.csv"] if flag else [])]
+    for out in (c, f):
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["effective-config.json", *names])
+    for name in names:
+        assert (c / name).read_bytes() == (f / name).read_bytes()
+
+
 @pytest.mark.parametrize("text, reason", [
     ("delta = 0.3\n", "File contains no section headers."),
     ("[cover]\ndelta = 0.3\ndelta = 0.4\n", "already exists"),
@@ -913,6 +945,21 @@ def _golden_runs(tmp_path):
             runs.append((f"bound-{formula}-{name}",
                          ["bound", "--formula", formula, "--grid", str(grid)],
                          ("bounds.csv",)))
+    # one rate run per estimator branch, each at one and two workers
+    rate = ["rate", "--p", "1", "--reps", "30", "--seed", "0"]
+    square = ["--sampler", "uniform-cube:2", "--ngrid", "8:16"]
+    for name, argv in {
+            "line": ["--sampler", "uniform-cube:1", "--ngrid", "8:32"],
+            "assignment": [*square, "--mref", "16"],
+            "highs": [*square, "--mref", "9"],
+            "dyadic-k0": [*square, "--estimator", "dyadic", "--kstar", "0"],
+            "dyadic-k2": [*square, "--estimator", "dyadic", "--kstar", "2"],
+            "quantile-p2": ["--sampler", "uniform-cube:1", "--ngrid", "8:32",
+                            "--estimator", "1d-quantile", "--p", "2"]}.items():
+        for workers in ("1", "2"):
+            runs.append((f"rate-{name}-w{workers}",
+                         [*rate, *argv, "--workers", workers],
+                         ("rate.json", "rate.csv")))
     return runs
 
 
@@ -979,6 +1026,33 @@ _GOLDEN = {
     "bound-moderate-iap": (
         "cbdabaabdce68e57481e80f3705ef93ec094ed8b5ad09da737f45d89a4163838",),
 }
+
+# sha256 of rate.json and rate.csv, one rate run per estimator branch,
+# recorded before the estimators became one table; one and two workers
+# write the same bytes
+_RATE_GOLDEN = {
+    "line": (
+        "6b7c2f312ae74c89e070a5280078ea6750f60d1debc46619e7db68c83625dc15",
+        "045cf4d43193c120c5e562a290818a1fa02641e8559e4ffd97971b8a4656e7b7"),
+    "assignment": (
+        "1bf4f8cc9c5f9e51cbc4b58b5dd85665aa91343837b0d6ec80d6019b3b4de453",
+        "ec2ccd23154faed212190796d148d21c1bb957e5bbe194ce8f70799fcab09e6d"),
+    "highs": (
+        "5d0c826e9610a71bf36430b8b5940a0da4f581ad6ae6fe38a9dafb9ccc350d6a",
+        "888e5874349eefd7d2bb01a55efeef391f4bb359003ae106f298845f5c62b5fd"),
+    "dyadic-k0": (
+        "5e65ecd54c57dcc44157a23183a27f10f4eb8942c4677fbb85a9da2216c974f9",
+        "fa819a69e738e79d86ceb0c7c5fcfef3b723bc51aa3eb020a59cffac15620de2"),
+    "dyadic-k2": (
+        "a769e79fc8037275a9b975baaab9c9e995c31a5ecac02d8ba805286eddbb44d5",
+        "3827c7c90e7223f4e989f0b66c233a856549da8cba26618bbf2df5a82b1f17b2"),
+    "quantile-p2": (
+        "83fb0148668ddfd085e691c52db0668a4c90a6762649a4a4918390c7b71a4719",
+        "f7d13bac25b7bb174f427913cc940078eaed2d970beb43c4f04aafeaa5ad6caa"),
+}
+_GOLDEN.update({f"rate-{name}-w{workers}": digests
+                for name, digests in _RATE_GOLDEN.items()
+                for workers in (1, 2)})
 
 
 def test_outputs_golden(tmp_path):
@@ -1101,6 +1175,7 @@ def test_fitc_fits_only_cells_with_an_exceedance(tmp_path):
     fit = _strict_json(out / "fitc.json")
     assert fit["ok"] and fit["falsified_at"] is None
     assert 0 < fit["C"] < 1
+    assert fit["measures"] == "W_p^p(mu_n, mu)"
     assert (fit["cells_used"], fit["cells_empty"]) == (1, 5)
     assert fit["reason"] is None
 
@@ -1122,3 +1197,12 @@ def test_fitc_falsified_is_strict_json(tmp_path):
     fit = _strict_json(out / "fitc.json")
     assert not fit["ok"] and fit["C"] is None
     assert fit["falsified_at"] is not None
+
+
+def test_fitc_states_what_the_default_estimator_measures(tmp_path):
+    # the default estimator measures the distance to a second sample
+    out = tmp_path / "f"
+    assert _run(["fitc", "--sampler", "uniform-cube:1", "--p", "1",
+                 "--ngrid", "8:16", "--reps", "1000", "--seed", "0",
+                 "--xgrid", "0.1", "--out", str(out)]) in (0, 1)
+    assert _strict_json(out / "fitc.json")["measures"] == "W_p^p(mu_n, nu_m)"

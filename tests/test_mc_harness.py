@@ -109,6 +109,26 @@ def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
                     (text, R, workers)
 
 
+@pytest.mark.parametrize("estimator", ["mcf-two-sample", "dyadic"])
+def test_two_sample_replicates_resolve_the_module_name(monkeypatch,
+                                                       estimator):
+    # a tracer rebinds mc_harness._one_replicate to count replicates; the
+    # blocks must call it by that name, not through a stored reference
+    calls = []
+    original = mc_harness._one_replicate
+
+    def counting(spec, n, rep):
+        calls.append((n, rep))
+        return original(spec, n, rep)
+
+    monkeypatch.setattr(mc_harness, "_one_replicate", counting)
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator=estimator, n_grid=(8, 16), replicates=30)
+    run_rate_experiment(spec)
+    assert sorted(calls) == [(n, rep) for n in spec.n_grid
+                             for rep in range(spec.replicates)]
+
+
 def test_pool_is_capped_by_tasks_and_cores(monkeypatch):
     # workers=10**6 sizes the pool by the tasks and the cores; an executor
     # that records its size and maps in this process starts no process
