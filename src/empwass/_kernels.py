@@ -8,8 +8,10 @@ limit ``ot_exact._MAX_REPLICATION`` (timings there); it solves every
 other uniform instance as one lcm(m, n)-sized assignment, which is faster.
 
 Each scipy submodule is imported inside the kernel that calls it: loading
-``scipy.optimize`` alone takes most of a second, and a subcommand that
-never solves an LP should not pay for it. The greedy cover finds its
+``scipy.optimize`` takes 0.40-0.50 s and about 40 MB, and a subcommand
+that never solves an LP should not pay for it. The assignment path loads
+only scipy's compiled ``scipy.optimize._lsap`` (see
+``ot_exact.linear_sum_assignment``). The greedy cover finds its
 neighbour candidates in a numpy cell grid and loads no scipy module.
 """
 

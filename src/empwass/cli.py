@@ -299,7 +299,7 @@ def _add_experiment(sp):
     sp.add_argument("--ngrid", required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--mref", type=int, default=None)
-    sp.add_argument("--kstar", type=int, default=3)
+    sp.add_argument("--kstar", type=int, default=None)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--workers", type=int, default=1)
 

@@ -35,8 +35,8 @@ class ExperimentSpec:
     replicates: int
     seed: int
     x_grid: Tuple[float, ...] = ()
-    m_ref: Optional[int] = None          # two-sample reference size (default n)
-    k_star: int = 3                      # 0 = depth grows with n
+    m_ref: Optional[int] = None          # two-sample reference size (None: n)
+    k_star: Optional[int] = None         # tree depth (None: 3, see depth)
     workers: int = 1
 
     def __post_init__(self):
@@ -56,6 +56,10 @@ class ExperimentSpec:
             raise HarnessError(f"unknown estimator {self.estimator!r}")
         if entry.check:
             entry.check(self.sampler, self.p)
+        for name in ("m_ref", "k_star"):
+            if getattr(self, name) is not None and name not in entry.reads:
+                raise HarnessError(f"the {self.estimator} estimator reads "
+                                   f"no {name}; leave it unset")
         seen = {}
         for x in self.x_grid:
             if not math.isfinite(x):
@@ -66,11 +70,16 @@ class ExperimentSpec:
                                    f"both name the column {key}")
             seen[key] = x
 
+    @property
+    def depth(self) -> int:
+        """The partition depth: k_star, 3 when unset; 0 grows with n."""
+        return 3 if self.k_star is None else self.k_star
+
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "workers"}   # no output depends on workers
-        return {**out, "sampler": self.sampler.metadata(),
-                "drop_small": _DROP_SMALL}
+        return {**out, "k_star": self.depth,
+                "sampler": self.sampler.metadata(), "drop_small": _DROP_SMALL}
 
 
 def replicate_seed(master: int, n: int, rep: int) -> np.random.Generator:
@@ -117,7 +126,7 @@ def _exact_value(spec: ExperimentSpec, pts, ref) -> float:
 
 def _dyadic_value(spec: ExperimentSpec, pts, ref) -> float:
     space, mu, nu = uniform_pair(pts, ref)
-    k_star = spec.k_star or auto_k_star(   # 0 or None: depth grows with n
+    k_star = spec.depth or auto_k_star(   # 0: depth grows with n
         len(pts), spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
     tree = build_partition_tree(space, k_star)
     return dyadic_wpp_bound(tree, mu, nu, spec.p)
@@ -141,9 +150,12 @@ class _Estimator:
     """`block(spec, n, reps)` returns the values of replicates `reps`, a
     two-sample block each from `value(spec, sample, reference)`; `check`
     refuses a sampler; with `warm_up`, one replicate in the parent loads
-    its kernels' scipy modules before a pool forks, for the workers."""
+    its kernels' scipy modules before a pool forks, for the workers.
+    `reads` names the optional spec fields (m_ref, k_star) the entry
+    uses; a spec that sets any other is refused."""
     block: Callable
     measures: str    # the quantity each value estimates
+    reads: Tuple[str, ...] = ()
     value: Optional[Callable] = None
     check: Optional[Callable] = None
     warm_up: bool = True
@@ -154,12 +166,12 @@ class _Estimator:
 # through `secrets`, OpenSSL to the parent (+6 MB peak RSS).
 _ESTIMATORS = {
     "mcf-two-sample": _Estimator(_two_sample_block, "W_p^p(mu_n, nu_m)",
-                                 value=_exact_value),
+                                 reads=("m_ref",), value=_exact_value),
     "1d-quantile": _Estimator(_quantile_block, "W_p^p(mu_n, mu)",
                               check=_check_quantile_sampler, warm_up=False),
     "dyadic": _Estimator(_two_sample_block,
                          "an upper bound on W_p^p(mu_n, nu_m)",
-                         value=_dyadic_value),
+                         reads=("m_ref", "k_star"), value=_dyadic_value),
 }
 
 

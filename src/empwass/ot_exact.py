@@ -3,8 +3,12 @@ integrals against continuous references, and a min-cost-flow solver."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
+from importlib.machinery import PathFinder
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,11 +38,25 @@ class OTError(ValueError):
 
 
 def linear_sum_assignment(C):
-    """scipy's assignment solver, imported on the first call so that
-    loading this module does not load ``scipy.optimize``. The name stays
-    a module attribute: the benchmark's span tracer wraps it here."""
-    from scipy.optimize import linear_sum_assignment as solve
-    return solve(C)
+    """scipy's assignment solver, ``scipy.optimize.linear_sum_assignment``.
+
+    On the first call its compiled module ``scipy.optimize._lsap`` is
+    loaded by itself, without running ``scipy/optimize/__init__.py``: the
+    package takes about 0.45 s and 40 MB, the module 0.2 ms. It is
+    registered under its own name, so a later ``import scipy.optimize``
+    (the HiGHS path) reuses it and the two names are one function. The
+    name stays a module attribute: the benchmark's span tracer wraps it
+    here."""
+    name = "scipy.optimize._lsap"
+    lsap = sys.modules.get(name)
+    if lsap is None:
+        import scipy
+        spec = PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], "optimize")])
+        lsap = importlib.util.module_from_spec(spec)
+        sys.modules[name] = lsap
+        spec.loader.exec_module(lsap)
+    return lsap.linear_sum_assignment(C)
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,19 @@ def test_config_false_on_a_value_flag_exit_2(tmp_path, capsys):
     assert "argument --kstar: invalid int value: 'false'" in err
 
 
+@pytest.mark.parametrize("key", ["mref = 50", "kstar = 3"])
+def test_unread_experiment_config_key_exit_2(tmp_path, capsys, key):
+    # a config key counts as a given flag, and a flag the estimator does
+    # not read exits 2 (test_bad_input_exit_2_one_line)
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[rate]\n{key}\n")
+    err = _no_output(tmp_path, capsys, [
+        "rate", "--config", str(cfg), "--sampler", "uniform-cube:1", "--p",
+        "1", "--estimator", "1d-quantile", "--ngrid", "8:16", "--reps", "30",
+        "--seed", "0"])
+    assert "the 1d-quantile estimator reads no" in err, err
+
+
 @pytest.mark.parametrize("value, flag", [("false", []), ("true", ["--plan"])])
 def test_config_switch_writes_the_flags_bytes(tmp_path, value, flag):
     # plan = true writes what --plan writes, plan = false what no flag does
@@ -681,6 +694,18 @@ _EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
       "--xgrid", "0.1"], "a > 0"),
     (["tail", "--sampler", "exp-radial:1e400:1", *_EXPERIMENT,
       "--xgrid", "0.1"], "kappa > 0"),
+    # an estimator that does not read --mref or --kstar took the flag and
+    # echoed it into rate.json ("m_ref": 50 on a run without a reference
+    # sample); given at its default value, too
+    (["rate", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--mref", "50"],
+     "the 1d-quantile estimator reads no m_ref"),
+    (["rate", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--kstar", "3"],
+     "the 1d-quantile estimator reads no k_star"),
+    (["tail", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--xgrid", "0.1",
+      "--kstar", "7"], "the 1d-quantile estimator reads no k_star"),
+    (["fitc", "--sampler", "uniform-cube:2", "--p", "1", "--ngrid", "8:16",
+      "--reps", "30", "--seed", "0", "--xgrid", "0.1", "--kstar", "3"],
+     "the mcf-two-sample estimator reads no k_star"),
 ])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
     rng = np.random.default_rng(1)
@@ -793,7 +818,9 @@ def test_readme_cli_examples_parse():
 # Run in a fresh interpreter: which scipy modules are loaded after
 # importing the CLI, after a 1-D tail run, and when each rate run's pool of
 # workers is built (recorded by wrapping ProcessPoolExecutor.__init__):
-# first a 1-D mcf-two-sample run, which never solves, then a 3-D one.
+# first a 1-D mcf-two-sample run, which never solves, then a 3-D one, whose
+# square instances are assignments; last, in the same process, the HiGHS
+# golden run, which imports scipy.optimize itself.
 _PROBE_HEAD = """
 import json, sys
 from concurrent.futures import process
@@ -826,6 +853,16 @@ for d in (1, 3):
                  "--reps", "30", "--seed", "0", "--workers", "2",
                  "--out", f"{out}/rate{d}"]) == 0
     seen[f"rate{d}"] = loaded()
+assert main(["rate", "--p", "1", "--reps", "30", "--seed", "0",
+             "--sampler", "uniform-cube:2", "--ngrid", "8:16", "--mref", "9",
+             "--workers", "1", "--out", out + "/highs"]) == 0
+import hashlib
+import scipy.optimize
+seen["highs"] = [hashlib.sha256(open(f"{out}/highs/{name}", "rb").read())
+                 .hexdigest() for name in ("rate.json", "rate.csv")]
+seen["same_solver"] = (scipy.optimize.linear_sum_assignment
+                       is sys.modules["scipy.optimize._lsap"]
+                       .linear_sum_assignment)
 print(json.dumps(seen))
 """
 
@@ -846,9 +883,16 @@ def test_scipy_loaded_only_where_a_solver_runs(tmp_path):
     assert seen["tail"] == []
     # a 1-D two-sample replicate never solves, so nothing is loaded
     assert seen["pool"][0] == seen["rate1"] == []
-    # the parent's warm-up replicate loads the solver before the pool forks
-    assert "scipy.optimize" in seen["pool"][1]
-    assert "scipy.sparse" in seen["pool"][1]
+    # the parent's warm-up replicate loads the compiled assignment module
+    # alone before the pool forks: not scipy.optimize, not scipy.sparse
+    for modules in (seen["pool"][1], seen["rate3"]):
+        assert "scipy.optimize._lsap" in modules
+        assert "scipy.optimize" not in modules
+        assert "scipy.sparse" not in modules
+    # a later import of scipy.optimize reuses that module, and the HiGHS
+    # run after it still writes its golden bytes
+    assert seen["same_solver"]
+    assert tuple(seen["highs"]) == _RATE_GOLDEN["highs"]
 
 
 # The covering-number subcommands and the dyadic estimator (its pool and

@@ -40,6 +40,22 @@ def test_spec_rejects_out_of_range(bad):
         _spec(**bad)
 
 
+@pytest.mark.parametrize("estimator, unread", [
+    ("1d-quantile", {"m_ref": 50}), ("1d-quantile", {"k_star": 3}),
+    ("mcf-two-sample", {"k_star": 3})])
+def test_spec_refuses_fields_the_estimator_does_not_read(estimator, unread):
+    with pytest.raises(HarnessError, match=f"reads no {next(iter(unread))}"):
+        _spec(estimator=estimator, **unread)
+
+
+def test_spec_reads_and_echoes_its_optional_fields():
+    two = _spec(estimator="dyadic", m_ref=40, k_star=0)
+    assert (two.m_ref, two.k_star, two.depth) == (40, 0, 0)
+    unset = _spec()
+    assert (unset.m_ref, unset.k_star, unset.depth) == (None, None, 3)
+    assert (unset.to_dict()["m_ref"], unset.to_dict()["k_star"]) == (None, 3)
+
+
 def test_spec_rejects_colliding_tail_columns():
     with pytest.raises(HarnessError, match="tail_x0.1"):
         _spec(x_grid=(0.1, 0.1000001))
@@ -72,10 +88,10 @@ def test_quantile_estimator_needs_closed_form_quantile():
 
 _ENGINE_CASES = [
     # (sampler, p, estimator, n_grid, m_ref, k_star)
-    ("pareto-radial:3:1", 1.0, "1d-quantile", (64,), None, 3),
-    ("uniform-sphere:1", 2.0, "1d-quantile", (1, 17), None, 3),
+    ("pareto-radial:3:1", 1.0, "1d-quantile", (64,), None, None),
+    ("uniform-sphere:1", 2.0, "1d-quantile", (1, 17), None, None),
     ("uniform-cube:2", 1.0, "dyadic", (3,), None, 0),
-    ("uniform-cube:1", 2.0, "mcf-two-sample", (3, 6), 5, 3),
+    ("uniform-cube:1", 2.0, "mcf-two-sample", (3, 6), 5, None),
 ]
 
 
