@@ -52,14 +52,15 @@ def wpp_staircase(xa, ca, xb, cb, p):
 _BLOCK_PAIRS = 4096
 
 # Most cells per axis of the neighbour grid, so that the packed cell keys
-# of three axes fit an int64 however small the radius.
+# of three axes fit an int64 however small the radius; with groups the
+# cap shrinks until the group id fits the key as well.
 _GRID_CELLS = 2 ** 20
 
 
-def _grid_neighbours(pts, reach):
+def _grid_neighbours(pts, reach, groups=None):
     """A lookup ``near(tent) -> (nbr, sizes)``: for each index in ``tent``,
-    a superset of the points within ``reach`` of it in every coordinate,
-    ``sizes[i]`` of them per tentative, concatenated in ``nbr``.
+    a superset of the points of its group within ``reach`` of it in every
+    coordinate, ``sizes[i]`` of them per tentative, concatenated in ``nbr``.
 
     The points are bucketed into a grid over the (up to) three coordinates
     of widest extent, with cells of side at least ``reach`` (a relative
@@ -67,14 +68,20 @@ def _grid_neighbours(pts, reach):
     ``reach`` apart two cells apart) and at most ``_GRID_CELLS`` cells per
     axis. A point's neighbours then lie in the 3^k cells around its own.
     Each axis gets an empty cell past either end, so the packed key of
-    every cell around a point stays in its row's key range. The points
-    are sorted once by key; the cells around a tentative are 3^(k-1) runs
-    of consecutive keys (the last axis varies fastest), found for a whole
-    block with two ``searchsorted`` calls.
+    every cell around a point stays in its row's key range. With
+    ``groups`` the group id is the leading digit of the key, so the cells
+    around a point hold only points of its own group; the cells per axis
+    are capped so that (cells + 3)^3 keys per group, times the groups,
+    stay below 2^62. The points are sorted once by key; the cells around
+    a tentative are 3^(k-1) runs of consecutive keys (the last axis
+    varies fastest), whose ends a whole block finds with one
+    ``searchsorted`` call.
     """
     lo = pts.min(axis=0)
     ext = pts.max(axis=0) - lo
-    side = np.maximum(reach * (1.0 + 1e-6), ext / _GRID_CELLS)
+    ngroups = 1 if groups is None else int(groups.max()) + 1
+    cap = min(_GRID_CELLS, int((2.0 ** 62 / ngroups) ** (1.0 / 3.0)) - 3)
+    side = np.maximum(reach * (1.0 + 1e-6), ext / cap)
     # an axis narrower than one cell separates nothing; keep at least one
     k = max(1, min(3, int(np.count_nonzero(ext >= side))))
     axes = np.argsort(-ext, kind="stable")[:k]
@@ -82,26 +89,74 @@ def _grid_neighbours(pts, reach):
     width = cells.max(axis=0) + 3
     stride = np.cumprod(np.r_[1, width[:0:-1]])[::-1]
     key = (cells + 1) @ stride
+    if groups is not None:
+        key += groups * (stride[0] * width[0])
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
     # key offsets of the 3^(k-1) rows around a cell
     rows = np.zeros(1, np.int64)
     for a in range(k - 1):
         rows = (rows[:, None] + np.array([-1, 0, 1]) * stride[a]).ravel()
+    # a row's run starts at its key - 1 and ends before its key + 2
+    bounds = np.concatenate((rows - 1, rows + 2))
 
     def near(tent):
-        mid = key[tent, None] + rows
-        first = np.searchsorted(sorted_key, mid - 1).ravel()
-        count = np.searchsorted(sorted_key, mid + 1, side="right").ravel()
-        count -= first
+        first, stop = np.hsplit(
+            np.searchsorted(sorted_key, key[tent, None] + bounds), 2)
+        count = (stop - first).ravel()
         ends = np.cumsum(count)
-        pos = np.arange(ends[-1]) + np.repeat(first - ends + count, count)
+        pos = np.arange(ends[-1]) + np.repeat(first.ravel() - ends + count,
+                                              count)
         return order[pos], count.reshape(tent.size, -1).sum(axis=1)
 
     return near
 
 
-def greedy_cover_pts(pts, delta, stop=None, groups=None):
+def _accept(size, src, dst):
+    """Which of ``size`` tentatives, in index order, the one-at-a-time
+    walk makes centers, given the edges ``src[e] < dst[e]``: tentative
+    ``src[e]`` covers the later ``dst[e]``. Decided in rounds (Blelloch,
+    Fineman & Shun 2012): each round accepts every undecided tentative
+    whose blockers are all rejected, then rejects every undecided one
+    with an accepted blocker. The lowest undecided tentative is accepted
+    in every round, and each decision is the one the walk makes."""
+    accepted = np.ones(size, bool)
+    undecided = np.ones(size, bool)
+    # every edge kept has both ends undecided
+    while src.size:
+        waits = np.zeros(size, bool)
+        waits[dst] = True
+        now = undecided & ~waits
+        undecided &= waits
+        beaten = dst[now[src]]
+        accepted[beaten] = False
+        undecided[beaten] = False
+        live = undecided[src] & undecided[dst]
+        src, dst = src[live], dst[live]
+    return accepted
+
+
+def _fill_quota(quota, grp):
+    """``(fits, full)`` for the accepted centers of one block, their
+    groups ``grp`` in index order, which ``quota`` lowers: ``fits`` masks
+    those within their group's remaining quota, ``full`` the groups that
+    have used it up (both None when no group has). A full group's quota
+    is raised past any count, since its points are then all covered."""
+    quota -= np.bincount(grp, minlength=quota.size)
+    if quota.min() > 0:
+        return None, None
+    # the centers past a group's quota are its last -quota ones
+    order = np.argsort(grp, kind="stable")
+    from_end = np.empty_like(order)
+    from_end[order] = np.searchsorted(grp[order], grp[order],
+                                      side="right") - np.arange(grp.size)
+    full = quota <= 0
+    fits = from_end > -quota[grp]
+    quota[full] = np.iinfo(np.int64).max
+    return fits, full
+
+
+def greedy_cover_pts(pts, delta, stop=None, groups=None, labels=False):
     """Centers in index order: each is the lowest-index point not within
     delta of an earlier center. With ``stop`` the walk ends once it has
     placed that many centers.
@@ -109,74 +164,104 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None):
     "Within" is ``sum((x - c)**2) <= delta**2 * (1 + 1e-12)`` over the
     coordinates, summed in order. The walk takes the next block of
     uncovered points in index order as tentative centers, finds a superset
-    of their neighbours with one lookup in a cell grid (``_grid_neighbours``),
-    keeps the pairs that pass the test above, and accepts the tentatives
-    in index order unless an earlier acceptance covered them. Every
-    point before the block is covered and the points between tentatives
-    are too, so these are the centers of the one-at-a-time loop. The next
-    block has twice as many tentatives as the last one gave centers, but
-    no more than would bring about ``_BLOCK_PAIRS`` candidate pairs at the
-    last lookup's rate per tentative (the first block assumes every point
-    is a neighbour).
+    of their neighbours with one lookup in a cell grid (``_grid_neighbours``)
+    and keeps the pairs that pass the test above. A tentative is blocked
+    by each earlier tentative of the block that covers it, and ``_accept``
+    decides the block in rounds: these are the tentatives the
+    one-at-a-time loop accepts, since every point before the block is
+    covered and the points between tentatives are too. The next block has
+    twice as many tentatives as the last one gave centers, but no more
+    than would bring about ``_BLOCK_PAIRS`` candidate pairs at the last
+    lookup's rate per tentative (the first block assumes every point is a
+    neighbour).
 
     With ``groups`` (one integer label per point) a center covers only
     points of its own group, so the centers of each group are the greedy
-    cover of that group alone, and the walk returns ``(centers, labels)``:
-    ``labels[i]`` is the position in ``centers`` of the nearest center of
-    i's group (least squared distance, ties to the lowest center; -1 for
-    points a ``stop`` left uncovered). Every center's covered pairs passed
-    the exact test, and a point's nearest center is no farther than the
-    one covering it, so that center is among the kept pairs.
+    cover of that group alone. ``delta`` may then be an array indexed by
+    group label, one radius per group, and ``stop`` an array of per-group
+    center counts: a group that reaches its count marks its remaining
+    points covered (a scalar ``stop`` counts the centers of all groups).
+
+    With ``labels`` the walk returns ``(centers, labels)``: ``labels[i]``
+    is the position in ``centers`` of the nearest center of i's group
+    (least squared distance, ties to the lowest center; -1 for points a
+    stop left uncovered). Every center's covered pairs passed the exact
+    test, and a point's nearest center is no farther than the one
+    covering it, so that center is among the kept pairs; without
+    ``labels`` no pairs are kept.
     """
     n = pts.shape[0]
-    # relative epsilon keeps points at exactly distance delta covered
-    d2max = delta * delta * (1.0 + 1e-12)
+    # relative epsilon keeps points at exactly delta covered
+    d2max = np.asarray(delta, float)
+    with np.errstate(over="ignore"):   # a radius past 1e154 covers all
+        d2max = d2max * d2max * (1.0 + 1e-12)
     # A pair that passes the test is at most sqrt(d2max) apart in each
     # coordinate, up to the rounding of its square: relative where the
     # square is normal, 2^-1074 absolute where it is subnormal.
-    near = _grid_neighbours(pts, np.sqrt(d2max + 2.0 ** -1074) * (1.0 + 1e-9))
-    # covered[n] is the sink for candidates that fail the exact test
-    covered = np.zeros(n + 1, bool)
-    centers, pairs = [], []
+    near = _grid_neighbours(
+        pts, np.sqrt(d2max.max() + 2.0 ** -1074) * (1.0 + 1e-9), groups)
+    per_point = d2max[groups] if d2max.ndim else None
+    covered = np.zeros(n, bool)
+    slot = np.full(n, -1, np.int64)   # a tentative's position in its block
+    left, quota = stop, None
+    if np.ndim(stop):
+        left, quota = None, np.array(stop, np.int64)
+        # a group with a stop of 0 is full before the walk starts
+        full = _fill_quota(quota, np.zeros(0, np.int64))[1]
+        if full is not None:
+            covered |= full[groups]
+    found, pairs = [], []
     cursor, block = 0, max(1, _BLOCK_PAIRS // max(n, 1))
-    while cursor < n and len(centers) != stop:
-        tent = cursor + np.flatnonzero(~covered[cursor:n])[:block]
+    while cursor < n and left != 0:
+        tent = cursor + np.flatnonzero(~covered[cursor:])[:block]
         if tent.size == 0:
             break
         nbr, sizes = near(tent)
-        owner = np.repeat(tent, sizes)
-        diff = pts[nbr] - pts[owner]
+        cand = nbr.size
+        own = np.repeat(np.arange(tent.size), sizes)
+        # np.take: several times faster than fancy indexing on small rows
+        diff = np.take(pts, nbr, axis=0) - np.take(pts, tent[own], axis=0)
         d2 = np.einsum("ij,ij->i", diff, diff)
-        far = d2 > d2max
-        if groups is not None:
-            far |= groups[nbr] != groups[owner]
-        nbr[far] = n
-        before, start = len(centers), 0
-        for t, end in zip(tent.tolist(), np.cumsum(sizes).tolist()):
-            if not covered[t]:
-                centers.append(t)
-                covered[nbr[start:end]] = True
-                if len(centers) == stop:
-                    break
-            start = end
-        if groups is not None:
-            accepted = np.zeros(tent.size, bool)
-            accepted[np.searchsorted(tent, centers[before:])] = True
-            keep = np.repeat(accepted, sizes) & (nbr < n)
-            pairs.append((nbr[keep], d2[keep], owner[keep]))
+        close = d2 <= (d2max if per_point is None else per_point[tent][own])
+        nbr, own = nbr[close], own[close]
+        slot[tent] = np.arange(tent.size)
+        later = slot[nbr]
+        slot[tent] = -1
+        edge = later > own
+        acc = _accept(tent.size, own[edge], later[edge])
+        if left is not None:
+            idx = np.flatnonzero(acc)
+            acc[idx[left:]] = False
+            left -= min(left, idx.size)
+        elif quota is not None:
+            fits, full = _fill_quota(quota, groups[tent[acc]])
+            if full is not None:
+                acc[np.flatnonzero(acc)[~fits]] = False
+                covered |= full[groups]
+        keep = acc[own]
+        covered[nbr[keep]] = True
+        found.append(tent[acc])
+        if labels:
+            pairs.append((nbr[keep], d2[close][keep], tent[own[keep]]))
         cursor = int(tent[-1]) + 1
-        block = max(1, min(2 * (len(centers) - before),
-                           _BLOCK_PAIRS * tent.size // nbr.size))
-    centers = np.asarray(centers, np.int64)
-    if groups is None:
+        block = max(1, min(2 * found[-1].size,
+                           _BLOCK_PAIRS * tent.size // cand))
+    centers = np.concatenate(found) if found else np.zeros(0, np.int64)
+    if not labels:
         return centers
-    pt, d2, cen = map(np.concatenate, zip(*pairs))
-    # per point, the pair of least d2 and then least center comes first
-    order = np.lexsort((cen, d2, pt))
-    first = order[np.r_[True, pt[order[1:]] != pt[order[:-1]]]]
-    labels = np.full(n, -1, np.int64)
-    labels[pt[first]] = np.searchsorted(centers, cen[first])
-    return centers, labels
+    lab = np.full(n, -1, np.int64)
+    if centers.size:   # each center's pair with itself is kept
+        pt, d2, cen = map(np.concatenate, zip(*pairs))
+        # per point, the least d2 and then the least center of that d2
+        best = np.full(n, np.inf)
+        np.minimum.at(best, pt, d2)
+        win = d2 == best[pt]
+        nearest = np.full(n, n)
+        np.minimum.at(nearest, pt[win], cen[win])
+        rank = np.full(n + 1, -1, np.int64)
+        rank[centers] = np.arange(centers.size)
+        lab = rank[nearest]
+    return centers, lab
 
 
 def greedy_packing_pts(pts, sep):
@@ -200,31 +285,51 @@ def assign_nearest_pts(pts, centers):
 
 # Matrix variant for explicit-matrix metric spaces.
 
-def greedy_cover_mat(D, delta, stop=None, groups=None):
+def greedy_cover_mat(D, delta, stop=None, groups=None, labels=False):
     """``greedy_cover_pts`` on a distance matrix: center c covers every j
     with ``D[c, j] <= delta * (1 + 1e-12)`` (and, with ``groups``, of c's
-    group). With ``groups`` it returns ``(centers, labels)``, each label
-    the argmin of ``D[i, c]`` over the centers c of i's group, ties to
-    the lowest center."""
+    group; ``delta`` and ``stop`` may then be per-group arrays, as there).
+    With ``labels`` it returns ``(centers, labels)``, each label the
+    argmin of ``D[i, c]`` over the centers c of i's group, ties to the
+    lowest center, and -1 where no center of i's group covers i."""
     n = D.shape[0]
-    delta = delta * (1.0 + 1e-12)
+    lim = np.asarray(delta, float) * (1.0 + 1e-12)
     covered = np.zeros(n, bool)
+    reached = np.zeros(n, bool)   # covered by a center, not by a stop
+    left, quota = stop, None
+    if np.ndim(stop):
+        left, quota = None, np.array(stop, np.int64)
+        covered |= (quota <= 0)[groups]
     centers = []
-    while len(centers) != stop and not covered.all():
+    while left != 0 and not covered.all():
         idx = int(np.argmin(covered))
         centers.append(idx)
-        reach = D[idx] <= delta
-        if groups is not None:
-            reach &= groups == groups[idx]
-        covered |= reach
+        if groups is None:
+            reach = D[idx] <= lim
+        else:
+            g = groups[idx]
+            reach = (D[idx] <= (lim[g] if lim.ndim else lim)) & (groups == g)
         # a diagonal entry above delta (not a metric) must not stall the loop
-        covered[idx] = True
+        reach[idx] = True
+        reached |= reach
+        covered |= reach
+        if left is not None:
+            left -= 1
+        elif quota is not None:
+            quota[g] -= 1
+            if quota[g] == 0:
+                covered |= groups == g
     centers = np.asarray(centers, np.int64)
-    if groups is None:
+    if not labels:
         return centers
-    block = np.where(groups[:, None] == groups[centers], D[:, centers],
-                     np.inf)
-    return centers, np.argmin(block, axis=1).astype(np.int64)
+    if centers.size == 0:
+        return centers, np.full(n, -1, np.int64)
+    block = D[:, centers]
+    if groups is not None:
+        block = np.where(groups[:, None] == groups[centers], block, np.inf)
+    lab = np.argmin(block, axis=1).astype(np.int64)
+    lab[~reached] = -1
+    return centers, lab
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import numpy as np
 
 from .bound_catalog import as_rate_normalizer, classify_regime
 from .measures import SyntheticSampler, uniform_pair
-from .multiscale import (auto_k_star, build_partition_tree, dyadic_wpp_bound,
-                         line_fit)
+from .multiscale import (auto_k_star, build_partition_trees,
+                         dyadic_wpp_bound, line_fit)
 from .ot_exact import (check_quantile_monotone, wpp_1d_arrays, wpp_mcf,
                        wpp_rows_vs_quantile)
 
@@ -108,12 +108,17 @@ def _quantile_antideriv(sampler: SyntheticSampler, p: float):
     return None
 
 
-def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
-    """Replicate `rep` of size n of a two-sample estimator."""
+def _draw_pair(spec: ExperimentSpec, n: int, rep: int):
+    """Sample (n points) and reference of replicate `rep`."""
     rng = replicate_seed(spec.seed, n, rep)
     pts = spec.sampler.draw(n, rng)
-    ref = spec.sampler.draw(spec.m_ref if spec.m_ref is not None else n, rng)
-    return _ESTIMATORS[spec.estimator].value(spec, pts, ref)
+    return pts, spec.sampler.draw(spec.m_ref if spec.m_ref is not None
+                                  else n, rng)
+
+
+def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
+    """Replicate `rep` of size n of a two-sample estimator."""
+    return _ESTIMATORS[spec.estimator].value(spec, *_draw_pair(spec, n, rep))
 
 
 def _exact_value(spec: ExperimentSpec, pts, ref) -> float:
@@ -124,12 +129,23 @@ def _exact_value(spec: ExperimentSpec, pts, ref) -> float:
     return wpp_mcf(*uniform_pair(pts, ref)[1:], spec.p)[0].value
 
 
-def _dyadic_value(spec: ExperimentSpec, pts, ref) -> float:
-    space, mu, nu = uniform_pair(pts, ref)
+def _dyadic_bounds(spec: ExperimentSpec, pairs) -> np.ndarray:
+    """The dyadic bound of each (sample, reference) pair, all samples of
+    one size; the pairs' trees are built as one forest."""
+    triples = [uniform_pair(pts, ref) for pts, ref in pairs]
     k_star = spec.depth or auto_k_star(   # 0: depth grows with n
-        len(pts), spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
-    tree = build_partition_tree(space, k_star)
-    return dyadic_wpp_bound(tree, mu, nu, spec.p)
+        len(pairs[0][0]), spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
+    trees = build_partition_trees([space for space, _, _ in triples], k_star)
+    return np.asarray([dyadic_wpp_bound(tree, mu, nu, spec.p)
+                       for tree, (_, mu, nu) in zip(trees, triples)])
+
+
+def _dyadic_value(spec: ExperimentSpec, pts, ref) -> float:
+    return float(_dyadic_bounds(spec, [(pts, ref)])[0])
+
+
+def _dyadic_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
+    return _dyadic_bounds(spec, [_draw_pair(spec, n, rep) for rep in reps])
 
 
 def _two_sample_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
@@ -147,8 +163,12 @@ def _quantile_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Estimator:
-    """`block(spec, n, reps)` returns the values of replicates `reps`, a
-    two-sample block each from `value(spec, sample, reference)`; `check`
+    """`block(spec, n, reps)` returns the values of replicates `reps`:
+    `mcf-two-sample` one replicate at a time (`_one_replicate`), `dyadic`
+    with the trees of all its replicates built as one forest
+    (`multiscale.build_partition_trees`), `1d-quantile` as one array of
+    sorted samples. `value(spec, sample, reference)` is a two-sample
+    entry's value on one replicate, equal to its block's; `check`
     refuses a sampler; with `warm_up`, one replicate in the parent loads
     its kernels' scipy modules before a pool forks, for the workers.
     `reads` names the optional spec fields (m_ref, k_star) the entry
@@ -169,7 +189,7 @@ _ESTIMATORS = {
                                  reads=("m_ref",), value=_exact_value),
     "1d-quantile": _Estimator(_quantile_block, "W_p^p(mu_n, mu)",
                               check=_check_quantile_sampler, warm_up=False),
-    "dyadic": _Estimator(_two_sample_block,
+    "dyadic": _Estimator(_dyadic_block,
                          "an upper bound on W_p^p(mu_n, nu_m)",
                          reads=("m_ref", "k_star"), value=_dyadic_value),
 }

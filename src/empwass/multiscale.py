@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -35,16 +35,20 @@ class CoveringEstimate:
                 "centers": [int(c) for c in self.centers]}
 
 
-def _cover(space: FiniteMetricSpace, delta: float, stop: Optional[int] = None,
-           groups: Optional[np.ndarray] = None):
-    """Greedy delta-cover centers of the whole space; with groups, the
-    cover of each group and each point's nearest center of its group (see
-    ``_kernels.greedy_cover_pts``)."""
-    if space.kind == "euclidean":
-        return _kernels.greedy_cover_pts(space.points, float(delta),
-                                         stop=stop, groups=groups)
-    return _kernels.greedy_cover_mat(space.submatrix(np.arange(space.n)),
-                                     float(delta), stop=stop, groups=groups)
+def _walk(kind: str, data: np.ndarray, delta, **kw):
+    """The greedy cover kernel on a space's coordinates (``euclidean``) or
+    distance matrix; ``delta``, ``stop``, ``groups`` and ``labels`` as in
+    ``_kernels.greedy_cover_pts``."""
+    if kind == "euclidean":
+        return _kernels.greedy_cover_pts(data, delta, **kw)
+    return _kernels.greedy_cover_mat(data, delta, **kw)
+
+
+def _cover(space: FiniteMetricSpace, delta: float) -> np.ndarray:
+    """Greedy delta-cover centers of the whole space."""
+    data = (space.points if space.kind == "euclidean"
+            else space.submatrix(np.arange(space.n)))
+    return _walk(space.kind, data, float(delta))
 
 
 def greedy_cover(space: FiniteMetricSpace, delta: float) -> CoveringEstimate:
@@ -140,6 +144,38 @@ def _group(labels: np.ndarray, ncells: int) -> List[np.ndarray]:
     return np.split(order, ends[:-1])
 
 
+def _union(spaces: Sequence[FiniteMetricSpace]):
+    """The interleaved union of spaces of one kind, as
+    ``(kind, data, tree, local, pos)``.
+
+    Union positions are ordered by (local index, space), so point i of
+    space r sits at i*R + r when all R spaces have one size. ``data`` is
+    the union's coordinates, or its block-diagonal distance matrix with
+    +inf off the blocks, which a walk grouped by space never counts.
+    ``tree`` and ``local`` give the space and the local index at each
+    position, and ``pos`` the position of each point of the spaces taken
+    one after another.
+    """
+    kind = spaces[0].kind
+    if any(s.kind != kind or s.dim != spaces[0].dim for s in spaces):
+        raise MultiscaleError(
+            "a forest's spaces must share kind and dimension")
+    sizes = np.array([s.n for s in spaces])
+    starts = np.cumsum(sizes) - sizes
+    tree = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(tree.size) - np.repeat(starts, sizes)
+    perm = np.lexsort((tree, local))
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    if kind == "euclidean":
+        data = np.concatenate([s.points for s in spaces])[perm]
+    else:
+        data = np.full((perm.size, perm.size), np.inf)
+        for s, at in zip(spaces, np.split(pos, starts[1:])):
+            data[np.ix_(at, at)] = s.submatrix(np.arange(s.n))
+    return kind, data, tree[perm], local[perm], pos
+
+
 @dataclass
 class PartitionTree:
     """Nested partitions of the space, stored per level k = 1..k_star as
@@ -161,55 +197,80 @@ class PartitionTree:
     def level_radius(self, k: int) -> float:
         return 4.0 ** (-k) * self.diam
 
-    def verify(self) -> None:
-        """Re-check partition, refinement, diameter, and cardinality.
+    def verify(self, *others: "PartitionTree") -> None:
+        """Re-check partition, refinement, diameter, and cardinality of
+        this tree and of ``others``, all trees of a level at once.
 
-        Partition and refinement are array comparisons. A Euclidean cell
-        whose points all lie within r of its center has diameter <= 2r, so
-        that certificate replaces the pairwise diameter for every cell it
-        clears with a relative margin; other cells, and every cell of a
-        non-Euclidean space, get the exact diameter. The cap is checked by
-        a greedy cover that stops as soon as it reaches the level's cell
-        count.
+        Each tree's cells are numbered after those of the trees before
+        it. Partition and refinement are array comparisons. A Euclidean
+        cell whose points all lie within r of its center has diameter
+        <= 2r, so that certificate replaces the pairwise diameter for
+        every cell it clears its own tree's bound with a relative margin;
+        other cells, and every cell of a non-Euclidean space, get the
+        exact diameter. The cap is checked by one greedy cover walk over
+        the union of the spaces (``_union``), grouped by tree at each
+        tree's radius, in which a tree stops as soon as it reaches its
+        level's cell count. A failure names the first tree that fails
+        the first check.
         """
-        n = self.space.n
-        prev, nprev = np.zeros(n, np.int64), 1
-        for k, (lab, cen, par) in enumerate(
-                zip(self.labels, self.centers, self.parents), start=1):
-            ncells = cen.size
-            if (lab.shape != (n,) or par.shape != (ncells,) or ncells == 0
-                    or lab.min() < 0 or lab.max() >= ncells
-                    or np.bincount(lab, minlength=ncells).min() == 0):
+        trees = (self,) + others
+        spaces = [t.space for t in trees]
+        kind, data, tree, _, _ = _union(spaces)
+        sizes = np.array([s.n for s in spaces])
+        diams = np.array([t.diam for t in trees])
+        starts = np.cumsum(sizes) - sizes
+        points = (np.concatenate([s.points for s in spaces])
+                  if kind == "euclidean" else None)
+        whose = np.arange(len(trees))
+        # level 0: cell r, the root of tree r, holds all of its points
+        prev, pstart = np.repeat(whose, sizes), whose
+        nprev = np.ones_like(whose)
+        for k, level in enumerate(zip(*(zip(t.labels, t.centers, t.parents)
+                                        for t in trees)), start=1):
+            labs, cens, pars = zip(*level)
+            ncells = np.array([c.size for c in cens])
+            if any(lab.shape != (s.n,) or par.shape != (c.size,) or c.size == 0
+                   for lab, c, par, s in zip(labs, cens, pars, spaces)):
                 raise MultiscaleError(f"level {k} does not partition the set")
-            self._check_diameters(k, lab, cen)
-            if (par.min() < 0 or par.max() >= nprev
-                    or np.any(par[lab] != prev)):
+            cstart = np.cumsum(ncells) - ncells
+            lab = np.concatenate(labs)
+            if lab.min() < 0 or np.any(lab >= np.repeat(ncells, sizes)):
+                raise MultiscaleError(f"level {k} does not partition the set")
+            lab = lab + np.repeat(cstart, sizes)
+            if np.bincount(lab, minlength=ncells.sum()).min() == 0:
+                raise MultiscaleError(f"level {k} does not partition the set")
+            owner = np.repeat(whose, ncells)
+            bound = np.array([t.level_radius(k) for t in trees])[owner] + 1e-12
+            if points is not None:
+                cen = np.concatenate(cens) + np.repeat(starts, ncells)
+                diff = points - np.take(points, cen[lab], axis=0)
+                rmax = np.zeros(ncells.sum())
+                np.maximum.at(rmax, lab, np.einsum("ij,ij->i", diff, diff))
+                # the margin absorbs rounding in both distance computations
+                unsure = np.flatnonzero(
+                    2.0 * np.sqrt(rmax) * (1.0 + 1e-9) > bound)
+            else:
+                unsure = np.arange(ncells.sum())
+            if unsure.size:
+                members = _group(lab, ncells.sum())
+                for c in unsure:
+                    r = owner[c]
+                    if diameter(spaces[r], members[c] - starts[r]) > bound[c]:
+                        raise MultiscaleError(
+                            f"cell diameter violated at level {k}")
+            par = np.concatenate(pars)
+            if (par.min() < 0 or np.any(par >= np.repeat(nprev, ncells))
+                    or np.any((par + pstart[owner])[lab] != prev)):
                 raise MultiscaleError(f"refinement violated at level {k}")
-            cap = _cover(self.space, 4.0 ** (-k - 1) * self.diam,
-                         stop=ncells).size
-            if ncells > cap:
-                raise MultiscaleError(
-                    f"level {k} has {ncells} cells, cover cap is {cap}")
-            prev, nprev = lab, ncells
-
-    def _check_diameters(self, k: int, lab: np.ndarray,
-                         cen: np.ndarray) -> None:
-        bound = self.level_radius(k) + 1e-12
-        if self.space.kind == "euclidean":
-            pts = self.space.points
-            diff = pts - pts[cen[lab]]
-            rmax = np.zeros(cen.size)
-            np.maximum.at(rmax, lab, np.einsum("ij,ij->i", diff, diff))
-            # the margin absorbs rounding in both distance computations
-            unsure = np.flatnonzero(2.0 * np.sqrt(rmax) * (1.0 + 1e-9) > bound)
-        else:
-            unsure = np.arange(cen.size)
-        if unsure.size == 0:
-            return
-        members = _group(lab, cen.size)
-        for c in unsure:
-            if diameter(self.space, members[c]) > bound:
-                raise MultiscaleError(f"cell diameter violated at level {k}")
+            cap = np.bincount(tree[_walk(kind, data, 4.0 ** (-k - 1) * diams,
+                                         stop=ncells, groups=tree)],
+                              minlength=len(trees))
+            bad = np.flatnonzero(ncells > cap)
+            if bad.size:
+                r = bad[0]
+                raise MultiscaleError(f"level {k} has {ncells[r]} cells, "
+                                      f"cover cap is {cap[r]}")
+            prev, nprev, pstart = lab, ncells, cstart
 
     def to_dict(self) -> dict:
         return {
@@ -226,39 +287,65 @@ class PartitionTree:
         }
 
 
-def build_partition_tree(space: FiniteMetricSpace,
-                         k_star: int) -> PartitionTree:
-    """Top-down refined partitions of the space with four-fold shrinking
-    diameters.
+def build_partition_trees(spaces: Sequence[FiniteMetricSpace],
+                          k_star: int) -> List[PartitionTree]:
+    """One partition tree per space, built as one forest: top-down
+    refined partitions with four-fold shrinking diameters.
 
     Level-k centers are the greedy cover at radius 4^{-k}*diam/2 of each
-    parent cell, all cells of a level in one grouped cover walk; points go
-    to their nearest center within the parent (ties to the lowest center
+    parent cell, where diam is its own space's diameter; points go to
+    their nearest center within the parent (ties to the lowest center
     index). Cells are numbered by parent, then by center order within the
-    parent.
+    parent. A level of every tree is one grouped cover walk over the
+    interleaved union of the spaces (``_union``): the groups are the
+    level k-1 cells, level 0 being one root cell per space, and each
+    group has its tree's radius. A tree's cells stay contiguous in the
+    union's numbering, so its arrays are sliced out of the union's, equal
+    to those of a build on its space alone. The trees are verified
+    together before they are returned.
     """
     if k_star < 1:
         raise MultiscaleError("k_star must be >= 1")
-    Delta = diameter(space)
+    diams = np.array([diameter(s) for s in spaces])
     # the last radius, or 4^-k_star at zero diameter, must not underflow
-    if math.ldexp(Delta / 2.0 if Delta > 0 else 1.0, -2 * k_star) == 0.0:
-        raise MultiscaleError("k_star too large: the radius "
-                              "4^-k_star*diam/2 underflows to 0")
-    tree = PartitionTree(space, Delta, int(k_star))
-    lab = np.zeros(space.n, np.int64)
+    for Delta in diams:
+        if math.ldexp(Delta / 2.0 if Delta > 0 else 1.0, -2 * k_star) == 0.0:
+            raise MultiscaleError("k_star too large: the radius "
+                                  "4^-k_star*diam/2 underflows to 0")
+    kind, data, tree, local, pos = _union(spaces)
+    trees = [PartitionTree(s, float(D), int(k_star))
+             for s, D in zip(spaces, diams)]
+    cuts = np.cumsum([s.n for s in spaces])[:-1]
+    whose = np.arange(len(spaces))
+    # level 0: one root cell per space, cell r being space r's
+    lab, owner, start = tree, whose, whose
     for k in range(1, k_star + 1):
-        centers, near = _cover(space, math.ldexp(Delta / 2.0, -2 * k),
-                               groups=lab)
+        centers, near = _walk(kind, data, np.ldexp(diams[owner] / 2.0, -2 * k),
+                              groups=lab, labels=True)
         par = lab[centers]
         order = np.argsort(par, kind="stable")
         cell = np.empty_like(order)
         cell[order] = np.arange(order.size)
+        par = par[order]
+        owner = owner[par]
+        first = np.searchsorted(owner, whose)
         lab = cell[near]
-        tree.labels.append(lab)
-        tree.centers.append(centers[order])
-        tree.parents.append(par[order])
-    tree.verify()
-    return tree
+        for t, tl, tc, tp in zip(
+                trees, np.split((lab - first[tree])[pos], cuts),
+                np.split(local[centers[order]], first[1:]),
+                np.split(par - start[owner], first[1:])):
+            t.labels.append(tl)
+            t.centers.append(tc)
+            t.parents.append(tp)
+        start = first
+    trees[0].verify(*trees[1:])
+    return trees
+
+
+def build_partition_tree(space: FiniteMetricSpace,
+                         k_star: int) -> PartitionTree:
+    """The partition tree of one space (``build_partition_trees``)."""
+    return build_partition_trees([space], k_star)[0]
 
 
 def auto_k_star(n: int, alpha: float) -> int:

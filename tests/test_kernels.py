@@ -229,7 +229,8 @@ def test_greedy_cover_matches_oracle(greedy_cover_oracle, case, data):
     ngroups = data.draw(st.integers(1, 4))
     groups = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))) \
         .integers(0, ngroups, pts.shape[0])
-    centers, labels = K.greedy_cover_pts(pts, delta, groups=groups)
+    centers, labels = K.greedy_cover_pts(pts, delta, groups=groups,
+                                             labels=True)
     members = [np.flatnonzero(groups == g) for g in range(ngroups)]
     assert np.array_equal(centers, np.sort(np.concatenate(
         [m[greedy_cover_oracle(pts[m], delta)] for m in members])))
@@ -293,8 +294,10 @@ def test_assign_nearest_matches_brute_force(rng):
             delta = r = float(rng.uniform(0.05, 0.6))
             r2, D = delta * delta, np.sqrt(d2)
         for (got, lab), dist, close in (
-                (K.greedy_cover_pts(pts, delta, groups=groups), d2, d2 <= r2),
-                (K.greedy_cover_mat(D, r, groups=groups), D, D <= r)):
+                (K.greedy_cover_pts(pts, delta, groups=groups, labels=True),
+                 d2, d2 <= r2),
+                (K.greedy_cover_mat(D, r, groups=groups, labels=True),
+                 D, D <= r)):
             assert list(got) == _sequential_greedy(close & same)
             masked = np.where(same[:, got], dist[:, got], np.inf)
             assert list(lab) == _brute_argmin(masked)
@@ -305,3 +308,120 @@ def test_radius_comparison_uses_relative_epsilon():
     pts = np.array([[0.0], [0.3], [0.6], [0.9]])
     assert len(K.greedy_cover_pts(pts, 0.3)) == 2
     assert len(K.greedy_cover_mat(np.abs(pts - pts.T), 0.3)) == 2
+
+
+def _matrix_greedy(D, r, stop=None):
+    """The one-at-a-time matrix cover: the lowest uncovered index is the
+    next center and covers every j with D[c, j] <= r * (1 + 1e-12)."""
+    covered = np.zeros(D.shape[0], bool)
+    centers = []
+    while len(centers) != stop and not covered.all():
+        c = int(np.argmin(covered))
+        centers.append(c)
+        covered |= D[c] <= r * (1.0 + 1e-12)
+        covered[c] = True
+    return np.asarray(centers, np.int64)
+
+
+def test_labels_are_minus_one_where_no_center_of_the_group_covers():
+    # a stop of one center leaves group 1 ({5, 5.1}) without a center, so
+    # its points get no cell, not the cell of group 0's center
+    x = np.array([0.0, 0.1, 5.0, 5.1])
+    groups = np.array([0, 0, 1, 1])
+    for centers, lab in (
+            K.greedy_cover_mat(np.abs(x[:, None] - x[None, :]), 0.5, stop=1,
+                               groups=groups, labels=True),
+            K.greedy_cover_pts(x[:, None], 0.5, stop=1, groups=groups,
+                               labels=True)):
+        assert list(centers) == [0] and list(lab) == [0, 0, -1, -1]
+    # a per-group stop of 0 leaves its group uncovered the same way
+    for centers, lab in (
+            K.greedy_cover_mat(np.abs(x[:, None] - x[None, :]), 0.5,
+                               stop=np.array([1, 0]), groups=groups,
+                               labels=True),
+            K.greedy_cover_pts(x[:, None], 0.5, stop=np.array([1, 0]),
+                               groups=groups, labels=True)):
+        assert list(centers) == [0] and list(lab) == [0, 0, -1, -1]
+
+
+def _grouped_oracle(cover, dist, within, groups, radii, stops):
+    """Centers and labels of a walk with per-group radius and stop, from
+    each group's cover alone: ``cover(members, radius, stop)`` gives the
+    group's centers (member positions), ``dist`` and ``within`` the
+    label distances and the cover test between points and centers."""
+    per_group = []
+    for g in range(radii.size):
+        m = np.flatnonzero(groups == g)
+        per_group.append(m[cover(m, radii[g], stops[g])] if m.size
+                         else np.zeros(0, np.int64))
+    centers = np.sort(np.concatenate(per_group))
+    labels = np.full(groups.size, -1, np.int64)
+    for s in range(0, groups.size if centers.size else 0, 256):
+        rows = np.arange(s, min(s + 256, groups.size))
+        same = groups[rows, None] == groups[centers][None, :]
+        d = np.where(same, dist(rows, centers), np.inf)
+        hit = (same & within(rows, centers, radii[groups[rows]])).any(axis=1)
+        # np.argmin takes the first, so the lowest, of tied centers
+        labels[rows[hit]] = np.argmin(d[hit], axis=1)
+    return centers, labels
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cover_inputs(), st.data())
+@np.errstate(over="ignore")   # the "wide" radii square past the float range
+def test_per_group_radius_and_stop_match_oracle(greedy_cover_oracle, case,
+                                                data):
+    """A walk with a radius and a stop per group equals the greedy cover
+    of each group alone, with -1 labels where a stop left a point
+    uncovered; without groups it is the oracle on the whole set."""
+    pts, delta = case
+    n = pts.shape[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ngroups = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        groups = rng.integers(0, ngroups, n)
+    else:   # contiguous groups: each a run of a sorted line is a chain
+        groups = np.sort(rng.integers(0, ngroups, n))
+    radii = delta * rng.choice([0.25, 0.5, 1.0, 2.0], ngroups)
+    stops = rng.integers(0, 12, ngroups)
+    if data.draw(st.booleans()):
+        stops[:] = n   # no group reaches its stop
+
+    def pts_dist(rows, cols):
+        diff = pts[rows][:, None, :] - pts[cols][None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    def pts_within(rows, cols, r):
+        return pts_dist(rows, cols) <= (r * r * (1.0 + 1e-12))[:, None]
+
+    centers, labels = K.greedy_cover_pts(pts, radii, stop=stops,
+                                         groups=groups, labels=True)
+    want_c, want_l = _grouped_oracle(
+        lambda m, r, s: greedy_cover_oracle(pts[m], r, stop=s),
+        pts_dist, pts_within, groups, radii, stops)
+    assert np.array_equal(centers, want_c)
+    assert np.array_equal(labels, want_l)
+    assert np.array_equal(
+        K.greedy_cover_pts(pts, radii, stop=stops, groups=groups), want_c)
+    # ungrouped, with labels: one group under the scalar radius and stop
+    stop = int(stops[0]) or None
+    centers, labels = K.greedy_cover_pts(pts, delta, stop=stop, labels=True)
+    want_c, want_l = _grouped_oracle(
+        lambda m, r, s: greedy_cover_oracle(pts[m], r, stop=s),
+        pts_dist, pts_within, np.zeros(n, np.int64), np.array([delta]),
+        [stop])
+    assert np.array_equal(centers, want_c)
+    assert np.array_equal(labels, want_l)
+    if n <= 300:
+        D = np.sqrt(pts_dist(np.arange(n), np.arange(n)))
+        centers, labels = K.greedy_cover_mat(D, radii, stop=stops,
+                                             groups=groups, labels=True)
+        want_c, want_l = _grouped_oracle(
+            lambda m, r, s: _matrix_greedy(D[np.ix_(m, m)], r, stop=s),
+            lambda rows, cols: D[np.ix_(rows, cols)],
+            lambda rows, cols, r: (D[np.ix_(cols, rows)].T
+                                   <= (r * (1.0 + 1e-12))[:, None]),
+            groups, radii, stops)
+        assert np.array_equal(centers, want_c)
+        assert np.array_equal(labels, want_l)

@@ -7,6 +7,7 @@ import pytest
 
 from empwass import mc_harness
 from empwass.measures import sampler_from_string
+from empwass.multiscale import MultiscaleError
 from empwass.bound_catalog import hoeffding_bound
 from empwass.mc_harness import (ExperimentSpec, HarnessError, _one_replicate,
                                 _run_replicates, fit_bound_constant,
@@ -125,11 +126,13 @@ def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
                     (text, R, workers)
 
 
-@pytest.mark.parametrize("estimator", ["mcf-two-sample", "dyadic"])
+@pytest.mark.parametrize("estimator", ["mcf-two-sample"])
 def test_two_sample_replicates_resolve_the_module_name(monkeypatch,
                                                        estimator):
     # a tracer rebinds mc_harness._one_replicate to count replicates; the
     # blocks must call it by that name, not through a stored reference
+    # (a dyadic block builds its replicates' trees together and does not
+    # go through _one_replicate)
     calls = []
     original = mc_harness._one_replicate
 
@@ -143,6 +146,35 @@ def test_two_sample_replicates_resolve_the_module_name(monkeypatch,
     run_rate_experiment(spec)
     assert sorted(calls) == [(n, rep) for n in spec.n_grid
                              for rep in range(spec.replicates)]
+
+
+def test_dyadic_block_values_do_not_depend_on_the_blocks():
+    # a dyadic block builds its replicates' trees as one forest; however
+    # replicates 0-99 are split, each value is the replicate's own
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator="dyadic", n_grid=(32,), replicates=100, k_star=0)
+    whole = mc_harness._dyadic_block(spec, 32, range(100))
+    singles = np.asarray([_one_replicate(spec, 32, rep) for rep in range(100)])
+    assert whole.dtype == singles.dtype
+    assert whole.tobytes() == singles.tobytes()
+    rng = np.random.default_rng(5)
+    for parts in (2, 7, 30):
+        cuts = np.r_[0, np.sort(rng.choice(np.arange(1, 100), parts - 1,
+                                           replace=False)), 100]
+        got = np.concatenate([mc_harness._dyadic_block(spec, 32, range(a, b))
+                              for a, b in zip(cuts, cuts[1:])])
+        assert got.tobytes() == whole.tobytes()
+
+
+def test_dyadic_block_holding_the_cap_defect_raises():
+    # seed 1, n = 32, replicate 26 is the tree of
+    # test_known_cap_defect_uniform_square: a block holding it fails as
+    # that replicate alone does
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator="dyadic", n_grid=(32,), seed=1, k_star=0)
+    with pytest.raises(MultiscaleError,
+                       match="^level 2 has 64 cells, cover cap is 63$"):
+        mc_harness._dyadic_block(spec, 32, range(24, 32))
 
 
 def test_pool_is_capped_by_tasks_and_cores(monkeypatch):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from empwass.measures import DiscreteMeasure, sampler_from_string
 from empwass.metric_core import FiniteMetricSpace, diameter
 from empwass.multiscale import (DegenerateFitError, MultiscaleError,
                                 PartitionTree, auto_delta_grid, auto_k_star,
-                                build_partition_tree, dyadic_wpp_bound,
+                                build_partition_tree, build_partition_trees,
+                                dyadic_wpp_bound,
                                 fit_dimension, greedy_cover)
 from empwass.ot_exact import wpp_mcf
 
@@ -408,6 +410,89 @@ def test_partition_tree_matches_per_parent_builder(partition_tree_oracle,
         assert len(got) == len(want) == k_star
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@st.composite
+def _forests(draw):
+    """Two to four spaces of one kind for one forest: point clouds in
+    d = 1..3 of one size or of unequal sizes, on coarse grids (duplicate
+    points, exact distance ties) or uniform, the second possibly a point
+    mass (zero diameter); or explicit matrices of their distances."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 150), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        sizes = [sizes[0]] * len(sizes)
+    grid = draw(st.sampled_from([2, 3, 8, 0]))
+    point_mass = draw(st.booleans())
+    matrix = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spaces = []
+    for r, n in enumerate(sizes):
+        pts = rng.integers(0, grid, (n, d)).astype(float) if grid else \
+            rng.random((n, d))
+        if r == 1 and point_mass:
+            pts[:] = 0.5
+        space = FiniteMetricSpace.from_points(pts)
+        if matrix:
+            space = FiniteMetricSpace.from_matrix(
+                space.submatrix(np.arange(n)))
+        spaces.append(space)
+    return spaces, draw(st.integers(1, 3))
+
+
+def _first_failure(verdicts):
+    """The verdict a batched check gives: the failing tree of the lowest
+    level, the first such tree on a tie (built trees can fail only the
+    cap, the last check of a level)."""
+    failing = [(int(re.search(r"level (\d+)", v).group(1)), i)
+               for i, v in enumerate(verdicts) if v is not None]
+    return verdicts[min(failing)[1]] if failing else None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_forests())
+def test_forest_matches_per_space_builds(partition_tree_oracle, case):
+    """Each tree of a forest has the label, center and parent arrays of
+    the per-parent builder on its space alone, and the batched verify
+    fails exactly as the trees' own checks do."""
+    spaces, k_star = case
+    with mock.patch.object(PartitionTree, "verify",
+                           lambda self, *others: None):
+        trees = build_partition_trees(spaces, k_star)
+    assert len(trees) == len(spaces)
+    for space, tree in zip(spaces, trees):
+        assert tree.space is space and tree.diam == diameter(space)
+        labels, centers, parents = partition_tree_oracle(space, k_star)
+        for got, want in ((tree.labels, labels), (tree.centers, centers),
+                          (tree.parents, parents)):
+            assert len(got) == len(want) == k_star
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+    verdicts = [_verdict(PartitionTree.verify, t) for t in trees]
+    assert _verdict(lambda t: t.verify(*trees[1:]), trees[0]) == \
+        _first_failure(verdicts)
+
+
+def test_batched_verify_checks_every_tree():
+    # two valid trees and a third whose level-2 cell holds a far point:
+    # the batch names the diameter failure whatever the tree's place
+    spaces = [FiniteMetricSpace.from_points(
+        np.random.default_rng(seed).random((300, 2))) for seed in (15, 16)]
+    good = build_partition_trees(spaces, 2)
+    bad = _square_tree()
+    lab, cen = bad.labels[1], bad.centers[1]
+    i = int(np.flatnonzero(np.bincount(lab)[lab] > 1)[0])
+    pts = bad.space.points
+    lab[i] = int(np.argmax(np.linalg.norm(pts[cen] - pts[i], axis=1)))
+    for trees in ((bad, *good), (good[0], bad, good[1]), (*good, bad)):
+        with pytest.raises(MultiscaleError,
+                           match="cell diameter violated at level 2"):
+            trees[0].verify(*trees[1:])
+    good[0].verify(good[1])
+    with pytest.raises(MultiscaleError, match="share kind and dimension"):
+        build_partition_trees([spaces[0], FiniteMetricSpace.from_matrix(
+            spaces[1].submatrix(np.arange(300)))], 2)
 
 
 @pytest.mark.xfail(strict=True, raises=MultiscaleError,
