@@ -11,8 +11,10 @@ Each scipy submodule is imported inside the kernel that calls it: loading
 ``scipy.optimize`` takes 0.40-0.50 s and about 40 MB, and a subcommand
 that never solves an LP should not pay for it. The assignment path loads
 only scipy's compiled ``scipy.optimize._lsap`` (see
-``ot_exact.linear_sum_assignment``). The greedy cover finds its
-neighbour candidates in a numpy cell grid and loads no scipy module.
+``ot_exact.linear_sum_assignment``). The greedy cover is one walk
+(``_cover_walk``) for point arrays and distance matrices alike; a point
+array finds its neighbour candidates in a numpy cell grid, a matrix
+reads its tentatives' rows, and neither loads a scipy module.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def wpp_staircase(xa, ca, xb, cb, p):
 
 
 # ---------------------------------------------------------------------------
-# Greedy covering / packing on Euclidean point arrays
+# Greedy covering / packing on point arrays and distance matrices
 # ---------------------------------------------------------------------------
 
 # Candidate pairs a block of the cover walk aims at: enough that the fixed
@@ -156,24 +158,93 @@ def _fill_quota(quota, grp):
     return fits, full
 
 
+def _cover_walk(n, pairs, stop, groups, labels):
+    """The greedy cover walk over points 0..n-1, shared by both kernels:
+    ``pairs(tent)`` gives, for the tentative centers ``tent`` (ascending),
+    the arrays ``(nbr, own, dist)`` of the pairs in which ``tent[own[e]]``
+    covers point ``nbr[e]`` at distance ``dist[e]`` (each tentative with
+    itself among them), and the number of candidate pairs it looked at.
+
+    The walk takes the next block of uncovered points in index order as
+    tentative centers. A tentative is blocked by each earlier tentative of
+    the block that covers it, and ``_accept`` decides the block in
+    rounds: these are the tentatives the one-at-a-time loop accepts,
+    since every point before the block is covered and the points between
+    tentatives are too. The next block has twice as many tentatives as
+    the last one gave centers, but no more than would bring about
+    ``_BLOCK_PAIRS`` candidate pairs at the last lookup's rate per
+    tentative (the first block assumes every point is a candidate).
+
+    ``stop`` is a center count per group, or one count for all points: a
+    group that reaches its count marks its remaining points covered. With
+    ``labels`` it returns ``(centers, labels)``: ``labels[i]`` is the
+    position in ``centers`` of the center nearest i among the accepted
+    centers covering it (least distance, ties to the lowest center; -1
+    where none covers i); without ``labels`` no pairs are kept.
+    """
+    covered = np.zeros(n, bool)
+    slot = np.full(n, -1, np.int64)   # a tentative's position in its block
+    quota = None
+    if stop is not None:
+        quota = np.array(stop, np.int64).reshape(-1)
+        counted = groups if np.ndim(stop) else np.zeros(n, np.int64)
+        # a group with a stop of 0 is full before the walk starts
+        full = _fill_quota(quota, np.zeros(0, np.int64))[1]
+        if full is not None:
+            covered |= full[counted]
+    found, kept = [], []
+    cursor, block = 0, max(1, _BLOCK_PAIRS // max(n, 1))
+    while cursor < n:
+        tent = cursor + np.flatnonzero(~covered[cursor:])[:block]
+        if tent.size == 0:
+            break
+        nbr, own, dist, cand = pairs(tent)
+        slot[tent] = np.arange(tent.size)
+        later = slot[nbr]
+        slot[tent] = -1
+        edge = later > own
+        acc = _accept(tent.size, own[edge], later[edge])
+        if quota is not None:
+            fits, full = _fill_quota(quota, counted[tent[acc]])
+            if full is not None:
+                acc[np.flatnonzero(acc)[~fits]] = False
+                covered |= full[counted]
+        keep = acc[own]
+        covered[nbr[keep]] = True
+        found.append(tent[acc])
+        if labels:
+            kept.append((nbr[keep], dist[keep], tent[own[keep]]))
+        cursor = int(tent[-1]) + 1
+        block = max(1, min(2 * found[-1].size,
+                           _BLOCK_PAIRS * tent.size // cand))
+    centers = np.concatenate(found) if found else np.zeros(0, np.int64)
+    if not labels:
+        return centers
+    lab = np.full(n, -1, np.int64)
+    if centers.size:   # each center's pair with itself is kept
+        pt, dist, cen = map(np.concatenate, zip(*kept))
+        # per point, the least distance and then the least center of it
+        best = np.full(n, np.inf)
+        np.minimum.at(best, pt, dist)
+        win = dist == best[pt]
+        nearest = np.full(n, n)
+        np.minimum.at(nearest, pt[win], cen[win])
+        rank = np.full(n + 1, -1, np.int64)
+        rank[centers] = np.arange(centers.size)
+        lab = rank[nearest]
+    return centers, lab
+
+
 def greedy_cover_pts(pts, delta, stop=None, groups=None, labels=False):
     """Centers in index order: each is the lowest-index point not within
     delta of an earlier center. With ``stop`` the walk ends once it has
     placed that many centers.
 
     "Within" is ``sum((x - c)**2) <= delta**2 * (1 + 1e-12)`` over the
-    coordinates, summed in order. The walk takes the next block of
-    uncovered points in index order as tentative centers, finds a superset
-    of their neighbours with one lookup in a cell grid (``_grid_neighbours``)
-    and keeps the pairs that pass the test above. A tentative is blocked
-    by each earlier tentative of the block that covers it, and ``_accept``
-    decides the block in rounds: these are the tentatives the
-    one-at-a-time loop accepts, since every point before the block is
-    covered and the points between tentatives are too. The next block has
-    twice as many tentatives as the last one gave centers, but no more
-    than would bring about ``_BLOCK_PAIRS`` candidate pairs at the last
-    lookup's rate per tentative (the first block assumes every point is a
-    neighbour).
+    coordinates, summed in order. Each block of the walk (``_cover_walk``)
+    finds a superset of its tentatives' neighbours with one lookup in a
+    cell grid (``_grid_neighbours``) and keeps the pairs that pass the
+    test above.
 
     With ``groups`` (one integer label per point) a center covers only
     points of its own group, so the centers of each group are the greedy
@@ -187,10 +258,8 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None, labels=False):
     (least squared distance, ties to the lowest center; -1 for points a
     stop left uncovered). Every center's covered pairs passed the exact
     test, and a point's nearest center is no farther than the one
-    covering it, so that center is among the kept pairs; without
-    ``labels`` no pairs are kept.
+    covering it, so that center is among the kept pairs.
     """
-    n = pts.shape[0]
     # relative epsilon keeps points at exactly delta covered
     d2max = np.asarray(delta, float)
     with np.errstate(over="ignore"):   # a radius past 1e154 covers all
@@ -201,67 +270,39 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None, labels=False):
     near = _grid_neighbours(
         pts, np.sqrt(d2max.max() + 2.0 ** -1074) * (1.0 + 1e-9), groups)
     per_point = d2max[groups] if d2max.ndim else None
-    covered = np.zeros(n, bool)
-    slot = np.full(n, -1, np.int64)   # a tentative's position in its block
-    left, quota = stop, None
-    if np.ndim(stop):
-        left, quota = None, np.array(stop, np.int64)
-        # a group with a stop of 0 is full before the walk starts
-        full = _fill_quota(quota, np.zeros(0, np.int64))[1]
-        if full is not None:
-            covered |= full[groups]
-    found, pairs = [], []
-    cursor, block = 0, max(1, _BLOCK_PAIRS // max(n, 1))
-    while cursor < n and left != 0:
-        tent = cursor + np.flatnonzero(~covered[cursor:])[:block]
-        if tent.size == 0:
-            break
+
+    def pairs(tent):
         nbr, sizes = near(tent)
-        cand = nbr.size
         own = np.repeat(np.arange(tent.size), sizes)
         # np.take: several times faster than fancy indexing on small rows
         diff = np.take(pts, nbr, axis=0) - np.take(pts, tent[own], axis=0)
         d2 = np.einsum("ij,ij->i", diff, diff)
         close = d2 <= (d2max if per_point is None else per_point[tent][own])
-        nbr, own = nbr[close], own[close]
-        slot[tent] = np.arange(tent.size)
-        later = slot[nbr]
-        slot[tent] = -1
-        edge = later > own
-        acc = _accept(tent.size, own[edge], later[edge])
-        if left is not None:
-            idx = np.flatnonzero(acc)
-            acc[idx[left:]] = False
-            left -= min(left, idx.size)
-        elif quota is not None:
-            fits, full = _fill_quota(quota, groups[tent[acc]])
-            if full is not None:
-                acc[np.flatnonzero(acc)[~fits]] = False
-                covered |= full[groups]
-        keep = acc[own]
-        covered[nbr[keep]] = True
-        found.append(tent[acc])
-        if labels:
-            pairs.append((nbr[keep], d2[close][keep], tent[own[keep]]))
-        cursor = int(tent[-1]) + 1
-        block = max(1, min(2 * found[-1].size,
-                           _BLOCK_PAIRS * tent.size // cand))
-    centers = np.concatenate(found) if found else np.zeros(0, np.int64)
-    if not labels:
-        return centers
-    lab = np.full(n, -1, np.int64)
-    if centers.size:   # each center's pair with itself is kept
-        pt, d2, cen = map(np.concatenate, zip(*pairs))
-        # per point, the least d2 and then the least center of that d2
-        best = np.full(n, np.inf)
-        np.minimum.at(best, pt, d2)
-        win = d2 == best[pt]
-        nearest = np.full(n, n)
-        np.minimum.at(nearest, pt[win], cen[win])
-        rank = np.full(n + 1, -1, np.int64)
-        rank[centers] = np.arange(centers.size)
-        lab = rank[nearest]
-    return centers, lab
+        return nbr[close], own[close], d2[close], nbr.size
+
+    return _cover_walk(pts.shape[0], pairs, stop, groups, labels)
+
+
+def greedy_cover_mat(D, delta, stop=None, groups=None, labels=False):
+    """``greedy_cover_pts`` on a distance matrix: center c covers every j
+    with ``D[c, j] <= delta * (1 + 1e-12)`` (and, with ``groups``, of c's
+    group; ``delta`` and ``stop`` may then be per-group arrays, as there),
+    and always itself. With ``labels`` it returns ``(centers, labels)``,
+    each label the covering center of least ``D[c, i]``, ties to the
+    lowest center, and -1 where no center of i's group covers i."""
+    lim = np.asarray(delta, float) * (1.0 + 1e-12)
+
+    def pairs(tent):
+        rows = D[tent]
+        hit = rows <= (lim[groups[tent], None] if lim.ndim else lim)
+        if groups is not None:
+            hit &= groups[tent, None] == groups
+        # a diagonal entry above delta (not a metric) must not stall the walk
+        hit[np.arange(tent.size), tent] = True
+        own, nbr = np.nonzero(hit)
+        return nbr, own, rows[own, nbr], hit.size
+
+    return _cover_walk(D.shape[0], pairs, stop, groups, labels)
 
 
 def greedy_packing_pts(pts, sep):
@@ -281,55 +322,6 @@ def assign_nearest_pts(pts, centers):
     diff = pts[:, None, :] - centers[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return np.argmin(d2, axis=1).astype(np.int64)
-
-
-# Matrix variant for explicit-matrix metric spaces.
-
-def greedy_cover_mat(D, delta, stop=None, groups=None, labels=False):
-    """``greedy_cover_pts`` on a distance matrix: center c covers every j
-    with ``D[c, j] <= delta * (1 + 1e-12)`` (and, with ``groups``, of c's
-    group; ``delta`` and ``stop`` may then be per-group arrays, as there).
-    With ``labels`` it returns ``(centers, labels)``, each label the
-    argmin of ``D[i, c]`` over the centers c of i's group, ties to the
-    lowest center, and -1 where no center of i's group covers i."""
-    n = D.shape[0]
-    lim = np.asarray(delta, float) * (1.0 + 1e-12)
-    covered = np.zeros(n, bool)
-    reached = np.zeros(n, bool)   # covered by a center, not by a stop
-    left, quota = stop, None
-    if np.ndim(stop):
-        left, quota = None, np.array(stop, np.int64)
-        covered |= (quota <= 0)[groups]
-    centers = []
-    while left != 0 and not covered.all():
-        idx = int(np.argmin(covered))
-        centers.append(idx)
-        if groups is None:
-            reach = D[idx] <= lim
-        else:
-            g = groups[idx]
-            reach = (D[idx] <= (lim[g] if lim.ndim else lim)) & (groups == g)
-        # a diagonal entry above delta (not a metric) must not stall the loop
-        reach[idx] = True
-        reached |= reach
-        covered |= reach
-        if left is not None:
-            left -= 1
-        elif quota is not None:
-            quota[g] -= 1
-            if quota[g] == 0:
-                covered |= groups == g
-    centers = np.asarray(centers, np.int64)
-    if not labels:
-        return centers
-    if centers.size == 0:
-        return centers, np.full(n, -1, np.int64)
-    block = D[:, centers]
-    if groups is not None:
-        block = np.where(groups[:, None] == groups[centers], block, np.inf)
-    lab = np.argmin(block, axis=1).astype(np.int64)
-    lab[~reached] = -1
-    return centers, lab
 
 
 # ---------------------------------------------------------------------------

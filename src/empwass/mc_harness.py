@@ -117,35 +117,25 @@ def _draw_pair(spec: ExperimentSpec, n: int, rep: int):
 
 
 def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
-    """Replicate `rep` of size n of a two-sample estimator."""
-    return _ESTIMATORS[spec.estimator].value(spec, *_draw_pair(spec, n, rep))
-
-
-def _exact_value(spec: ExperimentSpec, pts, ref) -> float:
-    if spec.sampler.d == 1:   # the staircase on the line
-        n, m = len(pts), len(ref)
+    """The exact W_p^p between sample and reference of replicate `rep`
+    of size n: the staircase on the line, else one transport solve."""
+    pts, ref = _draw_pair(spec, n, rep)
+    if spec.sampler.d == 1:
+        m = len(ref)
         return wpp_1d_arrays(pts[:, 0], np.full(n, 1.0 / n),
                              ref[:, 0], np.full(m, 1.0 / m), spec.p)
     return wpp_mcf(*uniform_pair(pts, ref)[1:], spec.p)[0].value
 
 
-def _dyadic_bounds(spec: ExperimentSpec, pairs) -> np.ndarray:
-    """The dyadic bound of each (sample, reference) pair, all samples of
-    one size; the pairs' trees are built as one forest."""
-    triples = [uniform_pair(pts, ref) for pts, ref in pairs]
+def _dyadic_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
+    """The dyadic bound of each replicate in `reps`, their trees built as
+    one forest."""
+    triples = [uniform_pair(*_draw_pair(spec, n, rep)) for rep in reps]
     k_star = spec.depth or auto_k_star(   # 0: depth grows with n
-        len(pairs[0][0]), spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
+        n, spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
     trees = build_partition_trees([space for space, _, _ in triples], k_star)
     return np.asarray([dyadic_wpp_bound(tree, mu, nu, spec.p)
                        for tree, (_, mu, nu) in zip(trees, triples)])
-
-
-def _dyadic_value(spec: ExperimentSpec, pts, ref) -> float:
-    return float(_dyadic_bounds(spec, [(pts, ref)])[0])
-
-
-def _dyadic_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
-    return _dyadic_bounds(spec, [_draw_pair(spec, n, rep) for rep in reps])
 
 
 def _two_sample_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
@@ -167,16 +157,14 @@ class _Estimator:
     `mcf-two-sample` one replicate at a time (`_one_replicate`), `dyadic`
     with the trees of all its replicates built as one forest
     (`multiscale.build_partition_trees`), `1d-quantile` as one array of
-    sorted samples. `value(spec, sample, reference)` is a two-sample
-    entry's value on one replicate, equal to its block's; `check`
-    refuses a sampler; with `warm_up`, one replicate in the parent loads
-    its kernels' scipy modules before a pool forks, for the workers.
-    `reads` names the optional spec fields (m_ref, k_star) the entry
-    uses; a spec that sets any other is refused."""
+    sorted samples. `check` refuses a sampler; with `warm_up`, one
+    replicate in the parent loads its kernels' scipy modules before a
+    pool forks, for the workers. `reads` names the optional spec fields
+    (m_ref, k_star) the entry uses; a spec that sets any other is
+    refused."""
     block: Callable
     measures: str    # the quantity each value estimates
     reads: Tuple[str, ...] = ()
-    value: Optional[Callable] = None
     check: Optional[Callable] = None
     warm_up: bool = True
 
@@ -186,12 +174,12 @@ class _Estimator:
 # through `secrets`, OpenSSL to the parent (+6 MB peak RSS).
 _ESTIMATORS = {
     "mcf-two-sample": _Estimator(_two_sample_block, "W_p^p(mu_n, nu_m)",
-                                 reads=("m_ref",), value=_exact_value),
+                                 reads=("m_ref",)),
     "1d-quantile": _Estimator(_quantile_block, "W_p^p(mu_n, mu)",
                               check=_check_quantile_sampler, warm_up=False),
     "dyadic": _Estimator(_dyadic_block,
                          "an upper bound on W_p^p(mu_n, nu_m)",
-                         reads=("m_ref", "k_star"), value=_dyadic_value),
+                         reads=("m_ref", "k_star")),
 }
 
 

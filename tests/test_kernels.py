@@ -344,6 +344,25 @@ def test_labels_are_minus_one_where_no_center_of_the_group_covers():
         assert list(centers) == [0] and list(lab) == [0, 0, -1, -1]
 
 
+def test_matrix_center_covers_itself_above_a_diagonal_of_delta():
+    # not a metric: the diagonal entries of 0 and 3 exceed their group's
+    # radius, yet each becomes a center, covers itself and labels itself;
+    # the cross-group entries of 0.1 cover nothing, and group 1's stop of
+    # one center leaves 5 without a cell
+    D = np.array([[2.0, 0.5, 3.0, 0.1, 0.1, 0.1],
+                  [0.5, 0.0, 0.9, 0.1, 0.1, 0.1],
+                  [3.0, 0.9, 0.0, 0.1, 0.1, 0.1],
+                  [0.1, 0.1, 0.1, 2.5, 0.2, 5.0],
+                  [0.1, 0.1, 0.1, 0.2, 0.0, 5.0],
+                  [0.1, 0.1, 0.1, 5.0, 5.0, 0.0]])
+    groups = np.array([0, 0, 0, 1, 1, 1])
+    centers, lab = K.greedy_cover_mat(D, np.array([1.0, 2.0]),
+                                      stop=np.array([3, 1]), groups=groups,
+                                      labels=True)
+    assert list(centers) == [0, 2, 3]
+    assert list(lab) == [0, 0, 1, 2, 2, -1]
+
+
 def _grouped_oracle(cover, dist, within, groups, radii, stops):
     """Centers and labels of a walk with per-group radius and stop, from
     each group's cover alone: ``cover(members, radius, stop)`` gives the
@@ -415,13 +434,18 @@ def test_per_group_radius_and_stop_match_oracle(greedy_cover_oracle, case,
     assert np.array_equal(labels, want_l)
     if n <= 300:
         D = np.sqrt(pts_dist(np.arange(n), np.arange(n)))
-        centers, labels = K.greedy_cover_mat(D, radii, stop=stops,
-                                             groups=groups, labels=True)
-        want_c, want_l = _grouped_oracle(
-            lambda m, r, s: _matrix_greedy(D[np.ix_(m, m)], r, stop=s),
-            lambda rows, cols: D[np.ix_(rows, cols)],
-            lambda rows, cols, r: (D[np.ix_(cols, rows)].T
-                                   <= (r * (1.0 + 1e-12))[:, None]),
-            groups, radii, stops)
-        assert np.array_equal(centers, want_c)
-        assert np.array_equal(labels, want_l)
+        # grouped with per-group radius and stop, then ungrouped with the
+        # scalar radius and stop, as for the points above
+        for got, grp, rad, stp in (
+                (K.greedy_cover_mat(D, radii, stop=stops, groups=groups,
+                                    labels=True), groups, radii, stops),
+                (K.greedy_cover_mat(D, delta, stop=stop, labels=True),
+                 np.zeros(n, np.int64), np.array([delta]), [stop])):
+            want_c, want_l = _grouped_oracle(
+                lambda m, r, s: _matrix_greedy(D[np.ix_(m, m)], r, stop=s),
+                lambda rows, cols: D[np.ix_(rows, cols)],
+                lambda rows, cols, r: (D[np.ix_(cols, rows)].T
+                                       <= (r * (1.0 + 1e-12))[:, None]),
+                grp, rad, stp)
+            assert np.array_equal(got[0], want_c)
+            assert np.array_equal(got[1], want_l)

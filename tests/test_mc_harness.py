@@ -114,6 +114,9 @@ def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
                     sampler.draw(n, replicate_seed(19, n, rep))[:, 0],
                     sampler.quantile, p, quantile_antideriv=anti).value
                     for rep in range(R)])
+            elif est == "dyadic":
+                want.append([mc_harness._dyadic_block(
+                    spec, n, range(rep, rep + 1))[0] for rep in range(R)])
             else:
                 want.append([_one_replicate(spec, n, rep)
                              for rep in range(R)])
@@ -154,7 +157,9 @@ def test_dyadic_block_values_do_not_depend_on_the_blocks():
     spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
                  estimator="dyadic", n_grid=(32,), replicates=100, k_star=0)
     whole = mc_harness._dyadic_block(spec, 32, range(100))
-    singles = np.asarray([_one_replicate(spec, 32, rep) for rep in range(100)])
+    singles = np.concatenate([mc_harness._dyadic_block(spec, 32,
+                                                       range(rep, rep + 1))
+                              for rep in range(100)])
     assert whole.dtype == singles.dtype
     assert whole.tobytes() == singles.tobytes()
     rng = np.random.default_rng(5)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from empwass.mc_harness import ExperimentSpec, _one_replicate
+from empwass.mc_harness import ExperimentSpec, _dyadic_block
 from empwass.measures import DiscreteMeasure, sampler_from_string
 from empwass.metric_core import FiniteMetricSpace, diameter
 from empwass.multiscale import (DegenerateFitError, MultiscaleError,
@@ -502,7 +502,7 @@ def test_batched_verify_checks_every_tree():
 def test_known_cap_defect_uniform_square():
     spec = ExperimentSpec(sampler_from_string("uniform-cube:2"), 1.0,
                           "dyadic", (32,), 1, seed=1, k_star=0)
-    _one_replicate(spec, 32, 26)
+    _dyadic_block(spec, 32, range(26, 27))
 
 
 @st.composite
