@@ -102,10 +102,14 @@ def _cmd_cover(args):
 
 
 def _cmd_dim(args):
+    if args.scales is not None and args.delta_grid != "auto":
+        raise ValueError("an explicit --delta-grid reads no --scales; "
+                         "leave it unset")
     space = load_points_csv(args.points)
     try:
         if args.delta_grid == "auto":
-            deltas = auto_delta_grid(space, args.scales)
+            deltas = (auto_delta_grid(space) if args.scales is None
+                      else auto_delta_grid(space, args.scales))
         else:
             deltas = _parse_xgrid(args.delta_grid, "delta")
         fit = fit_dimension(space, deltas).to_dict()
@@ -245,6 +249,8 @@ def _cmd_asrun(args):
 
 
 def _cmd_verify_appendix(args):
+    if args.a is not None and args.dist != "pareto":
+        raise ValueError(f"--dist {args.dist} reads no --a; leave it unset")
     rep = mc.verify_appendix_inequalities(
         args.dist, args.r, _parse_grid(args.ngrid), args.reps, args.seed,
         a=args.a)
@@ -329,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dim", help="covering-dimension envelope fit")
     sp.add_argument("--points", required=True)
     sp.add_argument("--delta-grid", default="auto")
-    sp.add_argument("--scales", type=int, default=6)
+    sp.add_argument("--scales", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_dim)
 
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dist", required=True,
                     choices=["rademacher", "uniform", "pareto"])
     sp.add_argument("--r", type=float, action=_Finite, required=True)
-    sp.add_argument("--a", type=float, action=_Finite, default=4.0)
+    sp.add_argument("--a", type=float, action=_Finite, default=None)
     sp.add_argument("--ngrid", required=True)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)

@@ -100,14 +100,6 @@ def _check_quantile_sampler(sampler: SyntheticSampler, p: float) -> None:
     check_quantile_monotone(sampler.quantile)
 
 
-def _quantile_antideriv(sampler: SyntheticSampler, p: float):
-    """The antiderivative of the quantile when p = 1 and it has a closed
-    form (closed-form integral), else None (Gauss-Legendre panels)."""
-    if p == 1.0 and sampler.quantile_antideriv(np.asarray([0.5])) is not None:
-        return sampler.quantile_antideriv
-    return None
-
-
 def _draw_pair(spec: ExperimentSpec, n: int, rep: int):
     """Sample (n points) and reference of replicate `rep`."""
     rng = replicate_seed(spec.seed, n, rep)
@@ -148,7 +140,7 @@ def _quantile_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
             for rep in reps]
     return wpp_rows_vs_quantile(
         np.sort(np.stack(rows), axis=1), spec.sampler.quantile, spec.p,
-        _quantile_antideriv(spec.sampler, spec.p))
+        spec.sampler.quantile_antideriv)
 
 
 @dataclass(frozen=True)
@@ -409,7 +401,6 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
     if n_max < 4:
         raise HarnessError("n_max must be >= 4, the first checkpoint")
     _check_quantile_sampler(sampler, p)
-    anti = _quantile_antideriv(sampler, p)
     md = sampler.metadata()
     alpha = md.get("alpha")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
@@ -421,7 +412,8 @@ def run_as_trajectory(sampler: SyntheticSampler, p: float, n_max: int,
     rows = []
     for k in checkpoints:
         w = float(wpp_rows_vs_quantile(np.sort(pts[:k, 0])[None, :],
-                                       sampler.quantile, p, anti)[0])
+                                       sampler.quantile, p,
+                                       sampler.quantile_antideriv)[0])
         norm = as_rate_normalizer(k, p, alpha) * w if alpha else None
         rows.append({"k": int(k), "wpp": w, "normalized": norm})
     return {"sampler": md, "p": p, "seed": seed, "rows": rows,
@@ -462,18 +454,20 @@ def _xi_draw(dist: str, a: float, shape, rng) -> np.ndarray:
 
 def verify_appendix_inequalities(dist: str, r: float,
                                  n_grid: Sequence[int], R: int, seed: int,
-                                 a: float = 4.0) -> dict:
+                                 a: Optional[float] = None) -> dict:
     """Monte Carlo check of the three partial-sum moment inequalities.
 
     The mean-norm inequalities (square-function and order-(1,2] bounds)
     use their explicit constants; the maximal inequality's absolute
     constant is fitted and reported. Needs 1 < r < inf (no check applies
-    at r = 1), R >= 2 and, for pareto, a finite r-th moment (r < a).
+    at r = 1), R >= 2 and, for pareto, a finite r-th moment (r < a, the
+    tail index, 4 by default; no other law reads it).
     """
     if not 1.0 < r < math.inf:
         raise HarnessError(f"r must lie in (1, inf), got {r!r}")
     if not R >= 2:
         raise HarnessError(f"R must be >= 2 replicates, got {R!r}")
+    a = 4.0 if a is None else a
     if dist == "pareto" and not r < a < math.inf:
         raise HarnessError(f"pareto needs a tail index r < a < inf, got {a!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))

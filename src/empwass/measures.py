@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -97,8 +98,8 @@ def restrict(mu: DiscreteMeasure, subset):
 # Synthetic samplers
 # ---------------------------------------------------------------------------
 
-# each family's spec fields in order, (name, type) when required and
-# (name, type, default) when not
+# the fields each family reads, in spec order, and their defaults:
+# (name, type) when required and (name, type, default) when not
 _SPEC_FIELDS = {
     "point-mass": (("d", int, 1),), "uniform-cube": (("d", int, 1),),
     "uniform-cantor": (("ratio", float, 1.0 / 3.0),),
@@ -114,21 +115,32 @@ _CANTOR_DEPTH = 40
 class SyntheticSampler:
     """An i.i.d. sampler with analytic covering/tail metadata where valid.
 
-    Metadata fields are present only when exact for the family: `alpha`
-    (covering dimension of the support), `delta_diam` (diameter when
-    bounded), `x0` (reference coordinate), plus closed-form tail helpers.
+    `_SPEC_FIELDS` fills the fields its family reads, which alone may be
+    set (a family without `d` is 1-D). Metadata fields are present only
+    when exact for the family: `alpha` (covering dimension of the
+    support), `delta_diam` (diameter when bounded), `x0` (reference
+    coordinate), plus closed-form tail helpers.
     """
 
     family: str
-    d: int = 1
-    a: float = 0.0        # pareto tail index
-    kappa: float = 0.0    # exp-radial shape
-    lam: float = 0.0      # exp-radial rate
-    ratio: float = 0.0    # cantor contraction ratio
+    d: Optional[int] = None
+    a: Optional[float] = None        # pareto tail index
+    kappa: Optional[float] = None    # exp-radial shape
+    lam: Optional[float] = None      # exp-radial rate
+    ratio: Optional[float] = None    # cantor contraction ratio
 
     def __post_init__(self):
         if self.family not in _SPEC_FIELDS:
             raise MeasureError(f"unknown sampler family {self.family!r}")
+        takes = {f[0]: f[2:] for f in _SPEC_FIELDS[self.family]}
+        for name in ("d", "a", "kappa", "lam", "ratio"):
+            if getattr(self, name) is not None and name not in takes:
+                raise MeasureError(f"{self.family} takes no {name}")
+        for name, default in {"d": (1,), **takes}.items():
+            if getattr(self, name) is None:
+                if not default:
+                    raise MeasureError(f"{self.family} needs {name}")
+                object.__setattr__(self, name, *default)
         if self.d < 1:
             raise MeasureError("dimension must be >= 1")
         if self.family == "pareto-radial" and not 0 < self.a < math.inf:
@@ -176,23 +188,22 @@ class SyntheticSampler:
 
     def metadata(self) -> dict:
         # "scale" (always 1.0) stays so that recorded outputs keep their bytes
-        md: dict = {"family": self.family, "d": self.d, "scale": 1.0}
+        md: dict = {"family": self.family, "d": self.d, "scale": 1.0,
+                    "x0": [0.0] * self.d}
         f = self.family
         if f == "point-mass":
-            md.update(alpha=0.0, delta_diam=0.0, x0=[0.0] * self.d)
+            md.update(alpha=0.0, delta_diam=0.0)
         elif f == "uniform-cube":
-            md.update(alpha=float(self.d), delta_diam=float(np.sqrt(self.d)),
-                      x0=[0.0] * self.d)
+            md.update(alpha=float(self.d), delta_diam=float(np.sqrt(self.d)))
         elif f == "uniform-cantor":
             md.update(alpha=float(np.log(2.0) / np.log(1.0 / self.ratio)),
-                      delta_diam=1.0, x0=[0.0], ratio=self.ratio)
+                      delta_diam=1.0, ratio=self.ratio)
         elif f == "uniform-sphere":
-            md.update(alpha=float(max(self.d - 1, 1)), delta_diam=2.0,
-                      x0=[0.0] * self.d)
+            md.update(alpha=float(max(self.d - 1, 1)), delta_diam=2.0)
         elif f == "pareto-radial":
-            md.update(a=self.a, x0=[0.0] * self.d)
+            md.update(a=self.a)
         elif f == "exp-radial":
-            md.update(kappa=self.kappa, lam=self.lam, x0=[0.0] * self.d)
+            md.update(kappa=self.kappa, lam=self.lam)
         return md
 
     # tail function H(t) = mu(B(x0, t)^c) with x0 the origin
@@ -309,8 +320,6 @@ class SyntheticSampler:
     def strong_moment(self, p: float) -> float:
         """E d(x0, X)^p where finite, that is p * tail_integral(1, p)."""
         val, _ = self.tail_integral(1.0, p)
-        if self.family == "point-mass":
-            return 0.0
         if self.family == "pareto-radial":
             return math.inf if p >= self.a else self.a / (self.a - p)
         return p * val
@@ -318,7 +327,7 @@ class SyntheticSampler:
     def tail_integral(self, exponent: float, p: float) -> tuple[float, float]:
         """(value, quadrature error) of int_0^inf H(t)^exponent t^{p-1} dt.
 
-        Closed forms for point masses and Pareto tails, else quadrature.
+        Closed form for Pareto tails, else quadrature (0 for a point mass).
         Divergence, decided from the family's polynomial decay and never
         numerically, returns +inf.
         """
@@ -327,8 +336,6 @@ class SyntheticSampler:
         if not p >= 1:
             raise MeasureError("p must be >= 1")
         self._require_tail()
-        if self.family == "point-mass":
-            return 0.0, 0.0
         if self.family == "pareto-radial":
             if self.a * exponent <= p:
                 return math.inf, 0.0
@@ -355,8 +362,6 @@ class SyntheticSampler:
             raise MeasureError("q must be >= 1")
         self._require_tail()
         f = self.family
-        if f == "point-mass":
-            return 0.0
         if f == "uniform-sphere":
             return 1.0
         if f == "pareto-radial":
@@ -364,7 +369,7 @@ class SyntheticSampler:
         if f == "exp-radial":
             tstar = (q / (self.lam * self.kappa)) ** (1.0 / self.kappa)
             return tstar ** q * math.exp(-self.lam * tstar ** self.kappa)
-        # bounded 1D families: refined grid search with a convergence check
+        # bounded families and point masses: refined grid search to convergence
         top = float(self.metadata().get("delta_diam", math.inf))
         val = 0.0
         grid = np.linspace(0.0, top, 1 << 12)
@@ -396,5 +401,4 @@ def sampler_from_string(text: str) -> SyntheticSampler:
         kw = {f[0]: f[1](a) for f, a in zip(fields, args)}
     except ValueError as exc:
         raise MeasureError(f"bad sampler spec {text!r}: {exc}") from None
-    kw.update((f[0], f[2]) for f in fields[len(args):])
     return SyntheticSampler(fam, **kw)

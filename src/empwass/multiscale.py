@@ -198,11 +198,14 @@ class PartitionTree:
         return 4.0 ** (-k) * self.diam
 
     def verify(self, *others: "PartitionTree") -> None:
-        """Re-check partition, refinement, diameter, and cardinality of
-        this tree and of ``others``, all trees of a level at once.
+        """Re-check partition, diameter, refinement, centers and
+        cardinality of this tree and of ``others``, all trees of a level
+        at once.
 
         Each tree's cells are numbered after those of the trees before
-        it. Partition and refinement are array comparisons. A Euclidean
+        it. Partition, refinement and centers (each in range, then a
+        point of its own cell) are array comparisons; the range comes
+        first, as the diameter certificate reads the centers. A Euclidean
         cell whose points all lie within r of its center has diameter
         <= 2r, so that certificate replaces the pairwise diameter for
         every cell it clears its own tree's bound with a relative margin;
@@ -239,10 +242,13 @@ class PartitionTree:
             lab = lab + np.repeat(cstart, sizes)
             if np.bincount(lab, minlength=ncells.sum()).min() == 0:
                 raise MultiscaleError(f"level {k} does not partition the set")
+            cen = np.concatenate(cens)
+            if cen.min() < 0 or np.any(cen >= np.repeat(sizes, ncells)):
+                raise MultiscaleError(f"level {k} has a center out of range")
+            cen = cen + np.repeat(starts, ncells)
             owner = np.repeat(whose, ncells)
             bound = np.array([t.level_radius(k) for t in trees])[owner] + 1e-12
             if points is not None:
-                cen = np.concatenate(cens) + np.repeat(starts, ncells)
                 diff = points - np.take(points, cen[lab], axis=0)
                 rmax = np.zeros(ncells.sum())
                 np.maximum.at(rmax, lab, np.einsum("ij,ij->i", diff, diff))
@@ -262,6 +268,9 @@ class PartitionTree:
             if (par.min() < 0 or np.any(par >= np.repeat(nprev, ncells))
                     or np.any((par + pstart[owner])[lab] != prev)):
                 raise MultiscaleError(f"refinement violated at level {k}")
+            if np.any(lab[cen] != np.arange(ncells.sum())):
+                raise MultiscaleError(
+                    f"level {k} has a center outside its own cell")
             cap = np.bincount(tree[_walk(kind, data, 4.0 ** (-k - 1) * diams,
                                          stop=ncells, groups=tree)],
                               minlength=len(trees))

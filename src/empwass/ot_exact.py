@@ -179,11 +179,11 @@ def wpp_rows_vs_quantile(xs, quantile_fn: Callable, p: float,
     Integrates |F_n^{-1}(u) - q(u)|^p over each order-statistic
     subinterval, splitting at the (unique, by monotonicity) crossing,
     found by a 60-step bisection run once over every crossing cell of the
-    block. When p = 1 and the antiderivative of q is supplied the
-    integral is closed-form; otherwise each panel takes a 32-node
-    Gauss-Legendre rule, and q at the nodes of the cells that no row
-    crosses is evaluated once per call. Every step is elementwise or per
-    row, so each row's value is bit-identical to a one-row call. The
+    block. When p = 1 and the antiderivative of q returns values (not
+    None) the integral is closed-form; otherwise each panel takes a
+    32-node Gauss-Legendre rule, and q at the nodes of the cells that no
+    row crosses is evaluated once per call. Every step is elementwise or
+    per row, so each row's value is bit-identical to a one-row call. The
     caller checks that q is monotone (`check_quantile_monotone`).
     """
     if not p >= 1:
@@ -219,12 +219,11 @@ def wpp_rows_vs_quantile(xs, quantile_fn: Callable, p: float,
             b = np.where(below, b, m)
         us[rows, cols] = 0.5 * (a + b)
 
-    if p == 1.0 and quantile_antideriv is not None:
-        def Q(u):
-            return np.asarray(quantile_antideriv(np.asarray(u, dtype=float)),
-                              dtype=float)
-
-        Qlo, Qhi, Qus = Q(lo), Q(hi), Q(us)
+    Qlo = (quantile_antideriv(lo)
+           if p == 1.0 and quantile_antideriv is not None else None)
+    if Qlo is not None:
+        Qlo, Qhi, Qus = (np.asarray(v, dtype=float) for v in (
+            Qlo, quantile_antideriv(hi), quantile_antideriv(us)))
         return ((xs * (us - lo) - (Qus - Qlo))
                 + ((Qhi - Qus) - xs * (hi - us))).sum(axis=1)
 

@@ -175,9 +175,9 @@ def partition_tree_oracle():
 def _verify_tree_oracle(tree):
     """Partition-tree checks on the cells of ``to_dict()``, written out
     directly: the sorted union of each level's cells, the pairwise
-    diameter of every cell, membership of each cell in its parent, and a
-    full greedy cover for the cardinality cap (the one-at-a-time loop for
-    point clouds)."""
+    diameter of every cell, membership of each cell in its parent, each
+    center among its cell's points, and a full greedy cover for the
+    cardinality cap (the one-at-a-time loop for point clouds)."""
     every = np.arange(tree.space.n)
     levels = tree.to_dict()["levels"]
     for k, level in enumerate(levels, start=1):
@@ -193,6 +193,9 @@ def _verify_tree_oracle(tree):
                 parent_pts = levels[k - 2][c["parent"]]["points"]
                 if not np.all(np.isin(pts, parent_pts)):
                     raise MultiscaleError(f"refinement violated at level {k}")
+        if any(c["center"] not in pts for c, pts in zip(level, points)):
+            raise MultiscaleError(
+                f"level {k} has a center outside its own cell")
         radius = 4.0 ** (-k - 1) * tree.diam
         if tree.diam == 0.0:
             cap = 1

@@ -313,6 +313,47 @@ def test_unread_experiment_config_key_exit_2(tmp_path, capsys, key):
     assert "the 1d-quantile estimator reads no" in err, err
 
 
+@pytest.mark.parametrize("cmd, key, argv, reason", [
+    ("dim", "scales = 5", ["--points", "{pts}", "--delta-grid",
+                           "0.1,0.01,0.001,0.0001"], "reads no --scales"),
+    ("verify-appendix", "a = 9", ["--dist", "uniform", "--r", "2", "--ngrid",
+                                  "8:16", "--reps", "50", "--seed", "0"],
+     "--dist uniform reads no --a"),
+])
+def test_unread_config_key_exit_2(tmp_path, capsys, pts_file, cmd, key,
+                                  argv, reason):
+    # as with --mref and --kstar, a config key counts as a given flag
+    cfg = tmp_path / "conf.ini"
+    cfg.write_text(f"[{cmd}]\n{key}\n")
+    err = _no_output(tmp_path, capsys, [
+        cmd, "--config", str(cfg), *(pts_file if a == "{pts}" else a
+                                     for a in argv)])
+    assert reason in err, err
+
+
+def test_defaults_owned_by_the_library_are_echoed_only_when_given(
+        tmp_path, pts_file):
+    # auto_delta_grid owns the scale count (6) and the appendix check the
+    # pareto tail index (4); the output files are those of the flags
+    # given at those values
+    runs = {
+        "dim": (["dim", "--points", pts_file], ["--scales", "6"],
+                "dim.json", "scales"),
+        "appendix": (["verify-appendix", "--dist", "pareto", "--r", "2",
+                      "--ngrid", "8:16", "--reps", "50", "--seed", "0"],
+                     ["--a", "4"], "appendix.json", "a")}
+    for name, (argv, given, file, key) in runs.items():
+        outs = [tmp_path / f"{name}-{i}" for i in (0, 1)]
+        assert _run([*argv, "--out", str(outs[0])]) == 0
+        assert _run([*argv, *given, "--out", str(outs[1])]) == 0
+        assert ((outs[0] / file).read_bytes()
+                == (outs[1] / file).read_bytes())
+        configs = [json.loads((o / "effective-config.json").read_text())
+                   for o in outs]
+        assert key not in configs[0]
+        assert configs[1][key] == float(given[1])
+
+
 @pytest.mark.parametrize("value, flag", [("false", []), ("true", ["--plan"])])
 def test_config_switch_writes_the_flags_bytes(tmp_path, value, flag):
     # plan = true writes what --plan writes, plan = false what no flag does
@@ -706,6 +747,18 @@ _EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
     (["fitc", "--sampler", "uniform-cube:2", "--p", "1", "--ngrid", "8:16",
       "--reps", "30", "--seed", "0", "--xgrid", "0.1", "--kstar", "3"],
      "the mcf-two-sample estimator reads no k_star"),
+    # an explicit grid reads no --scales and a law other than pareto no
+    # --a; both were dropped, and effective-config.json echoed them
+    (["dim", "--points", "{pts}", "--delta-grid", "0.1,0.01,0.001,0.0001",
+      "--scales", "5"], "an explicit --delta-grid reads no --scales"),
+    (["dim", "--points", "{pts}", "--delta-grid", "0.1,0.01,0.001,0.0001",
+      "--scales", "6"], "an explicit --delta-grid reads no --scales"),
+    (["verify-appendix", "--dist", "uniform", "--r", "2", "--a", "9",
+      "--ngrid", "8:16", "--reps", "50", "--seed", "0"],
+     "--dist uniform reads no --a"),
+    (["verify-appendix", "--dist", "rademacher", "--r", "2", "--a", "4",
+      "--ngrid", "8:16", "--reps", "50", "--seed", "0"],
+     "--dist rademacher reads no --a"),
 ])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
     rng = np.random.default_rng(1)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 
@@ -72,6 +74,77 @@ def test_sampler_spec_defaults():
         "uniform-cantor", ratio=1.0 / 3.0)
     assert sampler_from_string("exp-radial:2:0.5") == SyntheticSampler(
         "exp-radial", kappa=2.0, lam=0.5)
+
+
+def test_sampler_fields_are_the_spec_fields():
+    # the spec table fills the defaults of both constructors
+    assert SyntheticSampler("uniform-sphere") == sampler_from_string(
+        "uniform-sphere")
+    assert SyntheticSampler("uniform-sphere").d == 2
+    s = SyntheticSampler("uniform-cantor")
+    assert (s.d, s.ratio, s.a) == (1, 1.0 / 3.0, None)
+    # a field the family does not read is refused, not ignored
+    for family, kw, reason in [
+            ("uniform-cantor", {"d": 6}, "uniform-cantor takes no d"),
+            ("uniform-cube", {"a": 5.0}, "uniform-cube takes no a"),
+            ("point-mass", {"ratio": 0.25}, "point-mass takes no ratio"),
+            ("pareto-radial", {"a": 3.0, "lam": 1.0},
+             "pareto-radial takes no lam"),
+            ("pareto-radial", {}, "pareto-radial needs a"),
+            ("exp-radial", {"kappa": 1.0}, "exp-radial needs lam")]:
+        with pytest.raises(MeasureError, match=f"^{re.escape(reason)}$"):
+            SyntheticSampler(family, **kw)
+
+
+# spec -> one sha256 over draw, tail, cdf, quantile, quantile_antideriv
+# (b"None" where absent) and the metadata JSON, as computed before the
+# spec table owned the sampler defaults
+_SAMPLER_BYTES = [
+    ("point-mass:1",
+     "51c33bce2706fd5d64bbddc09e4e034edb6ab957e1668120447e2a8c9b9d6471"),
+    ("point-mass:2",
+     "8766640a6cf79a4fe55f1a33d5ed74b5db396fa03dc867cdd3ae3b39bf1e13b0"),
+    ("uniform-cube:1",
+     "8e1a7cb1798e339abbeda1bc85cc8bad67ad6bd5bf253e2cfc79ddeb55a67906"),
+    ("uniform-cube:3",
+     "8a70cc1934f7a2857100f847cf365886b0371757d350370e5406282f444586db"),
+    ("uniform-cantor",
+     "8e3389c081c8998e8d46b1562a74b1e3f83f900866f31613b9515d01fce04d42"),
+    ("uniform-cantor:0.25",
+     "5d401c9d8f357ab1172f67ce7f7b51d592dc722db0311fc52889f046597da517"),
+    ("uniform-sphere",
+     "c2ea01448e4d2c631f112751dd0cb424bcef99db0e05d53cd23c6f986dd47fea"),
+    ("uniform-sphere:1",
+     "b78cb1a1a50f68f02569eb1773a0321a3bdcd4e0cc122b162dba51acea933977"),
+    ("uniform-sphere:3",
+     "28de48e84dad5a87aeb3273f80233da36b79d93e602a475353eec82f0f7107b1"),
+    ("pareto-radial:3:1",
+     "ac05ad6ef7be9471afc90298197c976faff7a15de7a514356a90fff90fd8f6ca"),
+    ("pareto-radial:2.5:2",
+     "a3b02c7fd285ebb7240e62724e6f4492dd9fa65e9bab92c65514f56a26b36160"),
+    ("pareto-radial:0.5:1",
+     "4efee9115869be5179d8cb34f4ab9a909ae2afb732d302ee49f8ad4f774a0a94"),
+    ("exp-radial:2:0.5",
+     "0c1e50d25f6d9694cfaf6eef80923d2d53dccda3b06836234d56cd27fee05203"),
+    ("exp-radial:1:0.5:2",
+     "c5f4b1aefe1b85573771b5717f24c33d295469f914a00cc83cdea5a766f4202c"),
+]
+
+
+@pytest.mark.parametrize("spec, want", _SAMPLER_BYTES,
+                         ids=[r[0] for r in _SAMPLER_BYTES])
+def test_sampler_bytes_pinned(spec, want):
+    s = sampler_from_string(spec)
+    grid = np.linspace(-3.0, 5.0, 1001)
+    us = np.linspace(0.0, 1.0, 1001)
+    h = hashlib.sha256()
+    with np.errstate(all="ignore"):   # the grids reach 0 and the poles
+        values = (s.draw(257, np.random.default_rng(3)), s.tail(grid),
+                  s.cdf(grid), s.quantile(us), s.quantile_antideriv(us))
+    for v in values:
+        h.update(b"None" if v is None else np.asarray(v, dtype=float).tobytes())
+    h.update(json.dumps(s.metadata(), sort_keys=True).encode())
+    assert h.hexdigest() == want
 
 
 def test_sampler_draw_shapes_and_determinism():

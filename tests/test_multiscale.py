@@ -349,6 +349,39 @@ def test_verify_rejects_missing_cell(verify_tree_oracle):
         "level 2 does not partition the set"
 
 
+@pytest.mark.parametrize("kind", ["points", "matrix"])
+def test_verify_rejects_bad_centers(verify_tree_oracle, kind):
+    # an out-of-range center raised IndexError on a point cloud and
+    # passed on a matrix; a center taken from another cell passed on both
+    def tree():
+        pts = np.random.default_rng(15).random((300, 2))
+        space = FiniteMetricSpace.from_points(pts)
+        if kind == "matrix":
+            space = FiniteMetricSpace.from_matrix(
+                space.submatrix(np.arange(300)))
+        return build_partition_tree(space, 2)
+
+    t = tree()
+    t.centers[1][3] = t.space.n
+    _both_reject(t, verify_tree_oracle, "^level 2 has a center out of range$")
+    t = tree()
+    t.centers[1][[0, 1]] = t.centers[1][[1, 0]]
+    _both_reject(t, verify_tree_oracle,
+                 "^level 2 has a center outside its own cell$")
+    assert _verdict(verify_tree_oracle, t) == \
+        "level 2 has a center outside its own cell"
+    t = tree()
+    t.centers[0][-1] = -1
+    _both_reject(t, verify_tree_oracle, "^level 1 has a center out of range$")
+    # in a forest the check reads each tree's own positions
+    good, bad = tree(), tree()
+    bad.centers[1][0] = bad.centers[1][1]
+    good.verify(tree())
+    for trees in ((good, bad), (bad, good)):
+        with pytest.raises(MultiscaleError, match="center outside its own"):
+            trees[0].verify(*trees[1:])
+
+
 def test_partition_tree_golden():
     # sha256 of the tree.json payload as produced before the tree was
     # stored as label arrays
