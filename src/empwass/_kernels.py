@@ -62,7 +62,10 @@ _GRID_CELLS = 2 ** 20
 def _grid_neighbours(pts, reach, groups=None):
     """A lookup ``near(tent) -> (nbr, sizes)``: for each index in ``tent``,
     a superset of the points of its group within ``reach`` of it in every
-    coordinate, ``sizes[i]`` of them per tentative, concatenated in ``nbr``.
+    coordinate, ``sizes[i]`` of them per tentative, concatenated in ``nbr``;
+    returned with ``rate``, the candidates it finds per tentative on
+    average over a uniformly chosen point: 3^k times the mean occupancy
+    of that point's cell (sum of c^2 over the cell counts c, over n).
 
     The points are bucketed into a grid over the (up to) three coordinates
     of widest extent, with cells of side at least ``reach`` (a relative
@@ -95,6 +98,9 @@ def _grid_neighbours(pts, reach, groups=None):
         key += groups * (stride[0] * width[0])
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
+    occupied = np.diff(np.flatnonzero(
+        np.r_[True, sorted_key[1:] != sorted_key[:-1], True]))
+    rate = 3 ** k * float(occupied @ occupied) / key.size
     # key offsets of the 3^(k-1) rows around a cell
     rows = np.zeros(1, np.int64)
     for a in range(k - 1):
@@ -111,7 +117,7 @@ def _grid_neighbours(pts, reach, groups=None):
                                               count)
         return order[pos], count.reshape(tent.size, -1).sum(axis=1)
 
-    return near
+    return near, rate
 
 
 def _accept(size, src, dst):
@@ -158,12 +164,13 @@ def _fill_quota(quota, grp):
     return fits, full
 
 
-def _cover_walk(n, pairs, stop, groups, labels):
+def _cover_walk(n, pairs, rate, stop, groups, labels):
     """The greedy cover walk over points 0..n-1, shared by both kernels:
     ``pairs(tent)`` gives, for the tentative centers ``tent`` (ascending),
     the arrays ``(nbr, own, dist)`` of the pairs in which ``tent[own[e]]``
     covers point ``nbr[e]`` at distance ``dist[e]`` (each tentative with
-    itself among them), and the number of candidate pairs it looked at.
+    itself among them), and the number of candidate pairs it looked at;
+    ``rate`` is the lookup's expected candidate count per tentative.
 
     The walk takes the next block of uncovered points in index order as
     tentative centers. A tentative is blocked by each earlier tentative of
@@ -173,7 +180,10 @@ def _cover_walk(n, pairs, stop, groups, labels):
     tentatives are too. The next block has twice as many tentatives as
     the last one gave centers, but no more than would bring about
     ``_BLOCK_PAIRS`` candidate pairs at the last lookup's rate per
-    tentative (the first block assumes every point is a candidate).
+    tentative. The first block is sized from ``rate`` instead, so a walk
+    over many points starts near its pair budget rather than doubling up
+    from one tentative. No decision depends on how the walk is cut into
+    blocks, so neither rule changes a center or a label.
 
     ``stop`` is a center count per group, or one count for all points: a
     group that reaches its count marks its remaining points covered. With
@@ -193,7 +203,7 @@ def _cover_walk(n, pairs, stop, groups, labels):
         if full is not None:
             covered |= full[counted]
     found, kept = [], []
-    cursor, block = 0, max(1, _BLOCK_PAIRS // max(n, 1))
+    cursor, block = 0, max(1, int(_BLOCK_PAIRS / rate))
     while cursor < n:
         tent = cursor + np.flatnonzero(~covered[cursor:])[:block]
         if tent.size == 0:
@@ -267,7 +277,7 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None, labels=False):
     # A pair that passes the test is at most sqrt(d2max) apart in each
     # coordinate, up to the rounding of its square: relative where the
     # square is normal, 2^-1074 absolute where it is subnormal.
-    near = _grid_neighbours(
+    near, rate = _grid_neighbours(
         pts, np.sqrt(d2max.max() + 2.0 ** -1074) * (1.0 + 1e-9), groups)
     per_point = d2max[groups] if d2max.ndim else None
 
@@ -280,7 +290,7 @@ def greedy_cover_pts(pts, delta, stop=None, groups=None, labels=False):
         close = d2 <= (d2max if per_point is None else per_point[tent][own])
         return nbr[close], own[close], d2[close], nbr.size
 
-    return _cover_walk(pts.shape[0], pairs, stop, groups, labels)
+    return _cover_walk(pts.shape[0], pairs, rate, stop, groups, labels)
 
 
 def greedy_cover_mat(D, delta, stop=None, groups=None, labels=False):
@@ -302,7 +312,9 @@ def greedy_cover_mat(D, delta, stop=None, groups=None, labels=False):
         own, nbr = np.nonzero(hit)
         return nbr, own, rows[own, nbr], hit.size
 
-    return _cover_walk(D.shape[0], pairs, stop, groups, labels)
+    # each tentative reads its whole row
+    return _cover_walk(D.shape[0], pairs, max(D.shape[0], 1), stop, groups,
+                       labels)
 
 
 def greedy_packing_pts(pts, sep):

@@ -119,23 +119,35 @@ def _one_replicate(spec: ExperimentSpec, n: int, rep: int) -> float:
     return wpp_mcf(*uniform_pair(pts, ref)[1:], spec.p)[0].value
 
 
-def _dyadic_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
-    """The dyadic bound of each replicate in `reps`, their trees built as
-    one forest."""
-    triples = [uniform_pair(*_draw_pair(spec, n, rep)) for rep in reps]
-    k_star = spec.depth or auto_k_star(   # 0: depth grows with n
+def _tree_depth(spec: ExperimentSpec, n: int) -> int:
+    """The dyadic trees' depth at sample size n: spec.depth, or when that
+    is 0 the depth `auto_k_star` gives n."""
+    return spec.depth or auto_k_star(
         n, spec.sampler.metadata().get("alpha") or 2.0 * spec.p)
-    trees = build_partition_trees([space for space, _, _ in triples], k_star)
+
+
+def _dyadic_block(spec: ExperimentSpec, runs) -> np.ndarray:
+    """The dyadic bound of each replicate of `runs`, their trees, all of
+    one depth, built as one forest."""
+    depths = {_tree_depth(spec, n) for n, _ in runs}
+    if len(depths) != 1:
+        raise HarnessError("a dyadic block's trees must share one depth")
+    triples = [uniform_pair(*_draw_pair(spec, n, rep))
+               for n, reps in runs for rep in reps]
+    trees = build_partition_trees([space for space, _, _ in triples],
+                                  depths.pop())
     return np.asarray([dyadic_wpp_bound(tree, mu, nu, spec.p)
                        for tree, (_, mu, nu) in zip(trees, triples)])
 
 
-def _two_sample_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
+def _two_sample_block(spec: ExperimentSpec, runs) -> np.ndarray:
     # the global lookup lets a tracer that rebinds _one_replicate count it
-    return np.asarray([_one_replicate(spec, n, rep) for rep in reps])
+    return np.asarray([_one_replicate(spec, n, rep)
+                       for n, reps in runs for rep in reps])
 
 
-def _quantile_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
+def _quantile_block(spec: ExperimentSpec, runs) -> np.ndarray:
+    (n, reps), = runs   # one n: its sorted samples stack into one array
     rows = [spec.sampler.draw(n, replicate_seed(spec.seed, n, rep))[:, 0]
             for rep in reps]
     return wpp_rows_vs_quantile(
@@ -145,11 +157,14 @@ def _quantile_block(spec: ExperimentSpec, n: int, reps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Estimator:
-    """`block(spec, n, reps)` returns the values of replicates `reps`:
-    `mcf-two-sample` one replicate at a time (`_one_replicate`), `dyadic`
-    with the trees of all its replicates built as one forest
-    (`multiscale.build_partition_trees`), `1d-quantile` as one array of
-    sorted samples. `check` refuses a sampler; with `warm_up`, one
+    """`block(spec, runs)` returns the values of the replicates of
+    `runs`, a sequence of `(n, reps)`: `mcf-two-sample` one replicate at
+    a time (`_one_replicate`), `dyadic` with the trees of all its
+    replicates built as one forest (`multiscale.build_partition_trees`),
+    `1d-quantile` as one array of the sorted samples of its one n.
+    `merge_by(spec, n)`, when set, is a key: the n values with one key
+    share their blocks, one per worker (`_run_replicates`); unset, each
+    block holds one n. `check` refuses a sampler; with `warm_up`, one
     replicate in the parent loads its kernels' scipy modules before a
     pool forks, for the workers. `reads` names the optional spec fields
     (m_ref, k_star) the entry uses; a spec that sets any other is
@@ -159,6 +174,7 @@ class _Estimator:
     reads: Tuple[str, ...] = ()
     check: Optional[Callable] = None
     warm_up: bool = True
+    merge_by: Optional[Callable] = None
 
 
 # --estimator name -> entry; the first is the default. A quantile block
@@ -171,44 +187,77 @@ _ESTIMATORS = {
                               check=_check_quantile_sampler, warm_up=False),
     "dyadic": _Estimator(_dyadic_block,
                          "an upper bound on W_p^p(mu_n, nu_m)",
-                         reads=("m_ref", "k_star")),
+                         reads=("m_ref", "k_star"), merge_by=_tree_depth),
 }
 
 
 def _run_block(task) -> np.ndarray:
-    return _ESTIMATORS[task[0].estimator].block(*task)   # (spec, n, reps)
+    spec, runs = task
+    return _ESTIMATORS[spec.estimator].block(spec, runs)
 
 
 _BLOCK_VALUES = 1 << 17   # sample values per block at most
 
 
+def _tasks(spec: ExperimentSpec, workers: int) -> list:
+    """The experiment's `(spec, runs)` blocks for `workers` processes,
+    every n's replicates in order (see `_run_replicates`)."""
+    R = spec.replicates
+    merge_by = _ESTIMATORS[spec.estimator].merge_by
+    if merge_by is None:
+        size, merge_by = max(8, -(-R // (4 * workers))), lambda s, n: n
+    else:
+        size = -(-R // workers)
+    groups, open_group = [], {}
+    for n in spec.n_grid:
+        key = merge_by(spec, n)
+        ns = open_group.get(key)
+        if ns is None or sum(ns) + n > _BLOCK_VALUES:
+            ns = open_group[key] = []
+            groups.append(ns)
+        ns.append(n)
+    tasks = []
+    for ns in groups:
+        step = max(1, min(size, _BLOCK_VALUES // sum(ns)))
+        tasks += [(spec, tuple((n, range(s, min(s + step, R))) for n in ns))
+                  for s in range(0, R, step)]
+    return tasks
+
+
 def _run_replicates(spec: ExperimentSpec) -> List[np.ndarray]:
     """Per-n arrays of W_p^p samples, reproducible for any worker count.
 
-    Each n's replicates are cut into contiguous blocks of ceil(R / (4
-    workers)) replicates, at least 8, at most _BLOCK_VALUES / n; one
-    process pool, of no more processes than blocks or usable cores,
-    serves every block of the experiment and returns them in order.
+    The workers are spec.workers, at most the usable cores. A block
+    holds the same contiguous replicates of each of its n values and at
+    most _BLOCK_VALUES sample values (n per replicate), unless one
+    replicate alone holds more. Without `merge_by` each n's replicates
+    are cut into blocks of ceil(R / (4 workers)) replicates, at least 8.
+    With it, the n values that share a key (the dyadic estimator's tree
+    depth) share blocks too, one per worker (ceil(R / workers)
+    replicates of each n), so a run of the dyadic estimator builds one
+    forest per tree depth and worker. One process pool, of no more
+    processes than blocks or workers, serves every block of the
+    experiment and returns them in order.
     """
-    R = spec.replicates
-    size = max(8, -(-R // (4 * spec.workers)))
-    tasks = []
-    for n in spec.n_grid:
-        step = max(1, min(size, _BLOCK_VALUES // n))
-        tasks += [(spec, n, range(s, min(s + step, R)))
-                  for s in range(0, R, step)]
-    workers = min(spec.workers, len(tasks), len(os.sched_getaffinity(0)))
+    workers = min(spec.workers, len(os.sched_getaffinity(0)))
+    tasks = _tasks(spec, workers)
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         entry = _ESTIMATORS[spec.estimator]
         if entry.warm_up:
-            entry.block(spec, spec.n_grid[0], range(1))
+            entry.block(spec, ((spec.n_grid[0], range(1)),))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_block, tasks))
     else:
         blocks = [_run_block(t) for t in tasks]
-    return [np.concatenate([b for t, b in zip(tasks, blocks) if t[1] == n])
-            for n in spec.n_grid]
+    values = {n: np.empty(spec.replicates) for n in spec.n_grid}
+    for (_, runs), vals in zip(tasks, blocks):
+        at = 0
+        for n, reps in runs:
+            values[n][reps.start:reps.stop] = vals[at:at + len(reps)]
+            at += len(reps)
+    return [values[n] for n in spec.n_grid]
 
 
 @dataclass
@@ -461,12 +510,14 @@ def verify_appendix_inequalities(dist: str, r: float,
     use their explicit constants; the maximal inequality's absolute
     constant is fitted and reported. Needs 1 < r < inf (no check applies
     at r = 1), R >= 2 and, for pareto, a finite r-th moment (r < a, the
-    tail index, 4 by default; no other law reads it).
+    tail index, 4 by default; no other law reads it, and they refuse it).
     """
     if not 1.0 < r < math.inf:
         raise HarnessError(f"r must lie in (1, inf), got {r!r}")
     if not R >= 2:
         raise HarnessError(f"R must be >= 2 replicates, got {R!r}")
+    if a is not None and dist in ("rademacher", "uniform"):
+        raise HarnessError(f"{dist} reads no a; leave it unset")
     a = 4.0 if a is None else a
     if dist == "pareto" and not r < a < math.inf:
         raise HarnessError(f"pareto needs a tail index r < a < inf, got {a!r}")

@@ -4,6 +4,7 @@ tails, strong and weak moments and tail integrals."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,9 +30,10 @@ class DiscreteMeasure:
             raise MeasureError("atom indices and weights must be parallel 1D arrays")
         if self.idx.size == 0:
             raise MeasureError("measure needs at least one atom")
-        if np.unique(self.idx).size != self.idx.size:
+        ordered = np.sort(self.idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise MeasureError("atom indices must be distinct")
-        if self.idx.min() < 0 or self.idx.max() >= space.n:
+        if ordered[0] < 0 or ordered[-1] >= space.n:
             raise MeasureError("atom index out of range")
         if np.any(self.weights < -_WEIGHT_TOL):
             raise MeasureError("negative atom weight")
@@ -132,15 +134,25 @@ class SyntheticSampler:
     def __post_init__(self):
         if self.family not in _SPEC_FIELDS:
             raise MeasureError(f"unknown sampler family {self.family!r}")
-        takes = {f[0]: f[2:] for f in _SPEC_FIELDS[self.family]}
+        takes = {f[0]: f[1:] for f in _SPEC_FIELDS[self.family]}
         for name in ("d", "a", "kappa", "lam", "ratio"):
             if getattr(self, name) is not None and name not in takes:
                 raise MeasureError(f"{self.family} takes no {name}")
-        for name, default in {"d": (1,), **takes}.items():
-            if getattr(self, name) is None:
+        for name, (kind, *default) in {"d": (int, 1), **takes}.items():
+            value = getattr(self, name)
+            if value is None:
                 if not default:
                     raise MeasureError(f"{self.family} needs {name}")
-                object.__setattr__(self, name, *default)
+                value = default[0]
+            elif not isinstance(value, numbers.Real) or (
+                    kind is int and not (math.isfinite(value)
+                                         and value == int(value))):
+                raise MeasureError(
+                    f"{self.family} {name} must be "
+                    f"{'an integer' if kind is int else 'a number'}, "
+                    f"got {value!r}")
+            # the spec's type, so equal samplers write equal metadata
+            object.__setattr__(self, name, kind(value))
         if self.d < 1:
             raise MeasureError("dimension must be >= 1")
         if self.family == "pareto-radial" and not 0 < self.a < math.inf:

@@ -449,3 +449,73 @@ def test_per_group_radius_and_stop_match_oracle(greedy_cover_oracle, case,
                 grp, rad, stp)
             assert np.array_equal(got[0], want_c)
             assert np.array_equal(got[1], want_l)
+
+
+@st.composite
+def _degenerate_densities(draw):
+    """Point sets whose cell occupancy is far from even, so the first
+    block of a walk, sized from the mean occupancy of the neighbour grid,
+    is far from the blocks after it: a few locations repeated many times
+    (coincident points), one dense cluster among sparse points, and three
+    groups whose spreads differ by factors of 1,000 (``groups`` is then
+    set, else None)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3000))
+    shape = draw(st.sampled_from(["coincident", "cluster", "mixed-groups"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    groups = None
+    if shape == "coincident":
+        base = rng.random((int(rng.integers(1, 5)), d))
+        pts = base[rng.integers(0, base.shape[0], n)]
+        delta = float(rng.choice([1e-3, 0.1, 0.5]))
+    elif shape == "cluster":
+        pts = rng.random((n, d))
+        dense = rng.random(n) < rng.choice([0.5, 0.9, 0.99])
+        pts[dense] = pts[0] + 1e-4 * rng.random((int(dense.sum()), d))
+        delta = float(rng.choice([1e-4, 1e-3, 0.05]))
+    else:
+        groups = rng.integers(0, 3, n)
+        pts = rng.random((n, d)) * 1e-3 ** groups[:, None]
+        delta = float(rng.choice([1e-4, 1e-2]))
+    return pts, delta, groups
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_degenerate_densities())
+def test_first_block_sizing_matches_oracle_on_degenerate_densities(
+        greedy_cover_oracle, case):
+    """Centers and labels equal each group's one-at-a-time cover whatever
+    the pair budget: a first block of one tentative, today's, and one that
+    takes in every point at once."""
+    pts, delta, groups = case
+    n = pts.shape[0]
+    grp = np.zeros(n, np.int64) if groups is None else groups
+    ngroups = int(grp.max()) + 1
+
+    def pts_dist(rows, cols):
+        diff = pts[rows][:, None, :] - pts[cols][None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    want_c, want_l = _grouped_oracle(
+        lambda m, r, s: greedy_cover_oracle(pts[m], r),
+        pts_dist,
+        lambda rows, cols, r: pts_dist(rows, cols)
+        <= (r * r * (1.0 + 1e-12))[:, None],
+        grp, np.full(ngroups, delta), [None] * ngroups)
+    budget = K._BLOCK_PAIRS
+    try:
+        for K._BLOCK_PAIRS in (budget, 1, 1 << 24):
+            centers, labels = K.greedy_cover_pts(pts, delta, groups=groups,
+                                                 labels=True)
+            assert np.array_equal(centers, want_c), K._BLOCK_PAIRS
+            assert np.array_equal(labels, want_l), K._BLOCK_PAIRS
+            if n <= 300:
+                D = np.sqrt(pts_dist(np.arange(n), np.arange(n)))
+                got = K.greedy_cover_mat(D, delta, groups=groups)
+                assert np.array_equal(got, np.sort(np.concatenate(
+                    [np.flatnonzero(grp == g)[_matrix_greedy(
+                        D[np.ix_(grp == g, grp == g)], delta)]
+                     for g in np.unique(grp)])))
+    finally:
+        K._BLOCK_PAIRS = budget

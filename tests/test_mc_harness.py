@@ -116,7 +116,7 @@ def test_run_replicates_matches_per_replicate_loop(R, wpp_vs_quantile_oracle):
                     for rep in range(R)])
             elif est == "dyadic":
                 want.append([mc_harness._dyadic_block(
-                    spec, n, range(rep, rep + 1))[0] for rep in range(R)])
+                    spec, [(n, range(rep, rep + 1))])[0] for rep in range(R)])
             else:
                 want.append([_one_replicate(spec, n, rep)
                              for rep in range(R)])
@@ -156,9 +156,10 @@ def test_dyadic_block_values_do_not_depend_on_the_blocks():
     # replicates 0-99 are split, each value is the replicate's own
     spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
                  estimator="dyadic", n_grid=(32,), replicates=100, k_star=0)
-    whole = mc_harness._dyadic_block(spec, 32, range(100))
-    singles = np.concatenate([mc_harness._dyadic_block(spec, 32,
-                                                       range(rep, rep + 1))
+    whole = mc_harness._dyadic_block(spec, [(32, range(100))])
+    singles = np.concatenate([mc_harness._dyadic_block(spec,
+                                                       [(32, range(rep,
+                                                                   rep + 1))])
                               for rep in range(100)])
     assert whole.dtype == singles.dtype
     assert whole.tobytes() == singles.tobytes()
@@ -166,9 +167,138 @@ def test_dyadic_block_values_do_not_depend_on_the_blocks():
     for parts in (2, 7, 30):
         cuts = np.r_[0, np.sort(rng.choice(np.arange(1, 100), parts - 1,
                                            replace=False)), 100]
-        got = np.concatenate([mc_harness._dyadic_block(spec, 32, range(a, b))
+        got = np.concatenate([mc_harness._dyadic_block(spec,
+                                                       [(32, range(a, b))])
                               for a, b in zip(cuts, cuts[1:])])
         assert got.tobytes() == whole.tobytes()
+
+
+def test_dyadic_forest_of_mixed_n_equals_one_at_a_time():
+    # n = 32, 64 and 128 share depth 2 (k_star 0, alpha 2): a forest mixing
+    # their replicates gives each value of its replicate alone, in order
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator="dyadic", n_grid=(32, 64, 128, 512),
+                 replicates=40, k_star=0)
+    runs = [(32, range(3, 17)), (64, range(0, 40)), (128, range(21, 29)),
+            (32, range(30, 31))]
+    whole = mc_harness._dyadic_block(spec, runs)
+    singles = np.concatenate([mc_harness._dyadic_block(spec,
+                                                       [(n, range(r, r + 1))])
+                              for n, reps in runs for r in reps])
+    assert whole.dtype == singles.dtype
+    assert whole.tobytes() == singles.tobytes()
+    # n = 512 has depth 3: one forest cannot hold it with n = 32
+    with pytest.raises(HarnessError, match="share one depth"):
+        mc_harness._dyadic_block(spec, [(32, range(1)), (512, range(1))])
+
+
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_dyadic_builds_one_forest_per_depth_and_worker(monkeypatch):
+    # rate-dyadic-2d's shape: n = 32..256 have depth 2 and n = 512 depth 3,
+    # so 2 workers build 4 forests, after the parent's one-tree warm-up,
+    # and one worker builds 2; the values are the same
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(mc_harness.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    forests = []
+    build = mc_harness.build_partition_trees
+
+    def counting(spaces, k_star):
+        forests.append((k_star, sorted(s.n // 2 for s in spaces)))
+        return build(spaces, k_star)
+
+    monkeypatch.setattr(mc_harness, "build_partition_trees", counting)
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator="dyadic", n_grid=(32, 64, 128, 256, 512),
+                 replicates=30, k_star=0, workers=2)
+    two = _run_replicates(spec)
+    half = [n for n in (32, 64, 128, 256) for _ in range(15)]
+    assert forests == [(2, [32]), (2, half), (2, half),
+                       (3, [512] * 15), (3, [512] * 15)]
+    forests.clear()
+    one = _run_replicates(dataclasses.replace(spec, workers=1))
+    assert forests == [(2, sorted(half + half)), (3, [512] * 30)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(one, two))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_dyadic_tasks_are_capped_at_the_block_values(workers):
+    # a large n-grid: every (n, replicate) pair in exactly one task, in
+    # order, each task of one depth and at most _BLOCK_VALUES sample
+    # values (n a replicate) unless it holds one replicate
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator="dyadic", n_grid=tuple(2 ** i for i in range(3, 19)),
+                 replicates=300, k_star=0)
+    tasks = mc_harness._tasks(spec, workers)
+    seen = {n: [] for n in spec.n_grid}
+    for task_spec, runs in tasks:
+        assert task_spec is spec
+        assert len({mc_harness._tree_depth(spec, n) for n, _ in runs}) == 1
+        assert (sum(n * len(reps) for n, reps in runs)
+                <= mc_harness._BLOCK_VALUES
+                or sum(len(reps) for _, reps in runs) == 1)
+        for n, reps in runs:
+            seen[n] += reps
+    assert all(seen[n] == list(range(300)) for n in spec.n_grid)
+    # n = 32..256 make depth 2 and 480 values a replicate, so a task holds
+    # 273 replicates of each at most: one task per worker, two at least
+    depth2 = [runs for _, runs in tasks
+              if mc_harness._tree_depth(spec, runs[0][0]) == 2]
+    assert len(depth2) == max(workers, 2)
+    assert all([n for n, _ in runs] == [32, 64, 128, 256] for runs in depth2)
+
+
+def test_block_layout_follows_the_usable_cores(monkeypatch):
+    # on 2 cores, --workers 64 cuts each n's 1,000 replicates into the 8
+    # blocks of 125 that --workers 2 cuts, not into 125 blocks of 8
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessPool)
+    monkeypatch.setattr(mc_harness.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    blocks = []
+    run_block = mc_harness._run_block
+    monkeypatch.setattr(mc_harness, "_run_block",
+                        lambda task: blocks.append(task[1]) or run_block(task))
+    spec = _spec(replicates=1000, workers=2)
+    _run_replicates(spec)
+    at_cores = list(blocks)
+    assert at_cores == [((n, range(s, s + 125)),) for n in spec.n_grid
+                        for s in range(0, 1000, 125)]
+    blocks.clear()
+    _run_replicates(dataclasses.replace(spec, workers=64))
+    assert blocks == at_cores
+
+
+def test_dyadic_values_do_not_depend_on_the_cap(monkeypatch):
+    # a cap of 300 values splits the depth-2 n values into groups of
+    # their own and cuts every group into many tasks; no value moves
+    spec = _spec(sampler=sampler_from_string("uniform-cube:2"),
+                 estimator="dyadic", n_grid=(32, 64, 128, 256, 512),
+                 replicates=30, k_star=0)
+    want = _run_replicates(spec)
+    monkeypatch.setattr(mc_harness, "_BLOCK_VALUES", 300)
+    assert max(sum(n * len(reps) for n, reps in runs)
+               for _, runs in mc_harness._tasks(spec, 1)) == 512
+    got = _run_replicates(spec)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_dyadic_block_holding_the_cap_defect_raises():
@@ -179,7 +309,7 @@ def test_dyadic_block_holding_the_cap_defect_raises():
                  estimator="dyadic", n_grid=(32,), seed=1, k_star=0)
     with pytest.raises(MultiscaleError,
                        match="^level 2 has 64 cells, cover cap is 63$"):
-        mc_harness._dyadic_block(spec, 32, range(24, 32))
+        mc_harness._dyadic_block(spec, [(32, range(24, 32))])
 
 
 def test_pool_is_capped_by_tasks_and_cores(monkeypatch):
@@ -367,6 +497,12 @@ def test_verify_appendix_rademacher_r2_is_tight():
         assert row["burkholder_ratio"] == pytest.approx(1.0, abs=0.05)
         assert row["burkholder_ok"]
         assert row["vbe_ok"]
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "uniform"])
+def test_verify_appendix_refuses_a_tail_index_it_does_not_read(dist):
+    with pytest.raises(HarnessError, match=f"^{dist} reads no a; "):
+        verify_appendix_inequalities(dist, 2.0, (8,), R=10, seed=0, a=4.0)
 
 
 def test_verify_appendix_heavy_tailed():

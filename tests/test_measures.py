@@ -96,6 +96,39 @@ def test_sampler_fields_are_the_spec_fields():
             SyntheticSampler(family, **kw)
 
 
+def test_sampler_fields_take_the_spec_types():
+    # a set field is cast to its spec type, so equal samplers write equal
+    # metadata; a d that is no integer is refused before any draw
+    assert SyntheticSampler("pareto-radial", a=3).metadata() == \
+        sampler_from_string("pareto-radial:3").metadata()
+    assert json.dumps(SyntheticSampler("pareto-radial", a=3).metadata()) == \
+        json.dumps(sampler_from_string("pareto-radial:3").metadata())
+    cube = SyntheticSampler("uniform-cube", d=2.0)
+    assert cube == sampler_from_string("uniform-cube:2")
+    assert type(cube.d) is int
+    assert cube.draw(3, np.random.default_rng(0)).shape == (3, 2)
+    assert type(SyntheticSampler("exp-radial", kappa=np.int64(1),
+                                 lam=1).lam) is float
+    for family, kw, reason in [
+            ("uniform-cube", {"d": 2.5}, "uniform-cube d must be an integer"),
+            ("uniform-sphere", {"d": math.inf},
+             "uniform-sphere d must be an integer"),
+            ("pareto-radial", {"a": "3"}, "pareto-radial a must be a number")]:
+        with pytest.raises(MeasureError, match=f"^{re.escape(reason)}, got"):
+            SyntheticSampler(family, **kw)
+
+
+def test_atom_indices_distinct_then_in_range(space):
+    # distinctness is checked before range, each with its own message
+    with pytest.raises(MeasureError, match="^atom indices must be distinct$"):
+        DiscreteMeasure(space, [3, 0, 3], [0.2, 0.3, 0.5])
+    with pytest.raises(MeasureError, match="^atom indices must be distinct$"):
+        DiscreteMeasure(space, [-1, 99, -1], [0.2, 0.3, 0.5])
+    for idx in ([0, -1], [1, space.n]):
+        with pytest.raises(MeasureError, match="^atom index out of range$"):
+            DiscreteMeasure(space, idx, [0.5, 0.5])
+
+
 # spec -> one sha256 over draw, tail, cdf, quantile, quantile_antideriv
 # (b"None" where absent) and the metadata JSON, as computed before the
 # spec table owned the sampler defaults

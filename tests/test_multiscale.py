@@ -535,7 +535,7 @@ def test_batched_verify_checks_every_tree():
 def test_known_cap_defect_uniform_square():
     spec = ExperimentSpec(sampler_from_string("uniform-cube:2"), 1.0,
                           "dyadic", (32,), 1, seed=1, k_star=0)
-    _dyadic_block(spec, 32, range(26, 27))
+    _dyadic_block(spec, [(32, range(26, 27))])
 
 
 @st.composite
