@@ -90,13 +90,13 @@ def replicate_seed(master: int, n: int, rep: int) -> np.random.Generator:
 def _check_quantile_sampler(sampler: SyntheticSampler, p: float) -> None:
     """Refuse a sampler that is not 1-D with a closed-form, monotone
     quantile, or with W_p^p to it infinite (Pareto(a) needs p < a)."""
-    if sampler.quantile(np.asarray([0.5])) is None:
+    if not sampler.has("quantile"):
         raise HarnessError("the quantile estimator and trajectories need a "
                            "1D sampler with a closed-form quantile")
-    if sampler.family == "pareto-radial" and sampler.a <= p:
+    if sampler.tail_index <= p:
         raise HarnessError(
-            f"pareto-radial with a = {sampler.a:g} has no finite moment of "
-            f"order p = {p:g}: W_p^p to it is infinite (needs a > p)")
+            f"{sampler.family} with tail index {sampler.tail_index:g} <= p = "
+            f"{p:g} has no finite p-th moment: W_p^p to it is infinite")
     check_quantile_monotone(sampler.quantile)
 
 

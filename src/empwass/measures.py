@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -100,28 +101,157 @@ def restrict(mu: DiscreteMeasure, subset):
 # Synthetic samplers
 # ---------------------------------------------------------------------------
 
-# the fields each family reads, in spec order, and their defaults:
-# (name, type) when required and (name, type, default) when not
-_SPEC_FIELDS = {
-    "point-mass": (("d", int, 1),), "uniform-cube": (("d", int, 1),),
-    "uniform-cantor": (("ratio", float, 1.0 / 3.0),),
-    "uniform-sphere": (("d", int, 2),),
-    "pareto-radial": (("a", float), ("d", int, 1)),
-    "exp-radial": (("kappa", float), ("lam", float), ("d", int, 1)),
-}
-
 _CANTOR_DEPTH = 40
+# a spec field: its type, its default (None: the spec must set it) and the
+# open range (0, hi) of its value
+_Field = namedtuple("_Field", "name kind default hi", defaults=(None, math.inf))
+_D = _Field("d", int, 1)    # a family without this field is 1-D
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One sampler family. Each closed form takes the sampler first, and
+    None means that the family has none."""
+    fields: Tuple[_Field, ...]       # in spec order
+    draw: Callable                   # (s, n, rng) -> (n, d) points
+    extras: Callable = lambda s: {}  # metadata exact beyond the fields
+    # the a of a tail H(t) ~ t^-a: moments of order a and above diverge
+    tail_index: Callable = lambda s: math.inf
+    tail: Optional[Callable] = None       # H(t) = mu(|X| > t)
+    cdf: Optional[Callable] = None        # on the line
+    quantile: Optional[Callable] = None   # on the line
+    antideriv: Optional[Callable] = None  # the quantile's integral from 0
+    weak: Optional[Callable] = None       # sup_t t^q H(t)
+    integral: Optional[Callable] = None   # tail_integral's (value, error)
+    strong: Optional[Callable] = None     # E |X|^p
+    # the radius past which H^e is negligible, for quadrature
+    reach: Callable = lambda s, e: float(s.metadata().get("delta_diam",
+                                                           math.inf))
+    # form -> the condition on the fields under which it holds
+    only_if: dict = field(default_factory=dict)
+
+
+def _sphere(s, n, rng):
+    if s.d == 1:
+        return (2.0 * rng.integers(0, 2, size=(n, 1)) - 1.0).astype(float)
+    g = rng.standard_normal((n, s.d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _radial(H, H_inv, **forms) -> _Family:
+    """A radius law on the sphere, from its tail H(t) = P(R > t) and H's
+    inverse on (0, 1]: X is H^-1(U) times a uniform direction, and on the
+    line +-R with equal odds."""
+
+    def draw(s, n, rng):
+        rad = H_inv(s, rng.random(n))
+        return _sphere(s, n, rng) * rad[:, None]
+
+    def quantile(s, u):
+        w = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
+        rad = H_inv(s, np.maximum(w, 1e-300))
+        return np.where(u < 0.5, -rad, rad)
+
+    return _Family(draw=draw, quantile=quantile, tail=H, cdf=lambda s, x: (
+        np.where(x >= 0, 1.0 - H(s, x) / 2, H(s, -x) / 2)), **forms)
+
+
+def _cantor_draw(s, n, rng):
+    bits = rng.integers(0, 2, size=(n, _CANTOR_DEPTH)).astype(float)
+    pows = s.ratio ** np.arange(_CANTOR_DEPTH)
+    return ((1.0 - s.ratio) * bits @ pows).reshape(n, 1)
+
+
+def _cantor_cdf(r, x):
+    # x's ternary-like digits: a left digit adds 0, a right one half the
+    # remaining mass, a middle one half of it and ends the expansion
+    val = np.zeros_like(x)
+    half = 0.5
+    xx = x
+    live = np.ones_like(x, dtype=bool)
+    for _ in range(_CANTOR_DEPTH):
+        val = val + half * (live & (xx >= r))
+        live &= (xx < r) | (xx >= 1.0 - r)
+        xx = np.where(xx < r, xx / r, (xx - (1.0 - r)) / r)
+        half *= 0.5
+    return np.where(x <= 0, 0.0, np.where(x >= 1, 1.0, val))
+
+
+def _pareto_antideriv(s, u):
+    c = 1.0 - 1.0 / s.a
+    lo = -(0.5 / c) * np.minimum(2.0 * u, 1.0) ** c
+    hi = -(0.5 / c) + (0.5 / c) * (1.0 - np.minimum(2.0 * (1 - u), 1.0) ** c)
+    return np.where(u < 0.5, lo, hi)
+
+
+def _exp_weak(s, q):
+    tstar = (q / (s.lam * s.kappa)) ** (1.0 / s.kappa)
+    return tstar ** q * math.exp(-s.lam * tstar ** s.kappa)
+
+
+# family -> its entry; a new family is one more entry
+_FAMILIES = {
+    "point-mass": _Family(
+        (_D,), lambda s, n, rng: np.zeros((n, s.d)),
+        extras=lambda s: {"alpha": 0.0, "delta_diam": 0.0},
+        tail=lambda s, t: np.where(t >= 0, 0.0, 1.0),
+        cdf=lambda s, x: (x >= 0).astype(float),
+        quantile=lambda s, u: np.zeros_like(u),
+        antideriv=lambda s, u: np.zeros_like(u)),
+    "uniform-cube": _Family(
+        (_D,), lambda s, n, rng: rng.random((n, s.d)),
+        extras=lambda s: {"alpha": float(s.d),
+                          "delta_diam": float(np.sqrt(s.d))},
+        tail=lambda s, t: np.clip(1.0 - t, 0.0, 1.0),
+        cdf=lambda s, x: np.clip(x, 0.0, 1.0),
+        quantile=lambda s, u: u.copy(),
+        antideriv=lambda s, u: 0.5 * u * u,
+        only_if={"tail": lambda s: s.d == 1}),
+    "uniform-cantor": _Family(
+        (_Field("ratio", float, 1.0 / 3.0, hi=0.5),), _cantor_draw,
+        extras=lambda s: {
+            "alpha": float(np.log(2.0) / np.log(1.0 / s.ratio)),
+            "delta_diam": 1.0},
+        tail=lambda s, t: 1.0 - _cantor_cdf(s.ratio, t),
+        cdf=lambda s, x: _cantor_cdf(s.ratio, x)),
+    "uniform-sphere": _Family(
+        (_Field("d", int, 2),), _sphere,
+        extras=lambda s: {"alpha": float(max(s.d - 1, 1)),
+                          "delta_diam": 2.0},
+        tail=lambda s, t: np.where(t < 1.0, 1.0, 0.0),
+        cdf=lambda s, x: np.where(x < -1.0, 0.0,
+                                  np.where(x < 1.0, 0.5, 1.0)),
+        quantile=lambda s, u: np.where(u < 0.5, -1.0, 1.0),
+        antideriv=lambda s, u: np.where(u < 0.5, -u, u - 1.0),
+        weak=lambda s, q: 1.0),
+    "pareto-radial": _radial(
+        lambda s, t: np.maximum(t, 1.0) ** -s.a,
+        lambda s, w: w ** (-1.0 / s.a),
+        fields=(_Field("a", float), _D), tail_index=lambda s: s.a,
+        antideriv=_pareto_antideriv,
+        weak=lambda s, q: 1.0,    # attained at t = 1
+        integral=lambda s, e, p: (float(1.0 / p + 1.0 / (s.a * e - p)), 0.0),
+        strong=lambda s, p: s.a / (s.a - p),
+        only_if={"antideriv": lambda s: s.a > 1.0}),
+    "exp-radial": _radial(
+        lambda s, t: np.exp(-s.lam * np.maximum(t, 0.0) ** s.kappa),
+        lambda s, w: (-np.log(w) / s.lam) ** (1.0 / s.kappa),
+        fields=(_Field("kappa", float), _Field("lam", float), _D),
+        weak=_exp_weak,
+        # past it H^e = exp(-lam e t^kappa) < e^-745, below every double
+        reach=lambda s, e: (745.0 / (s.lam * e)) ** (1.0 / s.kappa)),
+}
 
 
 @dataclass(frozen=True)
 class SyntheticSampler:
     """An i.i.d. sampler with analytic covering/tail metadata where valid.
 
-    `_SPEC_FIELDS` fills the fields its family reads, which alone may be
-    set (a family without `d` is 1-D). Metadata fields are present only
-    when exact for the family: `alpha` (covering dimension of the
-    support), `delta_diam` (diameter when bounded), `x0` (reference
-    coordinate), plus closed-form tail helpers.
+    Its family's `_FAMILIES` entry gives the fields it reads, which alone
+    may be set (a family without `d` is 1-D), its draw and each closed
+    form it has. Metadata fields are present only when exact for the
+    family: `alpha` (covering dimension of the support), `delta_diam`
+    (diameter when bounded), `x0` (reference coordinate).
     """
 
     family: str
@@ -132,255 +262,126 @@ class SyntheticSampler:
     ratio: Optional[float] = None    # cantor contraction ratio
 
     def __post_init__(self):
-        if self.family not in _SPEC_FIELDS:
+        entry = _FAMILIES.get(self.family)
+        if entry is None:
             raise MeasureError(f"unknown sampler family {self.family!r}")
-        takes = {f[0]: f[1:] for f in _SPEC_FIELDS[self.family]}
+        takes = {f.name: f for f in entry.fields}
         for name in ("d", "a", "kappa", "lam", "ratio"):
             if getattr(self, name) is not None and name not in takes:
                 raise MeasureError(f"{self.family} takes no {name}")
-        for name, (kind, *default) in {"d": (int, 1), **takes}.items():
-            value = getattr(self, name)
+        for f in {"d": _D, **takes}.values():
+            value = getattr(self, f.name)
             if value is None:
-                if not default:
-                    raise MeasureError(f"{self.family} needs {name}")
-                value = default[0]
+                if f.default is None:
+                    raise MeasureError(f"{self.family} needs {f.name}")
+                value = f.default
             elif not isinstance(value, numbers.Real) or (
-                    kind is int and not (math.isfinite(value)
-                                         and value == int(value))):
+                    f.kind is int and not (math.isfinite(value)
+                                           and value == int(value))):
                 raise MeasureError(
-                    f"{self.family} {name} must be "
-                    f"{'an integer' if kind is int else 'a number'}, "
+                    f"{self.family} {f.name} must be "
+                    f"{'an integer' if f.kind is int else 'a number'}, "
                     f"got {value!r}")
             # the spec's type, so equal samplers write equal metadata
-            object.__setattr__(self, name, kind(value))
-        if self.d < 1:
-            raise MeasureError("dimension must be >= 1")
-        if self.family == "pareto-radial" and not 0 < self.a < math.inf:
-            raise MeasureError("pareto-radial needs a finite a > 0")
-        if self.family == "exp-radial" and not (0 < self.kappa < math.inf
-                                                and 0 < self.lam < math.inf):
-            raise MeasureError("exp-radial needs finite kappa > 0, lam > 0")
-        if self.family == "uniform-cantor" and not (0 < self.ratio < 0.5):
-            raise MeasureError("cantor ratio must lie in (0, 1/2)")
-
-    # -- sampling ----------------------------------------------------------
+            object.__setattr__(self, f.name, f.kind(value))
+        if not all(0 < getattr(self, f.name) < f.hi for f in entry.fields):
+            raise MeasureError(f"{self.family} needs finite " + ", ".join(
+                f"{f.name} > 0" if f.hi == math.inf
+                else f"{f.name} in (0, {f.hi:g})" for f in entry.fields))
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 1:
             raise MeasureError("sample size must be >= 1")
-        f, d = self.family, self.d
-        if f == "point-mass":
-            pts = np.zeros((n, d))
-        elif f == "uniform-cube":
-            pts = rng.random((n, d))
-        elif f == "uniform-cantor":
-            bits = rng.integers(0, 2, size=(n, _CANTOR_DEPTH)).astype(float)
-            r = self.ratio
-            pows = r ** np.arange(_CANTOR_DEPTH)
-            pts = ((1.0 - r) * bits @ pows).reshape(n, 1)
-        elif f == "uniform-sphere":
-            pts = self._sphere(n, rng)
-        elif f == "pareto-radial":
-            rad = rng.random(n) ** (-1.0 / self.a)
-            pts = self._sphere(n, rng) * rad[:, None]
-        elif f == "exp-radial":
-            rad = (-np.log(rng.random(n)) / self.lam) ** (1.0 / self.kappa)
-            pts = self._sphere(n, rng) * rad[:, None]
-        else:  # pragma: no cover
-            raise AssertionError(f)
-        return pts
-
-    def _sphere(self, n, rng):
-        if self.d == 1:
-            return (2.0 * rng.integers(0, 2, size=(n, 1)) - 1.0).astype(float)
-        g = rng.standard_normal((n, self.d))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    # -- analytic metadata ---------------------------------------------------
+        return _FAMILIES[self.family].draw(self, n, rng)
 
     def metadata(self) -> dict:
         # "scale" (always 1.0) stays so that recorded outputs keep their bytes
-        md: dict = {"family": self.family, "d": self.d, "scale": 1.0,
-                    "x0": [0.0] * self.d}
-        f = self.family
-        if f == "point-mass":
-            md.update(alpha=0.0, delta_diam=0.0)
-        elif f == "uniform-cube":
-            md.update(alpha=float(self.d), delta_diam=float(np.sqrt(self.d)))
-        elif f == "uniform-cantor":
-            md.update(alpha=float(np.log(2.0) / np.log(1.0 / self.ratio)),
-                      delta_diam=1.0, ratio=self.ratio)
-        elif f == "uniform-sphere":
-            md.update(alpha=float(max(self.d - 1, 1)), delta_diam=2.0)
-        elif f == "pareto-radial":
-            md.update(a=self.a)
-        elif f == "exp-radial":
-            md.update(kappa=self.kappa, lam=self.lam)
-        return md
+        entry = _FAMILIES[self.family]
+        return {"family": self.family, "d": self.d, "scale": 1.0,
+                "x0": [0.0] * self.d, **entry.extras(self),
+                **{f.name: getattr(self, f.name) for f in entry.fields
+                   if f.name != "d"}}
 
-    # tail function H(t) = mu(B(x0, t)^c) with x0 the origin
+    @property
+    def tail_index(self) -> float:
+        """The a of a tail H(t) ~ t^-a: moments of order >= a diverge."""
+        return _FAMILIES[self.family].tail_index(self)
+
+    def has(self, form: str) -> bool:
+        """Whether the closed form `form` (a `_Family` slot) holds here."""
+        entry = _FAMILIES[self.family]
+        on_line = self.d == 1 or form not in ("cdf", "quantile", "antideriv")
+        return (on_line and getattr(entry, form) is not None
+                and entry.only_if.get(form, lambda s: True)(self))
+
+    def _eval(self, form, *args):
+        # the closed form `form` at args, None where it does not hold
+        return (getattr(_FAMILIES[self.family], form)(self, *args)
+                if self.has(form) else None)
+
     def tail(self, t):
-        t = np.asarray(t, dtype=float)
-        f = self.family
-        if f == "point-mass":
-            return np.where(t >= 0, 0.0, 1.0)
-        if f == "uniform-cube" and self.d == 1:
-            return np.clip(1.0 - t, 0.0, 1.0)
-        if f == "uniform-cantor":
-            return np.where(t < 0, 1.0, 1.0 - self._cantor_cdf(np.maximum(t, 0.0)))
-        if f == "uniform-sphere":
-            return np.where(t < 1.0, 1.0, 0.0)
-        if f == "pareto-radial":
-            with np.errstate(divide="ignore"):
-                return np.where(t <= 1.0, 1.0, np.maximum(t, 1.0) ** (-self.a))
-        if f == "exp-radial":
-            return np.where(t < 0, 1.0, np.exp(-self.lam * np.maximum(t, 0.0) ** self.kappa))
-        return None  # no closed form (e.g. uniform-cube d >= 2)
+        """H(t) = mu(B(x0, t)^c), x0 the origin."""
+        return self._eval("tail", np.asarray(t, dtype=float))
 
-    def _cantor_cdf(self, x):
-        x = np.array(x, dtype=float)
-        r = self.ratio
-        val = np.zeros_like(x)
-        half = 0.5
-        xx = x.copy()
-        done = np.zeros_like(x, dtype=bool)
-        for _ in range(_CANTOR_DEPTH):
-            left = xx < r
-            mid = (~left) & (xx < 1.0 - r)
-            right = xx >= 1.0 - r
-            val = np.where(mid & ~done, val + half, val)
-            done |= mid
-            val = np.where(right & ~done, val + half, val)
-            xx = np.where(left, xx / r, (xx - (1.0 - r)) / r)
-            half *= 0.5
-        return np.where(x <= 0, 0.0, np.where(x >= 1, 1.0, val))
-
-    # 1D distribution helpers (present only where exact)
     def cdf(self, x):
-        if self.d != 1:
-            return None
-        x = np.asarray(x, dtype=float)
-        f = self.family
-        if f == "point-mass":
-            return (x >= 0).astype(float)
-        if f == "uniform-cube":
-            return np.clip(x, 0.0, 1.0)
-        if f == "uniform-cantor":
-            return self._cantor_cdf(x)
-        if f == "pareto-radial":
-            out = np.where(x <= -1.0, 0.5 * np.abs(x) ** (-self.a), 0.5)
-            return np.where(x >= 1.0, 1.0 - 0.5 * x ** (-self.a), out)
-        if f == "exp-radial":
-            ax = np.abs(x)
-            h = 0.5 * np.exp(-self.lam * ax ** self.kappa)
-            return np.where(x >= 0, 1.0 - h, h)
-        if f == "uniform-sphere":
-            return np.where(x < -1.0, 0.0, np.where(x < 1.0, 0.5, 1.0))
-        return None
+        return self._eval("cdf", np.asarray(x, dtype=float))
 
     def quantile(self, u):
-        if self.d != 1:
-            return None
-        u = np.asarray(u, dtype=float)
-        f = self.family
-        if f == "point-mass":
-            return np.zeros_like(u)
-        if f == "uniform-cube":
-            return u.copy()
-        if f == "pareto-radial":
-            lowu = np.minimum(2.0 * u, 1.0)
-            highu = np.minimum(2.0 * (1.0 - u), 1.0)
-            with np.errstate(divide="ignore"):
-                return np.where(u < 0.5,
-                                -np.maximum(lowu, 1e-300) ** (-1.0 / self.a),
-                                np.maximum(highu, 1e-300) ** (-1.0 / self.a))
-        if f == "exp-radial":
-            w = np.where(u < 0.5, 2.0 * u, 2.0 * (1.0 - u))
-            w = np.maximum(w, 1e-300)
-            rad = (-np.log(w) / self.lam) ** (1.0 / self.kappa)
-            return np.where(u < 0.5, -rad, rad)
-        if f == "uniform-sphere":
-            return np.where(u < 0.5, -1.0, 1.0)
-        return None
+        return self._eval("quantile", np.asarray(u, dtype=float))
 
     def quantile_antideriv(self, u):
-        """Q(u) = integral of the quantile from 0 to u (closed forms only)."""
-        if self.d != 1:
-            return None
-        u = np.asarray(u, dtype=float)
-        f = self.family
-        if f == "point-mass":
-            return np.zeros_like(u)
-        if f == "uniform-cube":
-            return 0.5 * u * u
-        if f == "uniform-sphere":
-            return np.where(u < 0.5, -u, u - 1.0)
-        if f == "pareto-radial" and self.a > 1.0:
-            a = self.a
-            c = 1.0 - 1.0 / a
-            lo = -(0.5 / c) * np.minimum(2.0 * u, 1.0) ** c
-            hi = -(0.5 / c) + (0.5 / c) * (1.0 - np.minimum(2.0 * (1 - u), 1.0) ** c)
-            return np.where(u < 0.5, lo, hi)
-        return None
+        """Q(u) = integral of the quantile from 0 to u."""
+        return self._eval("antideriv", np.asarray(u, dtype=float))
 
     # -- moments and tail integrals of H -------------------------------------
 
     def _require_tail(self):
-        if self.tail(np.asarray([0.0])) is None:
+        if not self.has("tail"):
             raise MeasureError(f"no closed-form tail for {self.family} d={self.d}")
 
     def strong_moment(self, p: float) -> float:
         """E d(x0, X)^p where finite, that is p * tail_integral(1, p)."""
         val, _ = self.tail_integral(1.0, p)
-        if self.family == "pareto-radial":
-            return math.inf if p >= self.a else self.a / (self.a - p)
-        return p * val
+        closed = self._eval("strong", p) if val < math.inf else None
+        return p * val if closed is None else closed
 
     def tail_integral(self, exponent: float, p: float) -> tuple[float, float]:
         """(value, quadrature error) of int_0^inf H(t)^exponent t^{p-1} dt.
 
-        Closed form for Pareto tails, else quadrature (0 for a point mass).
-        Divergence, decided from the family's polynomial decay and never
-        numerically, returns +inf.
+        The family's closed form where it has one, else quadrature up to
+        the diameter (0 for a point mass). Divergence, decided from the
+        tail index and never numerically, returns +inf.
         """
         if not (0.0 < exponent <= 1.0):
             raise MeasureError("exponent must lie in (0, 1]")
         if not p >= 1:
             raise MeasureError("p must be >= 1")
         self._require_tail()
-        if self.family == "pareto-radial":
-            if self.a * exponent <= p:
-                return math.inf, 0.0
-            # exact: 1/p + 1/(a*exponent - p)
-            return float(1.0 / p + 1.0 / (self.a * exponent - p)), 0.0
-
-        def f(t):
-            return float(self.tail(t)) ** exponent * t ** (p - 1.0)
-
-        top = float(self.metadata().get("delta_diam", math.inf))
-        if math.isinf(top):  # exp-radial: cut where H^exponent is negligible
-            top = (745.0 / (self.lam * exponent)) ** (1.0 / self.kappa)
+        if self.tail_index * exponent <= p:
+            return math.inf, 0.0
+        closed = self._eval("integral", exponent, p)
+        if closed is not None:
+            return closed
         from scipy import integrate
-        val, err = integrate.quad(f, 0.0, top, limit=400)
+        val, err = integrate.quad(
+            lambda t: float(self.tail(t)) ** exponent * t ** (p - 1.0), 0.0,
+            _FAMILIES[self.family].reach(self, exponent), limit=400)
         return float(val), float(err)
 
     def weak_moment(self, q: float) -> float:
         """sup_t t^q H(t), the q-th weak moment raised to the q-th power.
 
-        Closed forms where the family has one, else a refined grid search.
-        Divergence returns +inf.
+        The family's closed form where it has one, else a refined grid
+        search. Divergence, decided from the tail index, returns +inf.
         """
         if not q >= 1:
             raise MeasureError("q must be >= 1")
         self._require_tail()
-        f = self.family
-        if f == "uniform-sphere":
-            return 1.0
-        if f == "pareto-radial":
-            return math.inf if q > self.a else 1.0  # sup attained at t = 1
-        if f == "exp-radial":
-            tstar = (q / (self.lam * self.kappa)) ** (1.0 / self.kappa)
-            return tstar ** q * math.exp(-self.lam * tstar ** self.kappa)
+        if q > self.tail_index:
+            return math.inf
+        closed = self._eval("weak", q)
+        if closed is not None:
+            return closed
         # bounded families and point masses: refined grid search to convergence
         top = float(self.metadata().get("delta_diam", math.inf))
         val = 0.0
@@ -402,15 +403,15 @@ def sampler_from_string(text: str) -> SyntheticSampler:
     """Parse forms like 'uniform-cube:3', 'pareto-radial:3.0:1',
     'point-mass'; a field that the family does not take is refused."""
     fam, *args = text.split(":")
-    if fam not in _SPEC_FIELDS:
+    if fam not in _FAMILIES:
         raise MeasureError(f"unknown sampler family {fam!r}")
-    fields = _SPEC_FIELDS[fam]
-    if not sum(len(f) == 2 for f in fields) <= len(args) <= len(fields):
-        form = "".join(f":{f[0]}" if len(f) == 2 else f"[:{f[0]}]"
+    fields = _FAMILIES[fam].fields
+    if not sum(f.default is None for f in fields) <= len(args) <= len(fields):
+        form = "".join(f":{f.name}" if f.default is None else f"[:{f.name}]"
                        for f in fields)
         raise MeasureError(f"bad sampler spec {text!r}: not {fam}{form}")
     try:
-        kw = {f[0]: f[1](a) for f, a in zip(fields, args)}
+        kw = {f.name: f.kind(a) for f, a in zip(fields, args)}
     except ValueError as exc:
         raise MeasureError(f"bad sampler spec {text!r}: {exc}") from None
     return SyntheticSampler(fam, **kw)
