@@ -382,20 +382,19 @@ class SyntheticSampler:
         closed = self._eval("weak", q)
         if closed is not None:
             return closed
-        # bounded families and point masses: refined grid search to convergence
+        # bounded families and point masses: the best of a refined grid search
         top = float(self.metadata().get("delta_diam", math.inf))
         val = 0.0
         grid = np.linspace(0.0, top, 1 << 12)
         for _ in range(6):
-            cand = grid ** q * np.asarray(self.tail(grid), dtype=float)
+            cand = grid ** q * self.tail(grid)
             k = int(np.argmax(cand))
             new = float(cand[k])
-            lo = grid[max(k - 1, 0)]
-            hi = grid[min(k + 1, grid.size - 1)]
-            if new <= val * (1.0 + 1e-9) and val > 0.0:
-                return new
+            if val > 0.0 and new <= val * (1.0 + 1e-9):
+                return max(val, new)
             val = max(val, new)
-            grid = np.linspace(lo, hi, 1 << 12)
+            grid = np.linspace(grid[max(k - 1, 0)],
+                               grid[min(k + 1, grid.size - 1)], 1 << 12)
         return val
 
 
