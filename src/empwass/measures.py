@@ -115,8 +115,7 @@ class _Family:
     fields: Tuple[_Field, ...]       # in spec order
     draw: Callable                   # (s, n, rng) -> (n, d) points
     extras: Callable = lambda s: {}  # metadata exact beyond the fields
-    # the a of a tail H(t) ~ t^-a: moments of order a and above diverge
-    tail_index: Callable = lambda s: math.inf
+    tail_index: Callable = lambda s: math.inf   # the a of H(t) ~ t^-a
     tail: Optional[Callable] = None       # H(t) = mu(|X| > t)
     cdf: Optional[Callable] = None        # on the line
     quantile: Optional[Callable] = None   # on the line
@@ -139,9 +138,8 @@ def _sphere(s, n, rng):
 
 
 def _radial(H, H_inv, **forms) -> _Family:
-    """A radius law on the sphere, from its tail H(t) = P(R > t) and H's
-    inverse on (0, 1]: X is H^-1(U) times a uniform direction, and on the
-    line +-R with equal odds."""
+    """The radius R = H^-1(U) times a uniform direction (+-1 on the line),
+    from the tail H(t) = P(R > t) and its inverse H^-1 on (0, 1]."""
 
     def draw(s, n, rng):
         rad = H_inv(s, rng.random(n))

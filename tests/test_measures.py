@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from empwass import measures
+from empwass.mc_harness import ExperimentSpec
 from empwass.measures import (DiscreteMeasure, MeasureError,
                               SyntheticSampler, mix, restrict,
                               sampler_from_string)
@@ -189,6 +192,54 @@ def test_sampler_draw_shapes_and_determinism():
         b = s.draw(50, np.random.default_rng(7))
         assert a.shape[0] == 50
         assert np.array_equal(a, b)
+
+
+# one 1-D spec or more of every family
+_LINE_SPECS = ["point-mass:1", "uniform-cube:1", "uniform-cantor",
+               "uniform-cantor:0.25", "uniform-sphere:1", "pareto-radial:3:1",
+               "pareto-radial:0.5:1", "exp-radial:2:0.5", "exp-radial:1:3"]
+
+
+def test_every_family_has_line_specs():
+    assert {s.split(":")[0] for s in _LINE_SPECS} == set(measures._FAMILIES)
+
+
+@pytest.mark.parametrize("spec", _LINE_SPECS + ["uniform-cube:3",
+                                                "uniform-sphere:3",
+                                                "pareto-radial:2.5:2"])
+def test_samplers_and_specs_survive_pickling(spec):
+    # the process pool pickles each spec: a sampler holds its fields only,
+    # and its family's code stays in the table
+    sampler = sampler_from_string(spec)
+    exp = ExperimentSpec(sampler, 1.0, "mcf-two-sample", (8, 16), 3, 0)
+    for obj in (sampler, exp):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj
+    back = pickle.loads(pickle.dumps(exp)).sampler
+    assert (back.draw(64, np.random.default_rng(5)).tobytes()
+            == sampler.draw(64, np.random.default_rng(5)).tobytes())
+
+
+@pytest.mark.parametrize("spec", _LINE_SPECS)
+def test_line_slots_agree(spec):
+    # the draw's Kolmogorov-Smirnov gap to cdf, taken on both sides of
+    # every atom, is below the 0.1 % critical value 1.95 / sqrt(n); and
+    # cdf(quantile(u)) >= u wherever the family has a quantile
+    s = sampler_from_string(spec)
+    n = 4096
+    xs, counts = np.unique(s.draw(n, np.random.default_rng(11))[:, 0],
+                           return_counts=True)
+    right = np.cumsum(counts) / n
+    gap = max(np.abs(right - s.cdf(xs)).max(),
+              np.abs(right - counts / n
+                     - s.cdf(np.nextafter(xs, -np.inf))).max())
+    assert gap * math.sqrt(n) < 1.95
+    if s.has("quantile"):
+        us = np.linspace(0.0, 1.0, 1001)
+        with np.errstate(over="ignore"):   # the poles of heavy tails
+            assert np.all(s.cdf(s.quantile(us)) >= us - 1e-12)
+    else:
+        assert s.quantile([0.5]) is None
 
 
 def test_point_mass_and_sphere_geometry():
