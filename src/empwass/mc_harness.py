@@ -89,7 +89,7 @@ def replicate_seed(master: int, n: int, rep: int) -> np.random.Generator:
 
 def _check_quantile_sampler(sampler: SyntheticSampler, p: float) -> None:
     """Refuse a sampler that is not 1-D with a closed-form, monotone
-    quantile, or with W_p^p to it infinite (Pareto(a) needs p < a)."""
+    quantile, or with W_p^p to it infinite (a tail index of p or less)."""
     if not sampler.has("quantile"):
         raise HarnessError("the quantile estimator and trajectories need a "
                            "1D sampler with a closed-form quantile")
