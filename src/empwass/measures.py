@@ -161,8 +161,8 @@ def _cantor_draw(s, n, rng):
 
 
 def _cantor_cdf(r, x):
-    # x's ternary-like digits: a left digit adds 0, a right one half the
-    # remaining mass, a middle one half of it and ends the expansion
+    # digit by digit: x in the right part adds the left part's mass half,
+    # and x in the gap between the parts adds it too and stops there
     val = np.zeros_like(x)
     half = 0.5
     xx = x
@@ -204,7 +204,7 @@ _FAMILIES = {
         cdf=lambda s, x: np.clip(x, 0.0, 1.0),
         quantile=lambda s, u: u.copy(),
         antideriv=lambda s, u: 0.5 * u * u,
-        only_if={"tail": lambda s: s.d == 1}),
+        only_if={"tail": lambda s: s.d == 1}),    # none for d >= 2
     "uniform-cantor": _Family(
         (_Field("ratio", float, 1.0 / 3.0, hi=0.5),), _cantor_draw,
         extras=lambda s: {

@@ -212,11 +212,10 @@ def test_samplers_and_specs_survive_pickling(spec):
     # and its family's code stays in the table
     sampler = sampler_from_string(spec)
     exp = ExperimentSpec(sampler, 1.0, "mcf-two-sample", (8, 16), 3, 0)
-    for obj in (sampler, exp):
-        back = pickle.loads(pickle.dumps(obj))
-        assert back == obj
-    back = pickle.loads(pickle.dumps(exp)).sampler
-    assert (back.draw(64, np.random.default_rng(5)).tobytes()
+    assert pickle.loads(pickle.dumps(sampler)) == sampler
+    back = pickle.loads(pickle.dumps(exp))
+    assert back == exp
+    assert (back.sampler.draw(64, np.random.default_rng(5)).tobytes()
             == sampler.draw(64, np.random.default_rng(5)).tobytes())
 
 
