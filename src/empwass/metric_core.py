@@ -8,6 +8,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
+
 
 class MetricError(ValueError):
     """Raised for malformed metric inputs (NaN matrices, empty spaces, ...)."""
@@ -69,11 +71,6 @@ class FiniteMetricSpace:
                 raise MetricError("empty point cloud")
             if not np.all(np.isfinite(pts)):
                 raise MetricError("point coordinates must be finite")
-            # no pairwise distance exceeds the bounding-box diagonal
-            with np.errstate(over="ignore"):
-                if not np.isfinite(_norms(pts.max(axis=0), pts.min(axis=0))):
-                    raise MetricError("point cloud too wide: its distances "
-                                      "overflow a float")
             self.points = pts
             self.points.setflags(write=False)
             self._n = pts.shape[0]
@@ -95,7 +92,14 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_points(cls, points) -> "FiniteMetricSpace":
-        return cls(kind="euclidean", points=points)
+        space = cls(kind="euclidean", points=points)
+        pts = space.points
+        # the bounding-box diagonal caps every distance; __init__ skips this
+        with np.errstate(over="ignore"):
+            if not np.isfinite(_norms(pts.max(axis=0), pts.min(axis=0))):
+                raise MetricError("point cloud too wide: its distances "
+                                  "overflow a float")
+        return space
 
     @classmethod
     def from_matrix(cls, matrix) -> "FiniteMetricSpace":
@@ -130,6 +134,16 @@ class FiniteMetricSpace:
 
     def submatrix(self, idx) -> np.ndarray:
         return self.distance_block(idx, idx)
+
+    def cover(self, delta, stop=None, groups=None, labels=False):
+        """Greedy delta-cover centers: the cover kernel on the coordinates
+        (``_kernels.greedy_cover_pts``) or on the matrix
+        (``greedy_cover_mat``), with its arguments and results."""
+        if self.points is not None:
+            return _kernels.greedy_cover_pts(self.points, delta, stop,
+                                             groups, labels)
+        return _kernels.greedy_cover_mat(self._matrix, delta, stop, groups,
+                                         labels)
 
 
 def diameter(space: FiniteMetricSpace, subset=None) -> float:

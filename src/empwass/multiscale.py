@@ -9,7 +9,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .metric_core import FiniteMetricSpace, diameter
 from .measures import DiscreteMeasure
 
@@ -35,30 +34,14 @@ class CoveringEstimate:
                 "centers": [int(c) for c in self.centers]}
 
 
-def _walk(kind: str, data: np.ndarray, delta, **kw):
-    """The greedy cover kernel on a space's coordinates (``euclidean``) or
-    distance matrix; ``delta``, ``stop``, ``groups`` and ``labels`` as in
-    ``_kernels.greedy_cover_pts``."""
-    if kind == "euclidean":
-        return _kernels.greedy_cover_pts(data, delta, **kw)
-    return _kernels.greedy_cover_mat(data, delta, **kw)
-
-
-def _cover(space: FiniteMetricSpace, delta: float) -> np.ndarray:
-    """Greedy delta-cover centers of the whole space."""
-    data = (space.points if space.kind == "euclidean"
-            else space.submatrix(np.arange(space.n)))
-    return _walk(space.kind, data, float(delta))
-
-
 def greedy_cover(space: FiniteMetricSpace, delta: float) -> CoveringEstimate:
     """Greedy cover of the space by closed delta-balls (next center = first
     uncovered point of lowest index) plus a 2*delta-packing lower bound."""
     if not delta > 0:
         raise MultiscaleError("delta must be positive")
-    cov = _cover(space, delta)
+    cov = space.cover(delta)
     # a maximal 2*delta-separated set is the greedy cover at 2*delta
-    pack = _cover(space, 2.0 * delta)
+    pack = space.cover(2.0 * delta)
     return CoveringEstimate(float(delta), int(cov.size), int(pack.size), cov)
 
 
@@ -107,7 +90,7 @@ def fit_dimension(space: FiniteMetricSpace,
     Delta = diameter(space)
     if Delta <= 0:
         raise DegenerateFitError("point set has zero diameter")
-    counts = np.array([_cover(space, d).size for d in deltas])
+    counts = np.array([space.cover(d).size for d in deltas])
     if np.all(counts == 1):
         raise DegenerateFitError("all covering counts equal 1")
     x = np.log(Delta / deltas)
@@ -146,12 +129,13 @@ def _group(labels: np.ndarray, ncells: int) -> List[np.ndarray]:
 
 def _union(spaces: Sequence[FiniteMetricSpace]):
     """The interleaved union of spaces of one kind, as
-    ``(kind, data, tree, local, pos)``.
+    ``(union, tree, local, pos)``.
 
     Union positions are ordered by (local index, space), so point i of
-    space r sits at i*R + r when all R spaces have one size. ``data`` is
-    the union's coordinates, or its block-diagonal distance matrix with
-    +inf off the blocks, which a walk grouped by space never counts.
+    space r sits at i*R + r when all R spaces have one size. ``union`` is
+    a space on the interleaved coordinates, whose cross-space distances
+    may overflow, or on the block-diagonal matrix, +inf off the blocks:
+    a walk grouped by space reads neither.
     ``tree`` and ``local`` give the space and the local index at each
     position, and ``pos`` the position of each point of the spaces taken
     one after another.
@@ -168,12 +152,14 @@ def _union(spaces: Sequence[FiniteMetricSpace]):
     pos = np.empty_like(perm)
     pos[perm] = np.arange(perm.size)
     if kind == "euclidean":
-        data = np.concatenate([s.points for s in spaces])[perm]
+        union = FiniteMetricSpace(
+            kind=kind, points=np.concatenate([s.points for s in spaces])[perm])
     else:
         data = np.full((perm.size, perm.size), np.inf)
         for s, at in zip(spaces, np.split(pos, starts[1:])):
             data[np.ix_(at, at)] = s.submatrix(np.arange(s.n))
-    return kind, data, tree[perm], local[perm], pos
+        union = FiniteMetricSpace.from_matrix(data)
+    return union, tree[perm], local[perm], pos
 
 
 @dataclass
@@ -218,12 +204,11 @@ class PartitionTree:
         """
         trees = (self,) + others
         spaces = [t.space for t in trees]
-        kind, data, tree, _, _ = _union(spaces)
+        union, tree, _, pos = _union(spaces)
         sizes = np.array([s.n for s in spaces])
         diams = np.array([t.diam for t in trees])
         starts = np.cumsum(sizes) - sizes
-        points = (np.concatenate([s.points for s in spaces])
-                  if kind == "euclidean" else None)
+        points = None if union.points is None else union.points[pos]
         whose = np.arange(len(trees))
         # level 0: cell r, the root of tree r, holds all of its points
         prev, pstart = np.repeat(whose, sizes), whose
@@ -271,8 +256,8 @@ class PartitionTree:
             if np.any(lab[cen] != np.arange(ncells.sum())):
                 raise MultiscaleError(
                     f"level {k} has a center outside its own cell")
-            cap = np.bincount(tree[_walk(kind, data, 4.0 ** (-k - 1) * diams,
-                                         stop=ncells, groups=tree)],
+            cap = np.bincount(tree[union.cover(4.0 ** (-k - 1) * diams,
+                                               stop=ncells, groups=tree)],
                               minlength=len(trees))
             bad = np.flatnonzero(ncells > cap)
             if bad.size:
@@ -321,7 +306,7 @@ def build_partition_trees(spaces: Sequence[FiniteMetricSpace],
         if math.ldexp(Delta / 2.0 if Delta > 0 else 1.0, -2 * k_star) == 0.0:
             raise MultiscaleError("k_star too large: the radius "
                                   "4^-k_star*diam/2 underflows to 0")
-    kind, data, tree, local, pos = _union(spaces)
+    union, tree, local, pos = _union(spaces)
     trees = [PartitionTree(s, float(D), int(k_star))
              for s, D in zip(spaces, diams)]
     cuts = np.cumsum([s.n for s in spaces])[:-1]
@@ -329,8 +314,8 @@ def build_partition_trees(spaces: Sequence[FiniteMetricSpace],
     # level 0: one root cell per space, cell r being space r's
     lab, owner, start = tree, whose, whose
     for k in range(1, k_star + 1):
-        centers, near = _walk(kind, data, np.ldexp(diams[owner] / 2.0, -2 * k),
-                              groups=lab, labels=True)
+        centers, near = union.cover(np.ldexp(diams[owner] / 2.0, -2 * k),
+                                    groups=lab, labels=True)
         par = lab[centers]
         order = np.argsort(par, kind="stable")
         cell = np.empty_like(order)

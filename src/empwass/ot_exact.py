@@ -115,7 +115,7 @@ def wpp_1d(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> WppValue:
     if not p >= 1:
         raise OTError("p must be >= 1")
     for m in (mu, nu):
-        if m.space.kind != "euclidean" or m.space.dim != 1:
+        if m.space.dim != 1:
             raise OTError("measure is not supported on the line")
     v = wpp_1d_arrays(mu.space.points[mu.idx, 0], mu.weights,
                       nu.space.points[nu.idx, 0], nu.weights, p)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from empwass.mc_harness import ExperimentSpec, _dyadic_block
 from empwass.measures import DiscreteMeasure, sampler_from_string
-from empwass.metric_core import FiniteMetricSpace, diameter
+from empwass.metric_core import FiniteMetricSpace, MetricError, diameter
 from empwass.multiscale import (DegenerateFitError, MultiscaleError,
                                 PartitionTree, auto_delta_grid, auto_k_star,
                                 build_partition_tree, build_partition_trees,
@@ -526,6 +526,21 @@ def test_batched_verify_checks_every_tree():
     with pytest.raises(MultiscaleError, match="share kind and dimension"):
         build_partition_trees([spaces[0], FiniteMetricSpace.from_matrix(
             spaces[1].submatrix(np.arange(300)))], 2)
+
+
+def test_forest_of_far_apart_spaces_builds():
+    # each cloud's distances are finite, but the bounding box of their
+    # union overflows; the forest's walks never read a distance across
+    # spaces, so its union is built without the width check
+    a = FiniteMetricSpace.from_points([[9e153, 0.0], [0.0, 1.0], [3.0, 1.0]])
+    b = FiniteMetricSpace.from_points([[-9e153, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(MetricError, match="too wide"):
+        FiniteMetricSpace.from_points(np.vstack([a.points, b.points]))
+    for tree, space in zip(build_partition_trees([a, b], 2), (a, b)):
+        alone = build_partition_tree(space, 2)
+        for name in ("labels", "centers", "parents"):
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(getattr(tree, name), getattr(alone, name)))
 
 
 @pytest.mark.xfail(strict=True, raises=MultiscaleError,
