@@ -200,9 +200,15 @@ class PartitionTree:
         the union of the spaces (``_union``), grouped by tree at each
         tree's radius, in which a tree stops as soon as it reaches its
         level's cell count. A failure names the first tree that fails
-        the first check.
+        the first check. The trees must share one depth, and each of a
+        tree's three lists must hold k_star levels.
         """
         trees = (self,) + others
+        if any(t.k_star != self.k_star for t in trees):
+            raise MultiscaleError("the trees differ in k_star")
+        if any({len(t.labels), len(t.centers), len(t.parents)} != {t.k_star}
+               for t in trees):
+            raise MultiscaleError("a tree does not hold k_star levels")
         spaces = [t.space for t in trees]
         union, tree, _, pos = _union(spaces)
         sizes = np.array([s.n for s in spaces])

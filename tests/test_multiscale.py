@@ -543,6 +543,30 @@ def test_forest_of_far_apart_spaces_builds():
                        zip(getattr(tree, name), getattr(alone, name)))
 
 
+@pytest.mark.parametrize("lists", [("labels", "centers", "parents"),
+                                   ("labels",)])
+def test_verify_refuses_a_tree_short_of_k_star(lists):
+    # verify zipped the levels of its trees and lists, so it checked only
+    # the levels they all held, and a tree short of its last level passed
+    tree = _square_tree(k_star=3)
+    for name in lists:
+        getattr(tree, name).pop()
+    with pytest.raises(MultiscaleError,
+                       match="^a tree does not hold k_star levels$"):
+        tree.verify()
+
+
+def test_verify_refuses_trees_of_different_depths():
+    # b's level 3 puts every point in cell 0: b alone is refused, and a
+    # depth-1 tree ahead of it let the batch pass
+    a, b = _square_tree(k_star=1), _square_tree(k_star=3)
+    b.labels[2][:] = 0
+    with pytest.raises(MultiscaleError, match="level 3 does not partition"):
+        b.verify()
+    with pytest.raises(MultiscaleError, match="^the trees differ in k_star$"):
+        a.verify(b)
+
+
 @pytest.mark.xfail(strict=True, raises=MultiscaleError,
                    reason="per-parent greedy covers can place more level-2 "
                           "cells (64) than one global greedy cover at the "
