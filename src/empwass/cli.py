@@ -58,7 +58,7 @@ def _parse_xgrid(text: str, name: str = "x"):
 
 def _json_text(payload) -> str:
     """Strict JSON: a NaN or an infinity raises ValueError."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=str,
+    return json.dumps(payload, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
 
 
@@ -229,12 +229,15 @@ def _cmd_tail(args):
 
 def _cmd_fitc(args):
     spec = _spec_from_args(args, need_x=True)
-    rep = mc.run_tail_experiment(spec)
     md = spec.sampler.metadata()
-    alpha = float(args.alpha if args.alpha is not None
-                  else md.get("alpha", 1.0))
-    Delta = float(args.delta if args.delta is not None
-                  else md.get("delta_diam", 1.0))
+    # a flag, else the sampler's exact value; the bound needs both
+    alpha = args.alpha if args.alpha is not None else md.get("alpha")
+    Delta = args.delta if args.delta is not None else md.get("delta_diam")
+    for flag, value in (("alpha", alpha), ("delta", Delta)):
+        if value is None:
+            raise ValueError(f"fitc needs --{flag}: sampler {args.sampler} "
+                             "states none")
+    rep = mc.run_tail_experiment(spec)
     fit = mc.fit_bound_constant(rep, lambda x, n, C: bc.hoeffding_bound(
         x, n, spec.p, alpha, Delta, C)).to_dict()
     fit["measures"] = mc._ESTIMATORS[spec.estimator].measures
