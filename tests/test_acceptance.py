@@ -4,8 +4,8 @@ Each test pins the seeds, grids, and tolerances it was committed with, so
 a pass here means the library reproduces the documented behavior exactly:
 exact transport costs, multiscale upper bounds, convergence rates with the
 logarithmic correction, tail-probability domination, decomposition algebra,
-moment inequalities, dimension recovery on bundled data, and deterministic
-CLI output across worker counts.
+moment inequalities, dimension recovery on bundled data, deterministic
+CLI output across worker counts, and the Efron-Stein cap on the spread.
 """
 
 import json
@@ -205,7 +205,7 @@ def test_acceptance_7_heavy_tail_normalized_sequence():
 # 8. partial-sum moment inequalities hold within Monte Carlo error
 
 def test_acceptance_8_moment_inequalities():
-    for dist in ("rademacher", "pareto"):
+    for dist in ("rademacher", "uniform", "pareto"):
         for r in (1.5, 2.0, 3.0):
             # only pareto reads a tail index
             out = verify_appendix_inequalities(
@@ -273,3 +273,29 @@ def test_acceptance_10_cli_worker_determinism(tmp_path):
     run_tail(d, 4)
     for name in ("tail.csv", "tail.json"):
         assert (c / name).read_bytes() == (d / name).read_bytes()
+
+
+# 17. the spread of W_p^p stays under the Efron-Stein cap in every
+#     dimension, while sd/mean falls only where the mean decays slower
+
+# sqrt(chi2_{0.999, R-1} / (R-1)) at R = 100 replicates: a one-sided
+# allowance for the sampling error of a sample sd
+_SD_ALLOWANCE = 1.224
+
+
+def test_acceptance_17_sd_under_efron_stein_cap():
+    ratio = {}
+    for d in (1, 2, 6):
+        spec = ExperimentSpec(sampler=sampler_from_string(f"uniform-cube:{d}"),
+                              p=1.0, estimator="mcf-two-sample",
+                              n_grid=(16, 32, 64, 128, 256), replicates=100,
+                              seed=17, workers=2)
+        rows = run_rate_experiment(spec).per_n
+        for row in rows:
+            # p = 1, m = n and E|X - X'|^2 = d/6 on the unit cube
+            cap = np.sqrt(d / 6.0 * (2.0 / row["n"]) / 2.0) * _SD_ALLOWANCE
+            assert row["sd"] <= cap, (d, row["n"], row["sd"], cap)
+        ratio[d] = [row["sd"] / row["mean"] for row in (rows[0], rows[-1])]
+    # alpha = 6 > 2p: W_1 concentrates on its mean; alpha = 1 < 2p: not
+    assert ratio[6][1] < 0.5 * ratio[6][0], ratio[6]
+    assert ratio[1][1] > 0.5 * ratio[1][0], ratio[1]

@@ -688,6 +688,24 @@ def test_asrun_without_alpha_reports_null(tmp_path, capsys):
         "max_normalized"] is None
 
 
+def test_comma_grid_matches_its_dyadic_range(tmp_path):
+    outs = [tmp_path / "list", tmp_path / "range"]
+    for grid, out in zip(("8,16,32", "8:32"), outs):
+        assert _run(["rate", "--sampler", "uniform-cube:1", "--p", "1",
+                     "--estimator", "1d-quantile", "--ngrid", grid,
+                     "--reps", "30", "--seed", "4", "--out", str(out)]) == 0
+    for name in ("rate.json", "rate.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_asrun_ends_at_an_nmax_off_the_dyadic_grid(tmp_path):
+    out = tmp_path / "as"
+    assert _run(["asrun", "--sampler", "uniform-cube:1", "--p", "1",
+                 "--nmax", "100", "--seed", "0", "--out", str(out)]) == 0
+    rows = _strict_json(out / "asrun.json")["rows"]
+    assert [r["k"] for r in rows] == [4, 8, 16, 32, 64, 100]
+
+
 _EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
                "--reps", "1000", "--seed", "0"]
 
@@ -759,6 +777,17 @@ _EXPERIMENT = ["--p", "1", "--estimator", "1d-quantile", "--ngrid", "64:64",
     (["verify-appendix", "--dist", "rademacher", "--r", "2", "--a", "4",
       "--ngrid", "8:16", "--reps", "50", "--seed", "0"],
      "--dist rademacher reads no --a"),
+    # Hoeffding's bound needs alpha and the support's diameter; fitc took
+    # 1.0 for each the sampler does not state, on an unbounded support
+    (["fitc", "--sampler", "pareto-radial:3:1", *_EXPERIMENT,
+      "--xgrid", "0.05,0.5,2"], "fitc needs --alpha"),
+    (["fitc", "--sampler", "pareto-radial:3:1", *_EXPERIMENT,
+      "--xgrid", "0.05,0.5,2", "--alpha", "1"], "fitc needs --delta"),
+    # the later --ngrid wins over the one in _EXPERIMENT
+    (["rate", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--ngrid", "16:8"],
+     "needs 1 <= lo <= hi"),
+    (["rate", "--sampler", "uniform-cube:1", *_EXPERIMENT, "--ngrid", "0,4"],
+     "needs positive entries"),
 ])
 def test_bad_input_exit_2_one_line(tmp_path, capsys, pts_file, argv, reason):
     rng = np.random.default_rng(1)
