@@ -230,7 +230,6 @@ def _cmd_tail(args):
 def _cmd_fitc(args):
     spec = _spec_from_args(args, need_x=True)
     md = spec.sampler.metadata()
-    # a flag, else the sampler's exact value; the bound needs both
     alpha = args.alpha if args.alpha is not None else md.get("alpha")
     Delta = args.delta if args.delta is not None else md.get("delta_diam")
     for flag, value in (("alpha", alpha), ("delta", Delta)):
