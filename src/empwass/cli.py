@@ -57,7 +57,7 @@ def _parse_xgrid(text: str, name: str = "x"):
 
 
 def _json_text(payload) -> str:
-    """Strict JSON: a NaN or an infinity raises ValueError."""
+    """Strict JSON: NaN or inf raises ValueError, a non-JSON type TypeError."""
     return json.dumps(payload, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
 
